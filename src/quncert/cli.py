@@ -51,7 +51,7 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(args, header: str, lines, default_name: str) -> None:
+def _emit(args, header: str, lines) -> None:
     text = header + "\n".join(lines) + "\n"
     path = getattr(args, "csv", None) or getattr(args, "json", None)
     if path:
@@ -89,7 +89,7 @@ def cmd_overlap(args) -> int:
     lines = ["delta,c,neg_log2_c"]
     for d, c in rows:
         lines.append(f"{_fmt(d)},{_fmt(c)},{_fmt(-math.log2(c))}")
-    _emit(args, _header(args, "bits"), lines, "overlap.csv")
+    _emit(args, _header(args, "bits"), lines)
     return 0
 
 
@@ -101,7 +101,7 @@ def cmd_epr_gap(args) -> int:
         lines.append(",".join(_fmt(v) for v in
                               (row.r, row.nu, row.gap_bits, row.gap_nats,
                                log_gap, row.mean_energy)))
-    _emit(args, _header(args, args.base), lines, "epr_gap.csv")
+    _emit(args, _header(args, args.base), lines)
     return 0
 
 
@@ -119,7 +119,7 @@ def cmd_ladder(args) -> int:
     for alpha, val in table.rows:
         lines.append(f"{_fmt(alpha)},{_fmt(val)},{table.entropy_kind},{table.base}")
     lines.append(f"# extrapolated_limit_estimate,{_fmt(table.extrapolated)}")
-    _emit(args, _header(args, args.base), lines, "ladder.csv")
+    _emit(args, _header(args, args.base), lines)
     return 0
 
 
@@ -138,17 +138,16 @@ def cmd_entropy(args) -> int:
             raise SystemExit(f"{args.measure} needs a cq state file")
         if args.measure == "hmin":
             res = minmax.guessing_probability(state, args.tol)
-            ent = entropy_mod.EntropyValue(-math.log(res.value), "nats").in_base(args.base)
-            out.update(ent.to_json())
-            out.update({"gap": res.gap, "iterations": res.iterations,
-                        "converged": res.converged})
-            if not res.converged:
-                print(json.dumps(out, sort_keys=True), file=sys.stderr)
-                return 1
+            nats, gap, iters = -math.log(res.value), res.gap, res.iterations
+            converged = res.converged
         else:
-            fdec = minmax.decoupling_fidelity(state, args.tol)
-            ent = entropy_mod.EntropyValue(math.log(fdec), "nats").in_base(args.base)
-            out.update(ent.to_json())
+            fdec, gap, iters = minmax._decoupling_sdp(state, args.tol)
+            nats, converged = math.log(fdec), gap <= args.tol
+        out.update(entropy_mod.EntropyValue(nats, "nats").in_base(args.base).to_json())
+        out.update({"gap": gap, "iterations": iters, "converged": converged})
+        if not converged:
+            print(json.dumps(out, sort_keys=True), file=sys.stderr)
+            return 1
     else:
         raise SystemExit(f"unknown measure {args.measure!r}")
     text = json.dumps(out, sort_keys=True)

@@ -13,12 +13,19 @@ The max-entropy H_max(X|B) = log F_dec(X|B) is computed through the duality
 H_max(X|B) = -H_min(X|C), where C is the purifying system of the cq state;
 H_min(X|C) for the (generally non-cq) marginal is the SDP
 min { tr Y : 1_X (x) Y >= rho_XC }.
+
+Both SDPs have the form min { tr Y : embed(Y) >= rho_j for every block j }
+over a stack of blocks rho, with adjoint(embed(Y)) = k*Y: sigma against each
+of the m outcome blocks, or 1_X (x) Y against the one block rho_XC. They
+share one ADMM core that projects the whole stack onto the PSD cone with one
+batched eigendecomposition per iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,10 +56,36 @@ class SDPResult:
     converged: bool = True
 
 
-def _psd_part(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(herm(mat))
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * vals) @ vecs.conj().T
+class _Embedding(NamedTuple):
+    """The map Y -> embed(Y) onto a stack of (s, n, n) blocks and its adjoint,
+    with adjoint(embed(Y)) = k*Y."""
+
+    embed: Callable
+    adjoint: Callable
+    k: int
+
+
+def _cq_embedding(m: int) -> _Embedding:
+    """sigma against each of m outcome blocks."""
+    return _Embedding(lambda y: y[None], lambda s: s.sum(0), m)
+
+
+def _tensor_embedding(dim_a: int, dim_c: int) -> _Embedding:
+    """Y -> 1_A (x) Y as one block; the adjoint is the partial trace over A."""
+    n = dim_a * dim_c
+    eye = np.eye(dim_a)[:, None, :, None]
+    shape = (dim_a, dim_c, dim_a, dim_c)
+    return _Embedding(lambda y: (eye * y[:, None, :]).reshape(1, n, n),
+                      lambda s: np.einsum("iaib->ab", s.reshape(shape)), dim_a)
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol <= 1e-3:
+        raise ValueError("tol must be in (0, 1e-3]")
+
+
+def _positive(vals: np.ndarray) -> np.ndarray:
+    return np.clip(vals, 0.0, None)
 
 
 def _inv_sqrt_on_support(mat: np.ndarray, rtol: float = 1e-12):
@@ -68,34 +101,61 @@ def _inv_sqrt_on_support(mat: np.ndarray, rtol: float = 1e-12):
     return inv_sqrt, kern
 
 
-def _feasible_shift(ops, sigma: np.ndarray) -> float:
-    """Smallest mu >= 0 with sigma + mu*I >= op for every op."""
-    mu = 0.0
-    for op in ops:
-        top = float(np.linalg.eigvalsh(herm(op - sigma)).max())
-        mu = max(mu, top)
-    return mu
+def _feasible_shift(ops: np.ndarray, sigma: np.ndarray) -> float:
+    """Smallest mu >= 0 with sigma + mu*I >= op for every op of the stack."""
+    return max(0.0, float(np.linalg.eigvalsh(herm(ops - sigma)).max()))
 
 
-def _primal_value(ops, elements) -> float:
-    return float(sum(np.real(np.trace(op @ e)) for op, e in zip(ops, elements)))
+def _primal_value(ops: np.ndarray, elements: np.ndarray) -> float:
+    """sum_j tr[op_j E_j] over two stacks."""
+    return float(np.einsum("xij,xji->", ops, elements).real)
 
 
-def _pgm(ops):
-    """Pretty-good measurement of a family of subnormalized states."""
-    m = len(ops)
-    total = herm(sum(ops))
-    inv_sqrt, kern = _inv_sqrt_on_support(total)
-    return [herm(inv_sqrt @ op @ inv_sqrt) + kern / m for op in ops]
+def _pgm(ops: np.ndarray, emb: _Embedding) -> np.ndarray:
+    """Pretty-good measurement of a stack of PSD blocks: each block is
+    sandwiched by embed(T^{-1/2}), T = adjoint(ops), and the kernel of T is
+    shared out, so that adjoint(result) = 1."""
+    inv_sqrt, kern = _inv_sqrt_on_support(emb.adjoint(ops))
+    w = emb.embed(inv_sqrt)
+    return herm(w @ ops @ w) + emb.embed(kern) / emb.k
 
 
-def _refine_step(ops, elements):
-    """One fixed-point iteration on the PGM family; never decreases the value."""
-    m = len(ops)
-    g = herm(sum(op @ e @ op for op, e in zip(ops, elements)))
-    inv_sqrt, kern = _inv_sqrt_on_support(g)
-    out = [herm(inv_sqrt @ op @ e @ op @ inv_sqrt) for op, e in zip(ops, elements)]
-    return [e + kern / m for e in out]
+def _admm_dual(rho: np.ndarray, emb: _Embedding, tol: float, max_iter: int | None = None):
+    """Consensus ADMM for min { tr Y : embed(Y) >= rho_j for every block j }
+    with slack S = embed(Y) - rho projected onto the PSD cone, one batched
+    eigendecomposition of the stack per iteration, and the penalty
+    rebalanced on the residuals (Boyd et al. 2011, section 3.4.1).
+
+    The cap defaults to ADMM_MAX_ITER as it stands at call time. Returns
+    (certificate, scaled multipliers, iterations); the certificate is the
+    last iterate shifted by a multiple of the identity until it is feasible.
+    """
+    max_iter = ADMM_MAX_ITER if max_iter is None else max_iter
+    k = emb.k
+    y = herm(emb.adjoint(rho))
+    eye = np.eye(y.shape[0])
+    t = 1.0  # penalty, residual-balanced below
+    u = np.zeros_like(rho)
+    it = 0
+    for it in range(1, max_iter + 1):
+        slack = psd_funcm(emb.embed(y) - rho - u, _positive)
+        y_new = herm(emb.adjoint(slack + rho + u) / k - eye / (t * k))
+        big_y = emb.embed(y_new)
+        r = float(np.linalg.norm(slack - big_y + rho))
+        s_res = t * math.sqrt(k) * float(np.linalg.norm(y_new - y))
+        y = y_new
+        u = u + slack - big_y + rho
+        if r < tol * 0.1 and s_res < tol * 0.1:
+            break
+        if it % 50 == 0:
+            if r > 10.0 * s_res:
+                t *= 2.0
+                u = u / 2.0
+            elif s_res > 10.0 * r:
+                t /= 2.0
+                u = u * 2.0
+    cert = y + _feasible_shift(rho, emb.embed(y)) * eye
+    return cert, t * u, it
 
 
 def helstrom_value(op0: np.ndarray, op1: np.ndarray) -> float:
@@ -105,63 +165,19 @@ def helstrom_value(op0: np.ndarray, op1: np.ndarray) -> float:
     return 0.5 * (t0 + t1 + trace_norm(herm(op0 - op1)))
 
 
-def _helstrom_solve(op0: np.ndarray, op1: np.ndarray) -> SDPResult:
+def _helstrom_solve(ops: np.ndarray) -> SDPResult:
+    op0, op1 = ops
     delta = herm(op0 - op1)
     vals, vecs = np.linalg.eigh(delta)
     pos = (vecs * (vals > 0).astype(float)) @ vecs.conj().T
     e0 = herm(pos)
-    e1 = np.eye(op0.shape[0]) - e0
-    povm = POVM((e0, e1))
+    elements = np.stack([e0, np.eye(op0.shape[0]) - e0])
     # dual optimum: sigma = op1 + (op0 - op1)_+
     sigma = herm(op1 + (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
-    mu = _feasible_shift([op0, op1], sigma)
-    sigma = sigma + mu * np.eye(op0.shape[0])
-    primal = _primal_value([op0, op1], povm.elements)
+    sigma = sigma + _feasible_shift(ops, sigma) * np.eye(op0.shape[0])
+    primal = _primal_value(ops, elements)
     gap = float(np.real(np.trace(sigma))) - primal
-    return SDPResult(primal, povm, sigma, gap, iterations=0)
-
-
-def _admm_cq_dual(ops, tol: float, max_iter: int = ADMM_MAX_ITER):
-    """Consensus ADMM for min { tr sigma : sigma >= op_x } with slack
-    variables S_x = sigma - op_x projected onto the PSD cone.
-
-    Returns (sigma, scaled multipliers, iterations).
-    """
-    m = len(ops)
-    d = ops[0].shape[0]
-    eye = np.eye(d)
-    t = 1.0  # penalty, residual-balanced below
-    sigma = herm(sum(ops))
-    slack = [np.zeros((d, d), dtype=complex) for _ in range(m)]
-    u = [np.zeros((d, d), dtype=complex) for _ in range(m)]
-    it = 0
-    for it in range(1, max_iter + 1):
-        slack = [_psd_part(sigma - op - uu) for op, uu in zip(ops, u)]
-        sigma_new = sum(s + op + uu for s, op, uu in zip(slack, ops, u)) / m - eye / (t * m)
-        sigma_new = herm(sigma_new)
-        r = math.sqrt(sum(float(np.linalg.norm(s - sigma_new + op) ** 2)
-                          for s, op in zip(slack, ops)))
-        s_res = t * math.sqrt(m) * float(np.linalg.norm(sigma_new - sigma))
-        sigma = sigma_new
-        u = [uu + s - sigma + op for uu, s, op in zip(u, slack, ops)]
-        if r < tol * 0.1 and s_res < tol * 0.1:
-            break
-        if it % 50 == 0:
-            if r > 10.0 * s_res:
-                t *= 2.0
-                u = [uu / 2.0 for uu in u]
-            elif s_res > 10.0 * r:
-                t /= 2.0
-                u = [uu * 2.0 for uu in u]
-    return sigma, [t * uu for uu in u], it
-
-
-def _povm_from_multipliers(mults):
-    m = len(mults)
-    cand = [_psd_part(x) for x in mults]
-    total = herm(sum(cand))
-    inv_sqrt, kern = _inv_sqrt_on_support(total)
-    return [herm(inv_sqrt @ e @ inv_sqrt) + kern / m for e in cand]
+    return SDPResult(primal, POVM(tuple(elements)), sigma, gap, iterations=0)
 
 
 def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
@@ -172,11 +188,9 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
     otherwise; "admm" forces the iterative solver (used to cross-check the
     closed form); "helstrom" forces the closed form (two outcomes only).
     """
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError("tol must be in (0, 1e-3]")
-    ops = [herm(op) for op in omega.ops]
-    m = len(ops)
-    d = ops[0].shape[0]
+    _check_tol(tol)
+    ops = herm(np.stack(omega.ops))
+    m, d = ops.shape[:2]
     if m == 1:
         sigma = ops[0]
         povm = POVM((np.eye(d),))
@@ -184,24 +198,24 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
     if method == "helstrom" or (method == "auto" and m == 2):
         if m != 2:
             raise ValueError("Helstrom closed form needs exactly two outcomes")
-        return _helstrom_solve(ops[0], ops[1])
+        return _helstrom_solve(ops)
 
-    sigma, mults, iters = _admm_cq_dual(ops, tol)
-    mu = _feasible_shift(ops, sigma)
-    cert = sigma + mu * np.eye(d)
+    emb = _cq_embedding(m)
+    cert, mults, iters = _admm_dual(ops, emb, tol)
     dual_val = float(np.real(np.trace(cert)))
 
-    candidates = [_povm_from_multipliers(mults), _pgm(ops)]
+    candidates = [_pgm(psd_funcm(mults, _positive), emb), _pgm(ops, emb)]
     best = max(candidates, key=lambda els: _primal_value(ops, els))
     best_val = _primal_value(ops, best)
     gap = dual_val - best_val
     refine_it = 0
+    # fixed-point iteration on the PGM family; never decreases the value
     while gap > tol and refine_it < REFINE_MAX_ITER:
-        best = _refine_step(ops, best)
+        best = _pgm(ops @ best @ ops, emb)
         refine_it += 1
         if refine_it % 10 == 0 or gap <= tol:
             best_val = _primal_value(ops, best)
-            lam = herm(sum(op @ e for op, e in zip(ops, best)))
+            lam = herm((ops @ best).sum(0))
             cand_cert = lam + _feasible_shift(ops, lam) * np.eye(d)
             cand_val = float(np.real(np.trace(cand_cert)))
             if cand_val < dual_val:
@@ -220,57 +234,38 @@ def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> En
 
 
 def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
-                           tol: float = DEFAULT_TOL, max_iter: int = ADMM_MAX_ITER):
+                           tol: float = DEFAULT_TOL, max_iter: int | None = None):
     """2^{-H_min(A|C)} = min { tr Y : 1_A (x) Y >= rho_AC } for arbitrary rho.
 
-    ADMM with slack S = 1(x)Y - rho on the PSD cone. Returns (value, gap,
-    iterations); the value is the certified dual (upper) bound, the gap is
-    measured against a feasibility-repaired primal candidate built from the
-    running multiplier.
+    The shared ADMM core on the single block rho with embed(Y) = 1_A (x) Y.
+    Returns (value, gap, iterations); the value is the certified dual (upper)
+    bound, the gap is measured against a feasibility-repaired primal
+    candidate built from the running multiplier. The cap defaults to
+    ADMM_MAX_ITER.
     """
+    _check_tol(tol)
     rho = herm(np.asarray(rho, dtype=complex))
-    n = dim_a * dim_c
-    if rho.shape[0] != n:
+    if rho.shape[0] != dim_a * dim_c:
         raise ValueError("dims do not match rho")
-    eye_a = np.eye(dim_a)
-    eye_c = np.eye(dim_c)
-    t = 1.0
-    y = partial_trace(rho, [dim_a, dim_c], [1]) / 1.0
-    y = herm(y)
-    slack = np.zeros((n, n), dtype=complex)
-    u = np.zeros((n, n), dtype=complex)
-    it = 0
-    for it in range(1, max_iter + 1):
-        big_y = np.kron(eye_a, y)
-        slack = _psd_part(big_y - rho - u)
-        avg = partial_trace(slack + rho + u, [dim_a, dim_c], [1]) / dim_a
-        y_new = herm(avg - eye_c / (t * dim_a))
-        r = float(np.linalg.norm(slack - np.kron(eye_a, y_new) + rho))
-        s_res = t * math.sqrt(dim_a) * float(np.linalg.norm(y_new - y))
-        y = y_new
-        u = u + slack - np.kron(eye_a, y) + rho
-        if r < tol * 0.1 and s_res < tol * 0.1:
-            break
-        if it % 50 == 0:
-            if r > 10.0 * s_res:
-                t *= 2.0
-                u = u / 2.0
-            elif s_res > 10.0 * r:
-                t /= 2.0
-                u = u * 2.0
-    # dual-feasible repair: shift Y until 1(x)Y - rho >= 0
-    mu = float(np.linalg.eigvalsh(herm(rho - np.kron(eye_a, y))).max())
-    y_cert = y + max(mu, 0.0) * eye_c
-    dual_val = float(np.real(np.trace(y_cert)))
+    rho = rho[None]
+    emb = _tensor_embedding(dim_a, dim_c)
+    cert, mults, it = _admm_dual(rho, emb, tol, max_iter)
+    dual_val = float(np.real(np.trace(cert)))
     # primal candidate from the scaled multiplier: X >= 0, tr_A X = 1_C
-    x = _psd_part(t * u)
-    w = partial_trace(x, [dim_a, dim_c], [1])
-    w_inv_sqrt, kern = _inv_sqrt_on_support(w)
-    x = np.kron(eye_a, w_inv_sqrt) @ x @ np.kron(eye_a, w_inv_sqrt)
-    x = herm(x + np.kron(eye_a, kern) / dim_a)
-    primal_val = float(np.real(np.trace(rho @ x)))
-    gap = dual_val - primal_val
+    x = _pgm(psd_funcm(mults, _positive), emb)
+    gap = dual_val - _primal_value(rho, x)
     return dual_val, gap, it
+
+
+def _decoupling_sdp(omega: CQState, tol: float):
+    """(F_dec, gap, iterations) of the purification SDP behind
+    decoupling_fidelity; the value is certified when gap <= tol."""
+    m, d = len(omega.outcomes), omega.dim
+    vec, dims = purify_cq(omega)
+    rho = np.outer(vec, vec.conj())
+    # factor order (X, X', B, B'); trace out B, keep X and C = X' (x) B'
+    rho_xc = partial_trace(rho, list(dims), keep=[0, 1, 3])
+    return cond_min_entropy_value(rho_xc, dim_a=m, dim_c=m * d, tol=tol)
 
 
 def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> float:
@@ -280,27 +275,9 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> float:
     2^{-H_min(X|C)} = min { tr Y : 1_X (x) Y >= rho_XC } with C = X'B' the
     purifying factors.
     """
-    m, d = len(omega.outcomes), omega.dim
-    vec, dims = purify_cq(omega)
-    rho = np.outer(vec, vec.conj())
-    # factor order (X, X', B, B'); trace out B, keep X and C = X' (x) B'
-    rho_xc = partial_trace(rho, list(dims), keep=[0, 1, 3])
-    val, gap, _ = cond_min_entropy_value(rho_xc, dim_a=m, dim_c=m * d, tol=tol)
-    return float(val)
+    return float(_decoupling_sdp(omega, tol)[0])
 
 
 def h_max_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
     """H_max(X|B) = log F_dec(X|B)."""
     return _as_base(math.log(decoupling_fidelity(omega, tol)), base)
-
-
-def fdec_direct(omega: CQState, sigma: np.ndarray) -> float:
-    """(sum_x sqrt(F(omega_x, sigma)))^2 for a fixed memory state sigma.
-
-    Evaluation half of the decoupling-fidelity supremum; grid oracles in the
-    test suite maximize this over sigma.
-    """
-    from .qstate import fidelity
-
-    total = sum(math.sqrt(max(fidelity(op, sigma), 0.0)) for op in omega.ops)
-    return float(total ** 2)

@@ -35,13 +35,14 @@ __all__ = [
 
 
 def herm(mat: np.ndarray) -> np.ndarray:
-    """Symmetrized copy (M + M†)/2."""
-    return 0.5 * (mat + mat.conj().T)
+    """Symmetrized copy (M + M†)/2 of a matrix or of each of a (..., d, d) stack."""
+    return 0.5 * (mat + np.swapaxes(mat.conj(), -1, -2))
 
 
 def clipped_eigh(mat: np.ndarray, clip: float = PSD_TOL):
     """Eigendecomposition of herm(mat) with tiny negative eigenvalues set to 0.
 
+    Accepts a (..., d, d) stack and decomposes it in one batched call.
     Eigenvalues below -clip are left alone: genuinely indefinite input should
     stay visibly indefinite.
     """
@@ -51,15 +52,14 @@ def clipped_eigh(mat: np.ndarray, clip: float = PSD_TOL):
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = clipped_eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return psd_funcm(mat, lambda vals: np.sqrt(np.clip(vals, 0.0, None)))
 
 
 def psd_funcm(mat: np.ndarray, fn) -> np.ndarray:
-    """Apply a scalar function to the clipped spectrum of a Hermitian matrix."""
+    """Apply a scalar function to the clipped spectrum of a Hermitian matrix,
+    or of each matrix of a (..., d, d) stack."""
     vals, vecs = clipped_eigh(mat)
-    return (vecs * fn(vals)) @ vecs.conj().T
+    return (vecs * fn(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def trace_norm(mat: np.ndarray) -> float:

@@ -6,8 +6,8 @@ Wavefunction:  {"type": "wavefunction", "q0": float, "dq": float, "d": int,
                 "re": [[..]], "im": [[..]]}  (N x d sample arrays)
 
 Readers validate invariants and raise StateFormatError naming the violated
-one. Wavefunctions whose sample count is not a power of two are accepted but
-flagged for resampling before any FFT use.
+one. A density's declared "dim" and a wavefunction's declared "d" must match
+the data.
 """
 
 from __future__ import annotations

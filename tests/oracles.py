@@ -94,6 +94,16 @@ def fdec_bloch_grid(cq, levels=4, n=41):
     return best
 
 
+def fdec_direct(cq, sigma):
+    """(sum_x sqrt(F(omega_x, sigma)))^2 for one fixed memory state sigma.
+
+    The objective of the decoupling-fidelity supremum, so a lower bound on
+    F_dec for every sigma; fidelities by scipy's matrix square root.
+    """
+    total = sum(math.sqrt(max(fidelity_sqrtm(om, sigma), 0.0)) for _, om in cq.outcomes)
+    return float(total ** 2)
+
+
 def gaussian_h_bits(sigma):
     """Differential entropy of N(0, sigma^2) in bits."""
     return 0.5 * math.log2(2.0 * math.pi * math.e * sigma ** 2)

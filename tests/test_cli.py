@@ -121,6 +121,37 @@ class TestCLI:
         assert payload["base"] == "bits"
         assert payload["gap"] < 1e-7
 
+    def test_entropy_hmax_reports_certificate(self, tmp_path, capsys):
+        state = tmp_path / "cq.json"
+        save_state(BB84, state)
+        assert main(["entropy", "--state", str(state), "--measure", "hmax"]) == 0
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["converged"] is True
+        assert payload["gap"] <= 1e-7
+        assert payload["iterations"] > 0
+
+    def test_entropy_hmax_capped_solve_exits_1(self, tmp_path, capsys, monkeypatch):
+        from quncert import minmax
+
+        state = tmp_path / "cq.json"
+        save_state(BB84, state)
+        monkeypatch.setattr(minmax, "ADMM_MAX_ITER", 3)
+        assert main(["entropy", "--state", str(state), "--measure", "hmax"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip())
+        assert payload["converged"] is False
+        assert payload["iterations"] == 3
+        assert payload["gap"] > 1e-7
+
+    @pytest.mark.parametrize("measure", ["hmin", "hmax"])
+    def test_entropy_rejects_bad_tol(self, tmp_path, capsys, measure):
+        state = tmp_path / "cq.json"
+        save_state(BB84, state)
+        assert main(["entropy", "--state", str(state), "--measure", measure,
+                     "--tol", "0"]) == 2
+        assert "tol" in capsys.readouterr().err
+
     def test_entropy_vn_nats(self, tmp_path, capsys):
         state = tmp_path / "cq.json"
         save_state(BB84, state)

@@ -9,8 +9,11 @@ from quncert.qstate import (
     DensityMatrix,
     GridWaveFunction,
     POVM,
+    clipped_eigh,
     fidelity,
+    herm,
     partial_trace,
+    psd_funcm,
     purify_cq,
     sqrt_overlap_norm,
     validate,
@@ -23,6 +26,39 @@ def random_density(dim, rng=RNG):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return m / np.real(np.trace(m))
+
+
+class TestStackedPrimitives:
+    """A (k, d, d) stack goes through the same arithmetic as a loop over its
+    matrices, so the results are equal, not merely close."""
+
+    STACK = np.stack([random_density(5, np.random.default_rng(7 + i))
+                      - 0.1 * np.eye(5) + 0.02j * np.triu(np.ones((5, 5)))
+                      for i in range(4)])
+
+    def test_herm(self):
+        out = herm(self.STACK)
+        for mat, got in zip(self.STACK, out):
+            assert np.array_equal(got, herm(mat))
+            assert np.array_equal(got, got.conj().T)
+
+    def test_clipped_eigh(self):
+        vals, vecs = clipped_eigh(self.STACK)
+        assert vals.shape == (4, 5) and vecs.shape == (4, 5, 5)
+        for mat, v, u in zip(self.STACK, vals, vecs):
+            v_one, u_one = clipped_eigh(mat)
+            assert np.array_equal(v, v_one)
+            assert np.array_equal(u, u_one)
+            assert (v < 0).any()  # indefinite input stays indefinite
+
+    def test_psd_funcm(self):
+        def pos(vals):
+            return np.clip(vals, 0.0, None)
+
+        out = psd_funcm(self.STACK, pos)
+        for mat, got in zip(self.STACK, out):
+            assert np.array_equal(got, psd_funcm(mat, pos))
+            assert np.linalg.eigvalsh(got).min() >= -1e-12
 
 
 class TestDensityMatrix:
