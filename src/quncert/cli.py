@@ -14,29 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__
 from . import discretize, entropy as entropy_mod, gaussian, minmax, overlap as overlap_mod, verify
-from .serialize import StateFormatError, load_state
+from .serialize import StateFormatError, atomic_write, load_state
 from .qstate import CQState, DensityMatrix, GridWaveFunction
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".quncert-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _header(args: argparse.Namespace, base: str) -> str:
@@ -55,7 +40,7 @@ def _emit(args, header: str, lines) -> None:
     text = header + "\n".join(lines) + "\n"
     path = getattr(args, "csv", None) or getattr(args, "json", None)
     if path:
-        _atomic_write(path, text)
+        atomic_write(path, text)
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
@@ -75,22 +60,22 @@ def _parse_sweep(spec: str):
 
 
 def cmd_overlap(args) -> int:
-    rows = []
     if args.sweep:
-        deltas = _parse_sweep(args.sweep)
-        for d in deltas:
-            res = overlap_mod.prolate_overlap(d, d)
-            rows.append((d, res.c))
+        points = [(d, d, d) for d in _parse_sweep(args.sweep)]
     else:
         if args.delta_q is None or args.delta_p is None:
             raise SystemExit("need --delta-q and --delta-p (or --sweep)")
-        res = overlap_mod.prolate_overlap(args.delta_q, args.delta_p)
-        rows.append((math.sqrt(args.delta_q * args.delta_p), res.c))
+        points = [(math.sqrt(args.delta_q * args.delta_p), args.delta_q, args.delta_p)]
+    rows = [(d, overlap_mod.prolate_overlap(dq, dp)) for d, dq, dp in points]
     lines = ["delta,c,neg_log2_c"]
-    for d, c in rows:
-        lines.append(f"{_fmt(d)},{_fmt(c)},{_fmt(-math.log2(c))}")
+    for d, res in rows:
+        lines.append(f"{_fmt(d)},{_fmt(res.c)},{_fmt(-math.log2(res.c))}")
     _emit(args, _header(args, "bits"), lines)
-    return 0
+    failed = [(d, res.nystrom_order) for d, res in rows if not res.converged]
+    for d, order in failed:
+        print(f"error: overlap at delta={_fmt(d)} not converged at Nystrom order {order}",
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_epr_gap(args) -> int:
@@ -152,7 +137,7 @@ def cmd_entropy(args) -> int:
         raise SystemExit(f"unknown measure {args.measure!r}")
     text = json.dumps(out, sort_keys=True)
     if args.json:
-        _atomic_write(args.json, _header(args, args.base) + text + "\n")
+        atomic_write(args.json, _header(args, args.base) + text + "\n")
         print(f"wrote {args.json}")
     else:
         print(text)
@@ -179,7 +164,7 @@ def cmd_verify(args) -> int:
     report = _RELATIONS[args.relation](args)
     text = json.dumps(report.to_json(), sort_keys=True)
     if args.json:
-        _atomic_write(args.json, _header(args, "bits") + text + "\n")
+        atomic_write(args.json, _header(args, "bits") + text + "\n")
         print(f"wrote {args.json}")
     else:
         print(text)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import entropy
 from . import minmax
-from .qstate import CQState, GridWaveFunction, herm
+from .qstate import CQState, GridWaveFunction
 
 __all__ = [
     "Partition",
@@ -126,23 +126,31 @@ def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
     """Bin a grid wavefunction into the cq state of a partitioned measurement.
 
     omega_B^k = dq * sum_{q_i in I_k} psi(q_i) psi(q_i)^dagger; for trivial
-    memory this reduces to binned |psi|^2 probabilities.
+    memory this reduces to binned |psi|^2 probabilities. Cell indices never
+    decrease along the grid, so each cell is one run of consecutive samples:
+    the runs are scattered into a zero-padded (cells, max run, d) array S and
+    every omega_B^k comes from one batched product dq * S^T conj(S). Cells of
+    zero trace are dropped; the outcome operators are views of one stack.
     """
     if part.alpha < 2.0 * psi.dq:
         raise ValueError(
             f"cell width {part.alpha} undersampled by grid spacing {psi.dq}")
-    q = psi.grid
-    if part.cell_index(q[0]) < part.k_min or part.cell_index(q[-1]) > part.k_max:
+    idx = part.cell_index(psi.grid)
+    if idx[0] < part.k_min or idx[-1] > part.k_max:
         raise ValueError("partition does not cover the grid support")
-    idx = part.cell_index(q) - part.k_min
-    d = psi.memory_dim
-    n_cells = part.n_cells
-    ops = np.zeros((n_cells, d, d), dtype=complex)
-    # sum of dq * psi psi^dagger per cell
-    np.add.at(ops, idx, psi.dq * psi.samples[:, :, None] * psi.samples[:, None, :].conj())
-    outcomes = [(str(part.k_min + j), herm(ops[j]))
-                for j in range(n_cells) if np.trace(ops[j]).real > 0.0]
-    return CQState(tuple(outcomes))
+    starts = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
+    counts = np.diff(starts, append=len(idx))
+    run = np.repeat(np.arange(len(starts)), counts)
+    padded = np.zeros((len(starts), counts.max(), psi.memory_dim), dtype=complex)
+    padded[run, np.arange(len(idx)) - starts[run]] = psi.samples
+    ops = np.swapaxes(padded, 1, 2) @ padded.conj()
+    ops *= psi.dq
+    keep = np.trace(ops, axis1=1, axis2=2).real > 0.0
+    if not keep.all():
+        ops, starts = ops[keep], starts[keep]
+    ops += np.swapaxes(ops.conj(), 1, 2)
+    ops *= 0.5
+    return CQState(tuple(zip((str(k) for k in idx[starts]), ops)))
 
 
 def _classical_regularized(probs: np.ndarray, alpha: float, kind: str) -> float:

@@ -82,6 +82,29 @@ def von_neumann(rho: np.ndarray, base: str = "bits") -> EntropyValue:
     return _as_base(-float(_xlogx(vals).sum()), base)
 
 
+def _support(sigma: np.ndarray, rho: np.ndarray):
+    """Spectral data of sigma and the support test of rho against it.
+
+    rho is one matrix or an (m, d, d) stack. Returns (vals, vecs, on_support,
+    diag): sigma's spectrum clipped at 0, its eigenvectors, the mask of
+    eigenvalues above SUPPORT_RTOL times the largest, and the real diagonal
+    of vecs^dagger rho vecs for each rho. Returns None when sigma has no
+    positive eigenvalue, or when some rho puts weight above
+    SUPPORT_RTOL * max(1, tr rho) in the kernel of sigma.
+    """
+    vals, vecs = clipped_eigh(sigma)
+    vals = np.clip(vals, 0.0, None)
+    on_support = vals > SUPPORT_RTOL * vals.max()
+    if not on_support.any():
+        return None
+    diag = np.einsum("...ij,ij->...j", rho @ vecs, vecs.conj()).real
+    leak = diag[..., ~on_support].sum(-1)
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(leak > SUPPORT_RTOL * np.maximum(1.0, tr)):
+        return None
+    return vals, vecs, on_support, diag
+
+
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits") -> EntropyValue:
     """Umegaki relative entropy D(rho||sigma) = tr[rho log rho - rho log sigma].
 
@@ -92,22 +115,13 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits") -> 
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    svals, svecs = clipped_eigh(sigma)
-    svals = np.clip(svals, 0.0, None)
-    smax = svals.max()
-    if smax <= 0.0:
+    spec = _support(sigma, rho)
+    if spec is None:
         return _as_base(math.inf, base)
-    on_support = svals > SUPPORT_RTOL * smax
-    # weight of rho in the kernel of sigma
-    kern = svecs[:, ~on_support]
-    if kern.shape[1]:
-        leak = float(np.real(np.trace(kern.conj().T @ rho @ kern)))
-        if leak > SUPPORT_RTOL * max(1.0, float(np.real(np.trace(rho)))):
-            return _as_base(math.inf, base)
+    svals, _, on_support, diag = spec
     rvals, _ = clipped_eigh(rho)
     rvals = np.clip(rvals, 0.0, None)
     tr_rho_log_rho = float(_xlogx(rvals).sum())
-    diag = np.real(np.einsum("ij,ji->i", svecs.conj().T @ rho, svecs))
     diag = np.clip(diag, 0.0, None)
     tr_rho_log_sigma = float(np.sum(diag[on_support] * np.log(svals[on_support])))
     return _as_base(tr_rho_log_rho - tr_rho_log_sigma, base)
@@ -123,19 +137,11 @@ def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits")
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    svals, svecs = clipped_eigh(sigma)
-    svals = np.clip(svals, 0.0, None)
-    smax = svals.max()
-    if smax <= 0.0:
+    spec = _support(sigma, rho)
+    if spec is None:
         return _as_base(math.inf, base)
-    on_support = svals > SUPPORT_RTOL * smax
-    kern = svecs[:, ~on_support]
-    if kern.shape[1]:
-        leak = float(np.real(np.trace(kern.conj().T @ rho @ kern)))
-        if leak > SUPPORT_RTOL * max(1.0, float(np.real(np.trace(rho)))):
-            return _as_base(math.inf, base)
-    sup = svecs[:, on_support]
-    inv_sqrt = sup * (1.0 / np.sqrt(svals[on_support]))
+    svals, svecs, on_support, _ = spec
+    inv_sqrt = svecs[:, on_support] * (1.0 / np.sqrt(svals[on_support]))
     core = inv_sqrt.conj().T @ rho @ inv_sqrt
     lam = float(np.linalg.eigvalsh(herm(core)).max())
     if lam <= 0.0:
@@ -146,16 +152,25 @@ def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits")
 def cond_vn_cq(omega: CQState, base: str = "bits") -> EntropyValue:
     """Conditional von Neumann entropy H(X|B) = -sum_x D(omega_B^x || omega_B).
 
+    Evaluated for all outcomes at once as -sum_x tr[omega_B^x log omega_B^x]
+    + sum_x tr[omega_B^x log omega_B]: one eigendecomposition of omega_B, one
+    eigvalsh of the symmetrized (m, d, d) stack of outcome operators, and
+    each outcome's diagonal in omega_B's eigenbasis, clipped at 0. Returns
+    -inf when some outcome fails the support test of relative_entropy.
     Agrees with H(XB) - H(B) on the block-diagonal embedding.
     """
-    omega_b = omega.marginal()
-    total = 0.0
-    for op in omega.ops:
-        d = relative_entropy(op, omega_b, base="nats").value
-        if math.isinf(d):
-            return _as_base(-math.inf, base)
-        total -= d
-    return _as_base(total, base)
+    ops = np.stack(omega.ops)
+    ops += np.swapaxes(ops.conj(), -1, -2)
+    ops *= 0.5
+    spec = _support(ops.sum(0), ops)
+    if spec is None:
+        return _as_base(-math.inf, base)
+    svals, _, on_support, diag = spec
+    rvals = np.clip(np.linalg.eigvalsh(ops), 0.0, None)
+    tr_rho_log_rho = float(_xlogx(rvals).sum())
+    diag = np.clip(diag[:, on_support], 0.0, None)
+    tr_rho_log_sigma = float(np.sum(diag @ np.log(svals[on_support])))
+    return _as_base(tr_rho_log_sigma - tr_rho_log_rho, base)
 
 
 def shannon(p: np.ndarray, base: str = "bits") -> EntropyValue:

@@ -7,18 +7,20 @@ Wavefunction:  {"type": "wavefunction", "q0": float, "dq": float, "d": int,
 
 Readers validate invariants and raise StateFormatError naming the violated
 one. A density's declared "dim" and a wavefunction's declared "d" must match
-the data.
+the data. save_state writes atomically (temp file + rename), like the CLI.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import numpy as np
 
 from .qstate import CQState, DensityMatrix, GridWaveFunction
 
-__all__ = ["StateFormatError", "load_state", "save_state", "loads_state"]
+__all__ = ["StateFormatError", "load_state", "save_state", "loads_state", "atomic_write"]
 
 
 class StateFormatError(ValueError):
@@ -82,6 +84,21 @@ def load_state(path):
         return loads_state(fh.read())
 
 
+def atomic_write(path, text: str) -> None:
+    """Write text to path through a temp file in the same directory and a
+    rename, so path holds either its old content or all of text."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".quncert-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _split(mat: np.ndarray):
     mat = np.asarray(mat)
     return mat.real.tolist(), mat.imag.tolist()
@@ -103,5 +120,4 @@ def save_state(obj, path) -> None:
                    "d": obj.memory_dim, "re": re, "im": im}
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+    atomic_write(path, json.dumps(payload))

@@ -151,6 +151,24 @@ def epr_gap_nats(nu):
     return math.log(math.pi * math.e * nu) - h_b - math.log(2.0 * math.pi)
 
 
+def binned_cq_loop(q0, dq, samples, alpha, offset, k_min, k_max):
+    """{str(k): dq sum over cell k of psi psi^dagger} for the cells
+    (offset + k alpha, offset + (k+1) alpha], k_min <= k <= k_max, of
+    positive trace, in increasing k; one cell and one sample at a time."""
+    samples = np.asarray(samples, dtype=complex).reshape(len(samples), -1)
+    q = q0 + dq * np.arange(len(samples))
+    out = {}
+    for k in range(k_min, k_max + 1):
+        lo, hi = offset + k * alpha, offset + (k + 1) * alpha
+        op = np.zeros((samples.shape[1],) * 2, dtype=complex)
+        for qi, v in zip(q, samples):
+            if lo < qi <= hi:
+                op += dq * np.outer(v, v.conj())
+        if np.real(np.trace(op)) > 0.0:
+            out[str(k)] = op
+    return out
+
+
 def random_cq(rng, n_outcomes, dim, rank=None):
     from quncert.qstate import CQState
     from quncert.verify import random_density

@@ -68,6 +68,29 @@ class TestSerialize:
             loads_state(json.dumps(bad))
 
 
+    @pytest.mark.parametrize("targets", [(json, ("dumps", "dump")), (os, ("replace",))],
+                             ids=["json", "os.replace"])
+    def test_save_state_failure_keeps_old_file(self, tmp_path, monkeypatch, targets):
+        # a failure while serializing or while replacing the file leaves the
+        # old file byte-identical and no temp file behind
+        p = tmp_path / "cq.json"
+        save_state(BB84, p)
+        before = p.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("interrupted")
+
+        module, names = targets
+        for name in names:
+            monkeypatch.setattr(module, name, fail)
+        rho = DensityMatrix.pure(np.array([1.0, 1.0j]) / math.sqrt(2.0))
+        with pytest.raises(RuntimeError):
+            save_state(rho, p)
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["cq.json"]
+
+
 class TestCLI:
     def test_overlap_point(self, capsys):
         assert main(["overlap", "--delta-q", "1", "--delta-p", "1"]) == 0
@@ -87,6 +110,28 @@ class TestCLI:
         assert len(rows) == 10
         cs = [float(r.split(",")[1]) for r in rows]
         assert all(np.diff(cs) > 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["overlap", "--delta-q", "1", "--delta-p", "1"],
+        ["overlap", "--sweep", "log:0.1:5:3"],
+    ])
+    def test_overlap_unconverged_exits_1(self, capsys, monkeypatch, argv):
+        from quncert import overlap
+
+        # no order doubling, so no point can pass the stability test
+        monkeypatch.setattr(overlap, "NYSTROM_CAP", overlap.NYSTROM_START)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        rows = captured.out.strip().splitlines()[4:]
+        assert rows
+        for row in rows:
+            assert f"delta={row.split(',')[0]} not converged" in captured.err
+
+    def test_overlap_converged_writes_nothing_to_stderr(self, capsys):
+        assert main(["overlap", "--sweep", "log:0.1:5:3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.strip().splitlines()) == 7
 
     def test_seventeen_digit_payload(self, tmp_path):
         out = tmp_path / "gap.csv"

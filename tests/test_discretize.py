@@ -15,7 +15,22 @@ from quncert.discretize import (
 )
 from quncert.qstate import GridWaveFunction
 
-from oracles import gaussian_h_bits, gaussian_hmax_bits, gaussian_hmin_bits
+from oracles import binned_cq_loop, gaussian_h_bits, gaussian_hmax_bits, gaussian_hmin_bits
+
+
+def _random_wavefunction(rng, n, d, q0, dq):
+    samples = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return GridWaveFunction(q0, dq, samples).normalized()
+
+
+def _assert_matches_loop(psi, part):
+    cq = discretize_position(psi, part)
+    want = binned_cq_loop(psi.q0, psi.dq, psi.samples, part.alpha, part.offset,
+                          part.k_min, part.k_max)
+    assert cq.labels == list(want)
+    for (_, got), op in zip(cq.outcomes, want.values()):
+        assert np.abs(got - op).max() < 1e-12
+    return cq
 
 
 class TestPartition:
@@ -116,6 +131,62 @@ class TestDiscretizePosition:
         part = Partition.centered(1.0, psi.grid[0], psi.grid[-1])
         cq = discretize_position(psi, part)
         assert validate(cq)["pass"]
+
+
+class TestDiscretizeMatchesLoop:
+    """The batched binning against a per-cell, per-sample loop."""
+
+    def test_uneven_edge_cells(self):
+        # dq does not divide alpha and the grid starts and ends mid-cell, so
+        # cells hold 6 or 7 points and the edge cells fewer
+        rng = np.random.default_rng(11)
+        psi = _random_wavefunction(rng, 211, 3, -3.3, 0.0713)
+        part = Partition.centered(0.45, psi.grid[0], psi.grid[-1])
+        edges = part.offset + part.alpha * np.arange(part.k_min, part.k_max + 2)
+        assert np.abs(psi.grid[:, None] - edges[None, :]).min() > 1e-6
+        _assert_matches_loop(psi, part)
+        counts = np.bincount(part.cell_index(psi.grid) - part.k_min)
+        assert len(set(counts[counts > 0])) > 2
+
+    def test_dyadic_grid_points_on_edges(self):
+        # on the EPR grid every cell edge is a grid point; (lo, hi] decides
+        from quncert.gaussian import epr_grid_wavefunction
+
+        psi = epr_grid_wavefunction(1.5, n_points=512, memory_dim=4)
+        for alpha in (1.0, 0.25):
+            _assert_matches_loop(psi, Partition.centered(alpha, psi.grid[0], psi.grid[-1]))
+
+    def test_zero_trace_cells_dropped(self):
+        rng = np.random.default_rng(12)
+        psi = _random_wavefunction(rng, 160, 2, -4.0, 0.05)
+        samples = psi.samples.copy()
+        samples[40:75] = 0.0  # a stretch spanning whole cells
+        psi = GridWaveFunction(psi.q0, psi.dq, samples)
+        part = Partition.centered(0.5, psi.grid[0], psi.grid[-1])
+        cq = _assert_matches_loop(psi, part)
+        hit = set(str(k) for k in part.cell_index(psi.grid))
+        assert len(cq.labels) < len(hit)
+        assert np.all(cq.probs > 0.0)
+
+    def test_trivial_memory(self):
+        rng = np.random.default_rng(13)
+        psi = _random_wavefunction(rng, 128, 1, -2.0, 0.0371)
+        cq = _assert_matches_loop(psi, Partition.centered(0.3, psi.grid[0], psi.grid[-1]))
+        assert cq.dim == 1
+
+    def test_partition_wider_than_grid(self):
+        rng = np.random.default_rng(14)
+        psi = _random_wavefunction(rng, 90, 3, -1.0, 0.0227)
+        part = Partition(0.2, -0.1, -40, 40)
+        cq = _assert_matches_loop(psi, part)
+        assert len(cq.labels) < part.n_cells
+
+    def test_outcomes_are_hermitian(self):
+        rng = np.random.default_rng(15)
+        psi = _random_wavefunction(rng, 256, 5, -3.0, 0.031)
+        cq = discretize_position(psi, Partition.centered(0.5, psi.grid[0], psi.grid[-1]))
+        for op in cq.ops:
+            assert np.array_equal(op, op.conj().T)
 
 
 class TestConvergenceLadder:

@@ -142,6 +142,52 @@ class TestCondVNcq:
             assert cond_vn_cq(cq).value >= -1e-9
 
 
+class TestCondVNcqBatched:
+    """The batched evaluation against the per-outcome relative entropies."""
+
+    @staticmethod
+    def _loop_nats(cq):
+        omega_b = cq.marginal()
+        return -sum(relative_entropy(op, omega_b, base="nats").value for op in cq.ops)
+
+    @pytest.mark.parametrize("seed,m,d,rank", [
+        (21, 2, 2, None), (22, 5, 3, None), (23, 12, 4, 1), (24, 30, 6, 2), (25, 7, 8, None)])
+    def test_matches_relative_entropy_loop(self, seed, m, d, rank):
+        cq = random_cq(np.random.default_rng(seed), m, d, rank)
+        got = cond_vn_cq(cq, base="nats").value
+        assert abs(got - self._loop_nats(cq)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_rank_deficient_memory_marginal(self, seed):
+        # every outcome lives in one 3-dim subspace of a 6-dim memory
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        iso, _ = np.linalg.qr(g)
+        inner = random_cq(rng, 9, 3)
+        cq = CQState(tuple((lbl, iso @ op @ iso.conj().T) for lbl, op in inner.outcomes))
+        assert np.linalg.matrix_rank(cq.marginal(), tol=1e-10) == 3
+        got = cond_vn_cq(cq, base="nats").value
+        assert abs(got - self._loop_nats(cq)) < 1e-12
+        assert abs(got - cond_vn_cq(inner, base="nats").value) < 1e-10
+
+    def test_kernel_leak_gives_minus_infinity(self):
+        # omega_B = diag(1 - 1.8e-10, 9e-11, 9e-11): both small eigenvalues
+        # fall below the support threshold, and outcome "1" puts 1.8e-10 of
+        # weight there, above SUPPORT_RTOL * max(1, tr)
+        w0 = np.diag([1.0 - 1.8e-10, 0.0, 0.0]).astype(complex)
+        w1 = np.diag([0.0, 9e-11, 9e-11]).astype(complex)
+        cq = CQState((("0", w0), ("1", w1)))
+        assert relative_entropy(w1, cq.marginal()).value == math.inf
+        assert cond_vn_cq(cq).value == -math.inf
+
+    def test_leak_below_threshold_is_finite(self):
+        w0 = np.diag([1.0 - 9e-11, 0.0]).astype(complex)
+        w1 = np.diag([0.0, 9e-11]).astype(complex)
+        cq = CQState((("0", w0), ("1", w1)))
+        assert math.isfinite(cond_vn_cq(cq).value)
+        assert abs(cond_vn_cq(cq, base="nats").value - self._loop_nats(cq)) < 1e-12
+
+
 class TestClassicalAndDifferential:
     def test_shannon_uniform(self):
         assert math.isclose(shannon(np.ones(8) / 8.0).value, 3.0, abs_tol=1e-12)
