@@ -25,7 +25,6 @@ __all__ = [
     "momentum_transform",
     "discretize_position",
     "convergence_ladder",
-    "second_moment_finite",
     "gaussian_wavefunction",
 ]
 
@@ -130,7 +129,8 @@ def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
     decrease along the grid, so each cell is one run of consecutive samples:
     the runs are scattered into a zero-padded (cells, max run, d) array S and
     every omega_B^k comes from one batched product dq * S^T conj(S). Cells of
-    zero trace are dropped; the outcome operators are views of one stack.
+    zero trace are dropped, and the state adopts the stack of products
+    without a copy: the outcome operators are views of that one stack.
     """
     if part.alpha < 2.0 * psi.dq:
         raise ValueError(
@@ -144,13 +144,12 @@ def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
     padded = np.zeros((len(starts), counts.max(), psi.memory_dim), dtype=complex)
     padded[run, np.arange(len(idx)) - starts[run]] = psi.samples
     ops = np.swapaxes(padded, 1, 2) @ padded.conj()
+    del padded  # freed before the stack is filtered and symmetrized
     ops *= psi.dq
     keep = np.trace(ops, axis1=1, axis2=2).real > 0.0
     if not keep.all():
         ops, starts = ops[keep], starts[keep]
-    ops += np.swapaxes(ops.conj(), 1, 2)
-    ops *= 0.5
-    return CQState(tuple(zip((str(k) for k in idx[starts]), ops)))
+    return CQState.from_stack([str(k) for k in idx[starts]], ops)
 
 
 def _classical_regularized(probs: np.ndarray, alpha: float, kind: str) -> float:
@@ -185,8 +184,10 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     """Regularized entropies H(X_alpha|B) + log(alpha) for alpha = alpha0*2^-n.
 
     which selects the position or momentum statistics of psi; kind is one of
-    vn / min / max. The finest rung must keep alpha >= 2*dq.
+    vn / min / max; n_max >= 0. The finest rung must keep alpha >= 2*dq.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be at least 0, got {n_max}")
     if which == "momentum":
         psi = momentum_transform(psi)
     elif which != "position":
@@ -210,22 +211,6 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
             val /= ln2
         rows.append((alpha, val))
     return ConvergenceTable(kind, which, base, tuple(rows))
-
-
-def second_moment_finite(density: np.ndarray, dq: float, q0: float = None,
-                         grid: np.ndarray = None):
-    """Quadrature second moment of a grid density; finite by construction on
-    a grid, so the flag records the H_max-finiteness precondition as met
-    (grid-truncated tails included)."""
-    p = np.clip(np.asarray(density, dtype=float), 0.0, None)
-    if grid is None:
-        if q0 is None:
-            raise ValueError("need either q0 or an explicit grid")
-        grid = q0 + dq * np.arange(len(p))
-    if abs(p.sum() * dq - 1.0) > 1e-6:
-        raise ValueError("density not normalized")
-    moment = float(np.sum(grid ** 2 * p) * dq)
-    return True, moment
 
 
 def gaussian_wavefunction(sigma: float = 1.0, n_points: int = 4096,

@@ -154,15 +154,13 @@ def cond_vn_cq(omega: CQState, base: str = "bits") -> EntropyValue:
 
     Evaluated for all outcomes at once as -sum_x tr[omega_B^x log omega_B^x]
     + sum_x tr[omega_B^x log omega_B]: one eigendecomposition of omega_B, one
-    eigvalsh of the symmetrized (m, d, d) stack of outcome operators, and
-    each outcome's diagonal in omega_B's eigenbasis, clipped at 0. Returns
-    -inf when some outcome fails the support test of relative_entropy.
-    Agrees with H(XB) - H(B) on the block-diagonal embedding.
+    eigvalsh of the state's symmetrized (m, d, d) stack omega.ops, and each
+    outcome's diagonal in omega_B's eigenbasis, clipped at 0. Returns -inf
+    when some outcome fails the support test of relative_entropy. Agrees
+    with H(XB) - H(B) on the block-diagonal embedding.
     """
-    ops = np.stack(omega.ops)
-    ops += np.swapaxes(ops.conj(), -1, -2)
-    ops *= 0.5
-    spec = _support(ops.sum(0), ops)
+    ops = omega.ops
+    spec = _support(omega.marginal(), ops)
     if spec is None:
         return _as_base(-math.inf, base)
     svals, _, on_support, diag = spec

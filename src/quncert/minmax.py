@@ -177,7 +177,7 @@ def _helstrom_solve(ops: np.ndarray) -> SDPResult:
     sigma = sigma + _feasible_shift(ops, sigma) * np.eye(op0.shape[0])
     primal = _primal_value(ops, elements)
     gap = float(np.real(np.trace(sigma))) - primal
-    return SDPResult(primal, POVM(tuple(elements)), sigma, gap, iterations=0)
+    return SDPResult(primal, POVM(elements), sigma, gap, iterations=0)
 
 
 def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
@@ -189,11 +189,11 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
     closed form); "helstrom" forces the closed form (two outcomes only).
     """
     _check_tol(tol)
-    ops = herm(np.stack(omega.ops))
+    ops = omega.ops
     m, d = ops.shape[:2]
     if m == 1:
-        sigma = ops[0]
-        povm = POVM((np.eye(d),))
+        sigma = ops[0].copy()
+        povm = POVM(np.eye(d)[None])
         return SDPResult(float(np.real(np.trace(sigma))), povm, sigma, 0.0, 0)
     if method == "helstrom" or (method == "auto" and m == 2):
         if m != 2:
@@ -223,7 +223,7 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
             gap = dual_val - best_val
     best_val = _primal_value(ops, best)
     gap = dual_val - best_val
-    return SDPResult(best_val, POVM(tuple(best)), cert, gap,
+    return SDPResult(best_val, POVM(best), cert, gap,
                      iters + refine_it, converged=gap <= tol)
 
 
@@ -260,7 +260,7 @@ def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
 def _decoupling_sdp(omega: CQState, tol: float):
     """(F_dec, gap, iterations) of the purification SDP behind
     decoupling_fidelity; the value is certified when gap <= tol."""
-    m, d = len(omega.outcomes), omega.dim
+    m, d = omega.ops.shape[:2]
     vec, dims = purify_cq(omega)
     rho = np.outer(vec, vec.conj())
     # factor order (X, X', B, B'); trace out B, keep X and C = X' (x) B'

@@ -1,14 +1,15 @@
 """States, measurements and the dense linear-algebra primitives they need.
 
-Everything here is a plain numpy array wrapped in a small frozen dataclass.
-Matrices are symmetrized before any eigendecomposition and eigenvalues in
-[-1e-10, 0) are clipped to zero, so quadrature / FFT round-off cannot flip
-positivity checks.
+Everything here is a plain numpy array wrapped in a small frozen dataclass;
+cq states and POVMs hold one (m, d, d) stack, and a cq stack is symmetrized
+once, when the state is made. Matrices are symmetrized before any
+eigendecomposition and eigenvalues in [-1e-10, 0) are clipped to zero, so
+quadrature / FFT round-off cannot flip positivity checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,56 +112,75 @@ class DensityMatrix:
         return cls(np.eye(dim) / dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CQState:
     """Labeled family of subnormalized conditional operators, traces sum to 1.
 
-    Ordering is the list order; labels are opaque strings (partitions label
-    outcomes by interval index, not by value).
+    One read-only Hermitian (m, d, d) stack `ops`, symmetrized once, and its
+    m labels: opaque strings (partitions label outcomes by interval index,
+    not by value). CQState(outcomes) copies (label, operator) pairs into it;
+    CQState.from_stack adopts a stack without copying.
     """
 
-    outcomes: tuple = field(default_factory=tuple)
+    labels: list
+    ops: np.ndarray
 
-    def __post_init__(self):
-        out = tuple((str(lbl), np.asarray(op, dtype=complex)) for lbl, op in self.outcomes)
-        if not out:
-            raise ValueError("cq state needs at least one outcome")
-        d = out[0][1].shape[0]
-        if any(op.shape != (d, d) for _, op in out):
+    def __init__(self, outcomes):
+        pairs = tuple(outcomes)
+        mats = [np.asarray(op, dtype=complex) for _, op in pairs]
+        if len({op.shape for op in mats}) > 1:
             raise ValueError("all conditional operators must share one dimension")
-        object.__setattr__(self, "outcomes", out)
+        self._adopt([lbl for lbl, _ in pairs], np.array(mats, dtype=complex))
+
+    @classmethod
+    def from_stack(cls, labels, ops: np.ndarray) -> "CQState":
+        """cq state on a stack it takes over, symmetrized in place."""
+        obj = cls.__new__(cls)
+        obj._adopt(labels, np.asarray(ops, dtype=complex))
+        return obj
+
+    def _adopt(self, labels, ops: np.ndarray) -> None:
+        """The one validation and symmetrization step of both constructors."""
+        labels = [str(lbl) for lbl in labels]
+        if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
+            raise ValueError("a cq state needs at least one outcome and square "
+                             f"operators, got a stack of shape {ops.shape}")
+        if len(labels) != len(ops):
+            raise ValueError(f"{len(labels)} labels for {len(ops)} conditional operators")
+        ops += np.swapaxes(ops.conj(), 1, 2)
+        ops *= 0.5
+        ops.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "ops", ops)
+
+    @property
+    def outcomes(self) -> tuple:
+        """(label, operator) pairs; the operators are views of the stack."""
+        return tuple(zip(self.labels, self.ops))
 
     @property
     def dim(self) -> int:
-        return self.outcomes[0][1].shape[0]
-
-    @property
-    def labels(self) -> list:
-        return [lbl for lbl, _ in self.outcomes]
-
-    @property
-    def ops(self) -> list:
-        return [op for _, op in self.outcomes]
+        return self.ops.shape[1]
 
     @property
     def probs(self) -> np.ndarray:
-        return np.array([float(np.real(np.trace(op))) for op in self.ops])
+        return np.trace(self.ops, axis1=1, axis2=2).real
 
     def marginal(self) -> np.ndarray:
         """Memory marginal omega_B = sum_x omega_B^x."""
-        return herm(sum(self.ops))
+        return self.ops.sum(0)
 
     def block_diagonal(self) -> np.ndarray:
         """Embedding sum_x |x><x| (x) omega_B^x as one dense matrix."""
-        m, d = len(self.outcomes), self.dim
-        out = np.zeros((m * d, m * d), dtype=complex)
-        for i, op in enumerate(self.ops):
-            out[i * d:(i + 1) * d, i * d:(i + 1) * d] = op
-        return out
+        m, d = self.ops.shape[:2]
+        out = np.zeros((m, d, m, d), dtype=complex)
+        x = np.arange(m)
+        out[x, :, x, :] = self.ops
+        return out.reshape(m * d, m * d)
 
     def diagnostics(self) -> dict:
         tr = self.probs.sum()
-        min_eig = min(np.linalg.eigvalsh(herm(op)).min() for op in self.ops)
+        min_eig = np.linalg.eigvalsh(self.ops).min()
         return {
             "normalization": (bool(abs(tr - 1.0) <= TRACE_TOL), float(tr)),
             "psd": (bool(min_eig >= -PSD_TOL), float(min_eig)),
@@ -172,24 +192,23 @@ class CQState:
 
 @dataclass(frozen=True)
 class POVM:
-    """PSD elements summing to the identity."""
+    """PSD elements summing to the identity, held as one (m, d, d) stack."""
 
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
-        els = tuple(np.asarray(e, dtype=complex) for e in self.elements)
-        if not els:
-            raise ValueError("empty POVM")
+        els = np.asarray(self.elements, dtype=complex)
+        if els.ndim != 3 or not len(els) or els.shape[1] != els.shape[2]:
+            raise ValueError(f"a POVM needs square elements, got a stack of shape {els.shape}")
         object.__setattr__(self, "elements", els)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     def diagnostics(self) -> dict:
-        min_eig = min(np.linalg.eigvalsh(herm(e)).min() for e in self.elements)
-        total = sum(self.elements)
-        comp_err = float(np.abs(total - np.eye(self.dim)).max())
+        min_eig = np.linalg.eigvalsh(herm(self.elements)).min()
+        comp_err = float(np.abs(self.elements.sum(0) - np.eye(self.dim)).max())
         return {
             "psd": (bool(min_eig >= -PSD_TOL), float(min_eig)),
             "completeness": (comp_err <= TRACE_TOL, comp_err),
@@ -294,17 +313,14 @@ def purify_cq(omega: CQState):
 
     Returns (vector, dims) with factor order (X, X', B, B').
     """
-    m, d = len(omega.outcomes), omega.dim
-    vec = np.zeros(m * m * d * d, dtype=complex)
-    for x, op in enumerate(omega.ops):
-        vals, vecs = clipped_eigh(op)
-        vals = np.clip(vals, 0.0, None)
-        # |phi_x> = sum_j sqrt(lambda_j) |v_j>_B |j>_B'
-        phi = (vecs * np.sqrt(vals)).reshape(-1)  # index (b, b')
-        block = np.zeros(m * d * d, dtype=complex)
-        block[x * d * d:(x + 1) * d * d] = phi
-        vec[x * m * d * d:(x + 1) * m * d * d] = block
-    return vec, (m, m, d, d)
+    m, d = omega.ops.shape[:2]
+    vals, vecs = clipped_eigh(omega.ops)
+    # |phi_x> = sum_j sqrt(lambda_j) |v_j>_B |j>_B', index (b, b')
+    phi = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+    vec = np.zeros((m, m, d, d), dtype=complex)
+    x = np.arange(m)
+    vec[x, x] = phi
+    return vec.reshape(-1), (m, m, d, d)
 
 
 def sqrt_overlap_norm(e: np.ndarray, f: np.ndarray) -> float:

@@ -109,11 +109,10 @@ def save_state(obj, path) -> None:
         re, im = _split(obj.mat)
         payload = {"type": "density", "dim": obj.dim, "re": re, "im": im}
     elif isinstance(obj, CQState):
-        payload = {"type": "cq", "outcomes": []}
-        for lbl, op in obj.outcomes:
-            re, im = _split(op)
-            payload["outcomes"].append(
-                {"label": lbl, "state": {"dim": op.shape[0], "re": re, "im": im}})
+        res, ims = _split(obj.ops)
+        payload = {"type": "cq", "outcomes": [
+            {"label": lbl, "state": {"dim": obj.dim, "re": re, "im": im}}
+            for lbl, re, im in zip(obj.labels, res, ims)]}
     elif isinstance(obj, GridWaveFunction):
         re, im = _split(obj.samples)
         payload = {"type": "wavefunction", "q0": obj.q0, "dq": obj.dq,

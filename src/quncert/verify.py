@@ -62,6 +62,13 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
+def _trial_rngs(trials: int, seed: int):
+    """The generators of trials 0 .. trials-1; every checker draws from these."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    return (_trial_rng(seed, t) for t in range(trials))
+
+
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state vector (QR of a Gaussian matrix, phase fixed)."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -91,24 +98,21 @@ def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> POVM:
 
 def mub_pair(dim: int):
     """Computational and discrete-Fourier bases, unbiased in any dimension."""
-    e = POVM(tuple(np.outer(v, v.conj())
-                   for v in np.eye(dim, dtype=complex)))
     j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     f = np.exp(2j * math.pi * j * k / dim) / math.sqrt(dim)
-    fcols = [f[:, i] for i in range(dim)]
-    return e, POVM(tuple(np.outer(v, v.conj()) for v in fcols))
+    # rank-one projectors |v><v| onto the rows of each basis matrix
+    bases = (np.eye(dim, dtype=complex), f.T)
+    return tuple(POVM(b[:, :, None] * b.conj()[:, None, :]) for b in bases)
 
 
 def measure_to_cq(rho: np.ndarray, dims, povm: POVM, keep: int) -> CQState:
     """Measure the first tensor factor with the POVM and keep one other
     factor as the quantum memory; returns the post-measurement cq state."""
     outcomes = []
-    n = len(dims)
     for x, e in enumerate(povm.elements):
         big = np.kron(e, np.eye(int(np.prod(dims[1:])))).reshape(rho.shape)
-        cond = partial_trace(big @ rho, dims, [keep])
-        outcomes.append((str(x), herm(cond)))
-    return CQState(tuple(outcomes))
+        outcomes.append((str(x), partial_trace(big @ rho, dims, [keep])))
+    return CQState(outcomes)
 
 
 def _quantum_cond_vn(rho: np.ndarray, dims, sys_a, sys_b, base="bits") -> float:
@@ -121,6 +125,15 @@ def _quantum_cond_vn(rho: np.ndarray, dims, sys_a, sys_b, base="bits") -> float:
     h_ab = entropy.von_neumann(rho_ab, base).value
     h_b = entropy.von_neumann(rho_b, base).value
     return h_ab - h_b
+
+
+def _povm_pair(d_a: int, rng: np.random.Generator, use_mub: bool, n_outcomes: int = None):
+    """The MUB pair on A, or two random POVMs drawn in the order (E, F)."""
+    if use_mub:
+        return mub_pair(d_a)
+    m = n_outcomes or d_a
+    e = random_povm(d_a, m, rng)
+    return e, random_povm(d_a, m, rng)
 
 
 def _report(relation, slacks, seed) -> CheckReport:
@@ -137,15 +150,10 @@ def check_minmax_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
     if d_a * d_b * d_c > 64:
         raise ValueError("total dimension above desk scale")
     slacks = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+    for rng in _trial_rngs(trials, seed):
         psi = haar_state(d_a * d_b * d_c, rng)
         rho = np.outer(psi, psi.conj())
-        if use_mub:
-            e, f = mub_pair(d_a)
-        else:
-            e = random_povm(d_a, d_a, rng)
-            f = random_povm(d_a, d_a, rng)
+        e, f = _povm_pair(d_a, rng, use_mub)
         c = overlap.povm_overlap(e, f)
         cq_xb = measure_to_cq(rho, list(dims), e, keep=1)
         cq_yc = measure_to_cq(rho, list(dims), f, keep=2)
@@ -160,15 +168,10 @@ def check_vn_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
     """H(X|B) + H(Y|C) >= -log2 c(E, F), conditional von Neumann version."""
     d_a, d_b, d_c = dims
     slacks = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+    for rng in _trial_rngs(trials, seed):
         psi = haar_state(d_a * d_b * d_c, rng)
         rho = np.outer(psi, psi.conj())
-        if use_mub:
-            e, f = mub_pair(d_a)
-        else:
-            e = random_povm(d_a, d_a, rng)
-            f = random_povm(d_a, d_a, rng)
+        e, f = _povm_pair(d_a, rng, use_mub)
         c = overlap.povm_overlap(e, f)
         lhs = (entropy.cond_vn_cq(measure_to_cq(rho, list(dims), e, keep=1)).value
                + entropy.cond_vn_cq(measure_to_cq(rho, list(dims), f, keep=2)).value)
@@ -178,15 +181,11 @@ def check_vn_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
 
 def _stinespring_isometry(povm: POVM) -> np.ndarray:
     """V |psi> = sum_x sqrt(E_x)|psi> (x) |x>_X |x>_X'."""
-    d = povm.dim
-    m = len(povm.elements)
-    v = np.zeros((d * m * m, d), dtype=complex)
-    for x, e in enumerate(povm.elements):
-        root = psd_sqrt(e)
-        ket = np.zeros(m * m)
-        ket[x * m + x] = 1.0
-        v += np.kron(root, ket[:, None])
-    return v
+    m, d = povm.elements.shape[:2]
+    v = np.zeros((d, m, m, d), dtype=complex)
+    x = np.arange(m)
+    v[:, x, x, :] = np.swapaxes(psd_sqrt(povm.elements), 0, 1)
+    return v.reshape(d * m * m, d)
 
 
 def _dilated_cond_entropy(rho_ab: np.ndarray, d_a: int, d_b: int, povm: POVM) -> float:
@@ -212,15 +211,9 @@ def check_bipartite(dims=(2, 2), trials: int = 50, seed: int = 0,
     if d_a * d_b > 16:
         raise ValueError("bipartite checker limited to total dimension 16")
     slacks = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+    for rng in _trial_rngs(trials, seed):
         rho = random_density(d_a * d_b, rng)
-        if use_mub:
-            e, f = mub_pair(d_a)
-        else:
-            m = n_outcomes or d_a
-            e = random_povm(d_a, m, rng)
-            f = random_povm(d_a, m, rng)
+        e, f = _povm_pair(d_a, rng, use_mub, n_outcomes)
         lhs = (entropy.cond_vn_cq(measure_to_cq(rho, [d_a, d_b], e, keep=1)).value
                + entropy.cond_vn_cq(measure_to_cq(rho, [d_a, d_b], f, keep=1)).value)
         h_a_b = _quantum_cond_vn(rho, [d_a, d_b], sys_a=[0], sys_b=[1])
@@ -285,8 +278,7 @@ def check_operator_lemmas(trials: int = 50, seed: int = 0,
     D_max ordering and monotonicity, data processing for H_min/H_max, and
     the min/max and von Neumann purification dualities."""
     slacks = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+    for rng in _trial_rngs(trials, seed):
         d = 4
         rho = random_density(d, rng)
         gamma = random_density(d, rng)

@@ -242,6 +242,29 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "alpha,H_reg,entropy_kind,base" in out
 
+    def test_ladder_rejects_negative_n_max(self, capsys):
+        assert main(["ladder", "--n-points", "256", "--n-max", "-1"]) == 2
+        assert "n_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("relation", ["minmax-tripartite", "vn-tripartite", "frank-lieb",
+                                          "dilation", "operator-lemmas"])
+    def test_verify_rejects_zero_trials(self, capsys, relation):
+        assert main(["verify", "--relation", relation, "--dims", "2", "2", "2",
+                     "--trials", "0"]) == 2
+        assert "trials must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ops", [
+        [[[0.5]], [[0.25, 0.0], [0.0, 0.25]]],
+        [[0.5, 0.0], [0.0, 0.5]],
+        [0.5, 0.5],
+    ], ids=["mismatched", "one-dim", "scalar"])
+    def test_malformed_cq_file_exits_2(self, tmp_path, capsys, ops):
+        f = tmp_path / "cq.json"
+        f.write_text(json.dumps({"type": "cq", "outcomes": [
+            {"label": str(x), "state": {"re": op}} for x, op in enumerate(ops)]}))
+        assert main(["entropy", "--state", str(f), "--measure", "vn"]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_console_script_installed(self):
         r = subprocess.run([sys.executable, "-m", "quncert.cli", "--help"],
                            capture_output=True, text=True)

@@ -11,9 +11,8 @@ from quncert.discretize import (
     discretize_position,
     gaussian_wavefunction,
     momentum_transform,
-    second_moment_finite,
 )
-from quncert.qstate import GridWaveFunction
+from quncert.qstate import CQState, GridWaveFunction
 
 from oracles import binned_cq_loop, gaussian_h_bits, gaussian_hmax_bits, gaussian_hmin_bits
 
@@ -188,6 +187,23 @@ class TestDiscretizeMatchesLoop:
         for op in cq.ops:
             assert np.array_equal(op, op.conj().T)
 
+    def test_ops_are_the_binned_stack(self, monkeypatch):
+        # the stack of binned products is handed to the state, not copied
+        handed = []
+        adopt = CQState.from_stack
+
+        def spy(labels, ops):
+            handed.append(ops)
+            return adopt(labels, ops)
+
+        monkeypatch.setattr(CQState, "from_stack", spy)
+        rng = np.random.default_rng(16)
+        psi = _random_wavefunction(rng, 256, 4, -3.0, 0.031)
+        cq = discretize_position(psi, Partition.centered(0.5, psi.grid[0], psi.grid[-1]))
+        assert len(handed) == 1
+        assert np.shares_memory(cq.ops, handed[0])
+        assert cq.ops.shape == (len(cq.labels), 4, 4)
+
 
 class TestConvergenceLadder:
     PSI = gaussian_wavefunction(sigma=1.0)
@@ -232,11 +248,3 @@ class TestConvergenceLadder:
         t2 = convergence_ladder(psi2, kind="vn", n_max=3)
         assert np.allclose(t1.values, t2.values, atol=1e-8)
 
-
-class TestSecondMoment:
-    def test_gaussian_moment(self):
-        psi = gaussian_wavefunction(sigma=1.0)
-        finite, moment = second_moment_finite(psi.density(), psi.dq,
-                                              grid=psi.grid)
-        assert finite
-        assert math.isclose(moment, 1.0, rel_tol=1e-8)

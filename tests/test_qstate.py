@@ -106,7 +106,90 @@ class TestCQState:
         assert np.allclose(block[:2, 2:], 0.0)
 
 
+    def test_validate_flags_indefinite_outcome(self):
+        cq = CQState((("0", np.diag([0.7, -0.1])), ("1", np.diag([0.2, 0.2]))))
+        ok, min_eig = validate(cq)["psd"]
+        assert not ok
+        assert math.isclose(min_eig, -0.1)
+
+
+class TestOneStack:
+    @staticmethod
+    def _raw(m=3, d=4, seed=5):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+
+    def test_pairs_constructor_stores_hermitian_part(self):
+        raw = self._raw()
+        before = raw.copy()
+        cq = CQState(tuple((str(x), op) for x, op in enumerate(raw)))
+        assert isinstance(cq.ops, np.ndarray)
+        assert cq.ops.shape == (3, 4, 4)
+        assert np.array_equal(cq.ops, herm(raw))
+        # the pairs are copied, so the caller's matrices are left as they were
+        assert not np.shares_memory(cq.ops, raw)
+        assert np.array_equal(raw, before)
+        assert cq.labels == ["0", "1", "2"]
+
+    def test_from_stack_adopts_without_copy(self):
+        raw = self._raw()
+        want = herm(raw)
+        cq = CQState.from_stack(["a", "b", "c"], raw)
+        assert np.shares_memory(cq.ops, raw)
+        assert np.array_equal(cq.ops, want)
+        assert [lbl for lbl, _ in cq.outcomes] == ["a", "b", "c"]
+        assert all(np.shares_memory(op, cq.ops) for _, op in cq.outcomes)
+
+    def test_stack_is_read_only(self):
+        cq = CQState.from_stack(["a", "b", "c"], self._raw())
+        with pytest.raises(ValueError):
+            cq.ops[0, 0, 1] = 1.0
+
+    @pytest.mark.parametrize("outcomes", [
+        (),
+        (("0", np.eye(2) / 4.0), ("1", np.eye(3) / 6.0)),
+        (("0", np.array([0.5, 0.0])), ("1", np.array([0.0, 0.5]))),
+        (("0", 0.5), ("1", 0.5)),
+        (("0", np.ones((2, 3)) / 6.0),),
+    ], ids=["empty", "mismatched", "one-dim", "scalar", "non-square"])
+    def test_rejects_malformed_outcomes(self, outcomes):
+        with pytest.raises(ValueError):
+            CQState(outcomes)
+
+    def test_from_stack_rejects_label_count(self):
+        with pytest.raises(ValueError):
+            CQState.from_stack(["a", "b"], self._raw())
+
+    def test_batched_views_match_per_outcome_loop(self):
+        from oracles import random_cq
+
+        cq = random_cq(np.random.default_rng(6), 4, 3)
+        ops = list(cq.ops)
+        assert np.array_equal(cq.probs, [np.trace(op).real for op in ops])
+        assert np.array_equal(cq.marginal(), sum(ops))
+        min_eig = min(np.linalg.eigvalsh(op).min() for op in ops)
+        assert cq.diagnostics()["psd"][1] == min_eig
+        block = cq.block_diagonal()
+        for x, op in enumerate(ops):
+            assert np.array_equal(block[3 * x:3 * x + 3, 3 * x:3 * x + 3], op)
+        assert np.count_nonzero(block) == sum(np.count_nonzero(op) for op in ops)
+
+
 class TestPOVM:
+    def test_tuple_and_stack_give_one_stack(self):
+        stack = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        from_tuple, from_stack = POVM(tuple(stack)), POVM(stack)
+        for povm in (from_tuple, from_stack):
+            assert isinstance(povm.elements, np.ndarray)
+            assert povm.elements.shape == (2, 2, 2)
+        assert np.array_equal(from_tuple.elements, from_stack.elements)
+
+    @pytest.mark.parametrize("elements", [(), (np.array([1.0, 0.0]),)],
+                             ids=["empty", "one-dim"])
+    def test_rejects_malformed_elements(self, elements):
+        with pytest.raises(ValueError):
+            POVM(elements)
+
     def test_completeness(self):
         proj = np.diag([1.0, 0.0])
         povm = POVM((proj, np.eye(2) - proj))

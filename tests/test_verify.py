@@ -105,6 +105,29 @@ class TestInequalitySuites:
         assert j["seed"] == 10
         assert j["instances"] == 3
 
+    def test_random_povm_pair_draw_order(self):
+        # each trial draws the state, then E, then F from its own generator
+        from quncert.entropy import cond_vn_cq
+        from quncert.overlap import povm_overlap
+
+        rep = check_vn_tripartite(dims=(2, 2, 2), trials=3, seed=5, use_mub=False)
+        for t, slack in enumerate(rep.slacks):
+            rng = _trial_rng(5, t)
+            psi = haar_state(8, rng)
+            rho = np.outer(psi, psi.conj())
+            e = random_povm(2, 2, rng)
+            f = random_povm(2, 2, rng)
+            lhs = (cond_vn_cq(measure_to_cq(rho, [2, 2, 2], e, keep=1)).value
+                   + cond_vn_cq(measure_to_cq(rho, [2, 2, 2], f, keep=2)).value)
+            assert slack == lhs + math.log2(povm_overlap(e, f))
+
+    @pytest.mark.parametrize("check", [check_minmax_tripartite, check_vn_tripartite,
+                                       check_bipartite, check_operator_lemmas])
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_trials_below_one(self, check, trials):
+        with pytest.raises(ValueError, match="trials"):
+            check(trials=trials)
+
     def test_higher_dims(self):
         rep = check_minmax_tripartite(dims=(3, 2, 2), trials=5, seed=11)
         assert rep.passed
