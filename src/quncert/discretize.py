@@ -222,6 +222,10 @@ def gaussian_wavefunction(sigma: float = 1.0, n_points: int = 4096,
     with the dyadic cell ladder (cells hold equal point counts, so ladder
     rungs converge smoothly instead of oscillating with bin alignment).
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if not (sigma > 0 and width_sigmas > 0):
+        raise ValueError(f"sigma and width_sigmas must be positive, got {sigma} and {width_sigmas}")
     half = width_sigmas * sigma
     dq = 2.0 * half / n_points
     q = -half + dq * np.arange(n_points) + center

@@ -3,22 +3,20 @@ max-entropy via purification duality.
 
 The guessing probability P_guess(X|B) = sup { sum_x tr[omega_B^x E_x] } over
 POVMs equals, by strong duality, min { tr sigma : sigma >= omega_B^x for all
-x }. Two outcomes use the Helstrom closed form directly (with the exact
-optimal projective measurement and dual certificate); more outcomes are
-solved by consensus ADMM on the dual with PSD-cone projections, followed by
-pretty-good-measurement extraction and a fixed-point refinement of the primal
-until the duality gap certifies the value.
+x }. Two outcomes use the Helstrom closed form (exact measurement and dual
+certificate). The max-entropy H_max(X|B) = log F_dec(X|B) is computed through
+the duality H_max(X|B) = -H_min(X|C), where C purifies the cq state, and
+2^{-H_min(X|C)} is the SDP min { tr Y : 1_X (x) Y >= rho_XC }.
 
-The max-entropy H_max(X|B) = log F_dec(X|B) is computed through the duality
-H_max(X|B) = -H_min(X|C), where C is the purifying system of the cq state;
-H_min(X|C) for the (generally non-cq) marginal is the SDP
-min { tr Y : 1_X (x) Y >= rho_XC }.
-
-Both SDPs have the form min { tr Y : embed(Y) >= rho_j for every block j }
-over a stack of blocks rho, with adjoint(embed(Y)) = k*Y: sigma against each
-of the m outcome blocks, or 1_X (x) Y against the one block rho_XC. They
-share one ADMM core that projects the whole stack onto the PSD cone with one
-batched eigendecomposition per iteration.
+Both SDPs read min { tr Y : embed(Y) >= rho_j for every block j } over a
+stack of blocks rho, with primal max { sum_j tr[rho_j X_j] : X >= 0,
+adjoint(X) = 1 }: sigma against each of the m outcome blocks, or 1_X (x) Y
+against the one block rho_XC. One primal-dual interior-point core solves
+both: HKM direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J.
+Optim. 6, 1996) with Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992),
+one Schur system in the entries of Y per iteration. Its result is a
+certificate: Y shifted until feasible, X scaled until adjoint(X) = 1 to
+rounding, and the gap between their values.
 """
 
 from __future__ import annotations
@@ -30,11 +28,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .entropy import EntropyValue, _as_base
-from .qstate import CQState, POVM, clipped_eigh, herm, partial_trace, psd_funcm, purify_cq, trace_norm
+from .qstate import CQState, POVM, herm, partial_trace, psd_funcm, purify_cq, trace_norm
 
 DEFAULT_TOL = 1e-7
-ADMM_MAX_ITER = 50_000
-REFINE_MAX_ITER = 20_000
+IPM_MAX_ITER = 200
 
 __all__ = [
     "SDPResult",
@@ -58,47 +55,37 @@ class SDPResult:
 
 class _Embedding(NamedTuple):
     """The map Y -> embed(Y) onto a stack of (s, n, n) blocks and its adjoint,
-    with adjoint(embed(Y)) = k*Y."""
+    with adjoint(embed(Y)) = k*Y. pairs(X, W) returns the (p, c, c) stacks
+    A, B with adjoint(X embed(D) W) = sum_p A_p D B_p for every c x c D."""
 
     embed: Callable
     adjoint: Callable
+    pairs: Callable
     k: int
 
 
 def _cq_embedding(m: int) -> _Embedding:
     """sigma against each of m outcome blocks."""
-    return _Embedding(lambda y: y[None], lambda s: s.sum(0), m)
+    return _Embedding(lambda y: y[None], lambda s: s.sum(0), lambda x, w: (x, w), m)
 
 
 def _tensor_embedding(dim_a: int, dim_c: int) -> _Embedding:
-    """Y -> 1_A (x) Y as one block; the adjoint is the partial trace over A."""
+    """Y -> 1_A (x) Y as one block; the adjoint is the partial trace over A,
+    and the pairs are the (a, a') c-blocks of X with the (a', a) c-blocks of W."""
     n = dim_a * dim_c
     eye = np.eye(dim_a)[:, None, :, None]
     shape = (dim_a, dim_c, dim_a, dim_c)
+    blocks = (dim_a * dim_a, dim_c, dim_c)
     return _Embedding(lambda y: (eye * y[:, None, :]).reshape(1, n, n),
-                      lambda s: np.einsum("iaib->ab", s.reshape(shape)), dim_a)
+                      lambda s: np.einsum("iaib->ab", s.reshape(shape)),
+                      lambda x, w: (x.reshape(shape).transpose(0, 2, 1, 3).reshape(blocks),
+                                    w.reshape(shape).transpose(2, 0, 1, 3).reshape(blocks)),
+                      dim_a)
 
 
 def _check_tol(tol: float) -> None:
     if not 0.0 < tol <= 1e-3:
         raise ValueError("tol must be in (0, 1e-3]")
-
-
-def _positive(vals: np.ndarray) -> np.ndarray:
-    return np.clip(vals, 0.0, None)
-
-
-def _inv_sqrt_on_support(mat: np.ndarray, rtol: float = 1e-12):
-    """Returns (M^{-1/2} on supp M, projector onto the kernel)."""
-    vals, vecs = clipped_eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    top = vals.max() if vals.size else 0.0
-    on = vals > rtol * max(top, 1.0)
-    inv = np.zeros_like(vals)
-    inv[on] = 1.0 / np.sqrt(vals[on])
-    inv_sqrt = (vecs * inv) @ vecs.conj().T
-    kern = (vecs * (~on).astype(float)) @ vecs.conj().T
-    return inv_sqrt, kern
 
 
 def _feasible_shift(ops: np.ndarray, sigma: np.ndarray) -> float:
@@ -112,50 +99,75 @@ def _primal_value(ops: np.ndarray, elements: np.ndarray) -> float:
 
 
 def _pgm(ops: np.ndarray, emb: _Embedding) -> np.ndarray:
-    """Pretty-good measurement of a stack of PSD blocks: each block is
-    sandwiched by embed(T^{-1/2}), T = adjoint(ops), and the kernel of T is
-    shared out, so that adjoint(result) = 1."""
-    inv_sqrt, kern = _inv_sqrt_on_support(emb.adjoint(ops))
-    w = emb.embed(inv_sqrt)
-    return herm(w @ ops @ w) + emb.embed(kern) / emb.k
+    """Pretty-good-measurement form embed(T^{-1/2}) op_j embed(T^{-1/2}) of a
+    stack of PSD blocks with T = adjoint(ops) positive definite, so that
+    adjoint(result) = 1."""
+    w = emb.embed(psd_funcm(emb.adjoint(ops), lambda vals: 1.0 / np.sqrt(vals)))
+    return herm(w @ ops @ w)
 
 
-def _admm_dual(rho: np.ndarray, emb: _Embedding, tol: float, max_iter: int | None = None):
-    """Consensus ADMM for min { tr Y : embed(Y) >= rho_j for every block j }
-    with slack S = embed(Y) - rho projected onto the PSD cone, one batched
-    eigendecomposition of the stack per iteration, and the penalty
-    rebalanced on the residuals (Boyd et al. 2011, section 3.4.1).
+def _schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix, on row-major vec(D), of D -> sum_p (A_p D B_p + B_p^H D A_p^H) / 2."""
+    p, c = a.shape[:2]
+    g = a.reshape(p, c * c).T @ np.swapaxes(b, 1, 2).reshape(p, c * c)
+    m = g.reshape(c, c, c, c).transpose(0, 2, 1, 3)
+    return 0.5 * (m + m.transpose(1, 0, 3, 2).conj()).reshape(c * c, c * c)
 
-    The cap defaults to ADMM_MAX_ITER as it stands at call time. Returns
-    (certificate, scaled multipliers, iterations); the certificate is the
-    last iterate shifted by a multiple of the identity until it is feasible.
+
+def _step(inv_chol: np.ndarray, direction: np.ndarray, fraction: float = 1.0) -> float:
+    """min(1, fraction * the largest t with P + t*direction >= 0) for the PD
+    stack P = L L^H, given L^{-1}; the bound is -1/lambda_min(L^{-1} dP L^{-H})."""
+    scaled = inv_chol @ direction @ inv_chol.conj().transpose(0, 2, 1)
+    low = float(np.linalg.eigvalsh(herm(scaled)).min())
+    return min(1.0, -fraction / low) if low < 0.0 else 1.0
+
+
+def _ipm(rho: np.ndarray, emb: _Embedding, tol: float):
+    """Interior-point solve of min { tr Y : Z = embed(Y) - rho >= 0 } and its
+    primal. The Schur matrix from emb.pairs(X, Z^{-1}) serves predictor and
+    corrector; steps go 0.98 of the way to the cone's boundary. Stops when
+    <X, Z> < tol/100 and |1 - adjoint(X)| < 1e-8, after IPM_MAX_ITER steps
+    (read at call time), or when rounding breaks a Cholesky factorization.
+    Returns (Y shifted until feasible, X repaired by _pgm, iterations).
     """
-    max_iter = ADMM_MAX_ITER if max_iter is None else max_iter
-    k = emb.k
-    y = herm(emb.adjoint(rho))
-    eye = np.eye(y.shape[0])
-    t = 1.0  # penalty, residual-balanced below
-    u = np.zeros_like(rho)
+    c = emb.adjoint(rho).shape[0]
+    eye = np.eye(c)
+    y = (1.0 + max(0.0, float(np.linalg.eigvalsh(rho).max()))) * eye
+    x = np.broadcast_to(emb.embed(eye) / emb.k, rho.shape).astype(complex)
+    size = rho.shape[0] * rho.shape[1]
     it = 0
-    for it in range(1, max_iter + 1):
-        slack = psd_funcm(emb.embed(y) - rho - u, _positive)
-        y_new = herm(emb.adjoint(slack + rho + u) / k - eye / (t * k))
-        big_y = emb.embed(y_new)
-        r = float(np.linalg.norm(slack - big_y + rho))
-        s_res = t * math.sqrt(k) * float(np.linalg.norm(y_new - y))
-        y = y_new
-        u = u + slack - big_y + rho
-        if r < tol * 0.1 and s_res < tol * 0.1:
+    while True:
+        z = herm(emb.embed(y) - rho)
+        gap = _primal_value(x, z)
+        if it == IPM_MAX_ITER or (gap < 1e-2 * tol
+                                  and np.abs(eye - emb.adjoint(x)).max() < 1e-8):
             break
-        if it % 50 == 0:
-            if r > 10.0 * s_res:
-                t *= 2.0
-                u = u / 2.0
-            elif s_res > 10.0 * r:
-                t /= 2.0
-                u = u * 2.0
+        try:
+            lx = np.linalg.inv(np.linalg.cholesky(x))
+            lz = np.linalg.inv(np.linalg.cholesky(z))
+        except np.linalg.LinAlgError:
+            break
+        it += 1
+        zinv = lz.conj().transpose(0, 2, 1) @ lz
+        schur = _schur(*emb.pairs(x, zinv))
+
+        def direction(rhs, x_term):
+            dy = herm(np.linalg.solve(schur, rhs.reshape(-1)).reshape(c, c))
+            dz = emb.embed(dy)
+            return dy, dz, herm(x_term - x @ dz @ zinv)
+
+        # predictor: the affine-scaling direction, towards <X, Z> = 0
+        _, dz_a, dx_a = direction(-eye, -x)
+        shrink = _primal_value(x + _step(lx, dx_a) * dx_a, z + _step(lz, dz_a) * dz_a) / gap
+        mu = shrink ** 3 * gap / size
+        # corrector: towards the central point at mu, with the second-order term
+        second = dx_a @ dz_a @ zinv
+        dy, dz, dx = direction(mu * emb.adjoint(zinv) - eye - emb.adjoint(herm(second)),
+                               mu * zinv - x - second)
+        x = x + _step(lx, dx, 0.98) * dx
+        y = y + _step(lz, dz, 0.98) * dy
     cert = y + _feasible_shift(rho, emb.embed(y)) * eye
-    return cert, t * u, it
+    return cert, _pgm(x, emb), it
 
 
 def helstrom_value(op0: np.ndarray, op1: np.ndarray) -> float:
@@ -184,9 +196,12 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
                          method: str = "auto") -> SDPResult:
     """Optimal probability of guessing the label from the quantum memory.
 
-    method: "auto" uses the Helstrom closed form for two outcomes and ADMM
-    otherwise; "admm" forces the iterative solver (used to cross-check the
-    closed form); "helstrom" forces the closed form (two outcomes only).
+    method: "auto" uses the Helstrom closed form for two outcomes and the
+    interior-point SDP solver otherwise; "sdp" forces the SDP solver (used to
+    cross-check the closed form); "helstrom" forces the closed form (two
+    outcomes only). The value is that of the returned POVM, complete to
+    rounding; the dual certificate sigma >= omega_x has tr sigma = value + gap,
+    and converged = gap <= tol.
     """
     _check_tol(tol)
     ops = omega.ops
@@ -200,31 +215,10 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
             raise ValueError("Helstrom closed form needs exactly two outcomes")
         return _helstrom_solve(ops)
 
-    emb = _cq_embedding(m)
-    cert, mults, iters = _admm_dual(ops, emb, tol)
-    dual_val = float(np.real(np.trace(cert)))
-
-    candidates = [_pgm(psd_funcm(mults, _positive), emb), _pgm(ops, emb)]
-    best = max(candidates, key=lambda els: _primal_value(ops, els))
-    best_val = _primal_value(ops, best)
-    gap = dual_val - best_val
-    refine_it = 0
-    # fixed-point iteration on the PGM family; never decreases the value
-    while gap > tol and refine_it < REFINE_MAX_ITER:
-        best = _pgm(ops @ best @ ops, emb)
-        refine_it += 1
-        if refine_it % 10 == 0 or gap <= tol:
-            best_val = _primal_value(ops, best)
-            lam = herm((ops @ best).sum(0))
-            cand_cert = lam + _feasible_shift(ops, lam) * np.eye(d)
-            cand_val = float(np.real(np.trace(cand_cert)))
-            if cand_val < dual_val:
-                dual_val, cert = cand_val, cand_cert
-            gap = dual_val - best_val
-    best_val = _primal_value(ops, best)
-    gap = dual_val - best_val
-    return SDPResult(best_val, POVM(best), cert, gap,
-                     iters + refine_it, converged=gap <= tol)
+    cert, elements, iters = _ipm(ops, _cq_embedding(m), tol)
+    value = _primal_value(ops, elements)
+    gap = float(np.real(np.trace(cert))) - value
+    return SDPResult(value, POVM(elements), cert, gap, iters, converged=gap <= tol)
 
 
 def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
@@ -234,27 +228,21 @@ def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> En
 
 
 def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
-                           tol: float = DEFAULT_TOL, max_iter: int | None = None):
+                           tol: float = DEFAULT_TOL):
     """2^{-H_min(A|C)} = min { tr Y : 1_A (x) Y >= rho_AC } for arbitrary rho.
 
-    The shared ADMM core on the single block rho with embed(Y) = 1_A (x) Y.
-    Returns (value, gap, iterations); the value is the certified dual (upper)
-    bound, the gap is measured against a feasibility-repaired primal
-    candidate built from the running multiplier. The cap defaults to
-    ADMM_MAX_ITER.
+    The interior-point core on the single block rho with embed(Y) = 1_A (x) Y.
+    Returns (value, gap, iterations): the certified upper bound tr Y, and its
+    distance to the value of the primal X >= 0 with tr_A X = 1_C.
     """
     _check_tol(tol)
     rho = herm(np.asarray(rho, dtype=complex))
     if rho.shape[0] != dim_a * dim_c:
         raise ValueError("dims do not match rho")
     rho = rho[None]
-    emb = _tensor_embedding(dim_a, dim_c)
-    cert, mults, it = _admm_dual(rho, emb, tol, max_iter)
+    cert, x, it = _ipm(rho, _tensor_embedding(dim_a, dim_c), tol)
     dual_val = float(np.real(np.trace(cert)))
-    # primal candidate from the scaled multiplier: X >= 0, tr_A X = 1_C
-    x = _pgm(psd_funcm(mults, _positive), emb)
-    gap = dual_val - _primal_value(rho, x)
-    return dual_val, gap, it
+    return dual_val, dual_val - _primal_value(rho, x), it
 
 
 def _decoupling_sdp(omega: CQState, tol: float):

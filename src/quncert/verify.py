@@ -69,6 +69,13 @@ def _trial_rngs(trials: int, seed: int):
     return (_trial_rng(seed, t) for t in range(trials))
 
 
+def _check_dims(dims, count: int):
+    """dims, once checked to hold the `count` dimensions a relation needs."""
+    if len(dims) != count:
+        raise ValueError(f"dims must give {count} dimensions, got {len(dims)}: {list(dims)}")
+    return dims
+
+
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random pure state vector (QR of a Gaussian matrix, phase fixed)."""
     z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -146,7 +153,7 @@ def check_minmax_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
                             tol: float = minmax.DEFAULT_TOL, use_mub: bool = True) -> CheckReport:
     """H_max(X|B) + H_min(Y|C) >= -log2 c(E, F) on Haar-random tripartite
     pure states with MUB or random POVM pairs on A."""
-    d_a, d_b, d_c = dims
+    d_a, d_b, d_c = _check_dims(dims, 3)
     if d_a * d_b * d_c > 64:
         raise ValueError("total dimension above desk scale")
     slacks = []
@@ -166,7 +173,7 @@ def check_minmax_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
 def check_vn_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
                         use_mub: bool = True) -> CheckReport:
     """H(X|B) + H(Y|C) >= -log2 c(E, F), conditional von Neumann version."""
-    d_a, d_b, d_c = dims
+    d_a, d_b, d_c = _check_dims(dims, 3)
     slacks = []
     for rng in _trial_rngs(trials, seed):
         psi = haar_state(d_a * d_b * d_c, rng)
@@ -207,7 +214,7 @@ def check_bipartite(dims=(2, 2), trials: int = 50, seed: int = 0,
     dilation:   H(X|B) + H(Y|B) >= -log2 c + H(A|B)
                                    - min{H(A|XB), H(A|YB)} after dilation.
     """
-    d_a, d_b = dims
+    d_a, d_b = _check_dims(dims, 2)
     if d_a * d_b > 16:
         raise ValueError("bipartite checker limited to total dimension 16")
     slacks = []

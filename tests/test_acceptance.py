@@ -191,14 +191,14 @@ def test_06_discretization_limits():
 
 
 def test_07_solver_correctness():
-    """ADMM against the Helstrom closed form and the Bloch-ball brute force."""
+    """SDP solver against the Helstrom closed form and the Bloch-ball brute force."""
     t0 = time.time()
     worst_hel, worst_gap = 0.0, 0.0
     for trial in range(50):
         rng = _trial_rng(123, trial)
         cq = random_cq(rng, 2, int(rng.integers(2, 9)))
         hel = helstrom_value(cq.outcomes[0][1], cq.outcomes[1][1])
-        res = guessing_probability(cq, method="admm")
+        res = guessing_probability(cq, method="sdp")
         worst_hel = max(worst_hel, abs(res.value - hel))
         worst_gap = max(worst_gap, res.gap)
     worst_dual = 0.0
@@ -209,7 +209,7 @@ def test_07_solver_correctness():
                          abs(decoupling_fidelity(cq) - fdec_bloch_grid(cq)))
     ok = worst_hel < 1e-6 and worst_gap < 1e-7 and worst_dual < 1e-4
     _report("solver correctness", ok,
-            f"ADMM vs Helstrom={worst_hel:.1e}, gap cert={worst_gap:.1e}, "
+            f"SDP vs Helstrom={worst_hel:.1e}, gap cert={worst_gap:.1e}, "
             f"H_max duality vs grid={worst_dual:.1e}", t0, 120.0)
     assert worst_hel < 1e-6
     assert worst_gap < 1e-7

@@ -180,7 +180,7 @@ class TestCLI:
 
         state = tmp_path / "cq.json"
         save_state(BB84, state)
-        monkeypatch.setattr(minmax, "ADMM_MAX_ITER", 3)
+        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 3)
         assert main(["entropy", "--state", str(state), "--measure", "hmax"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -245,6 +245,25 @@ class TestCLI:
     def test_ladder_rejects_negative_n_max(self, capsys):
         assert main(["ladder", "--n-points", "256", "--n-max", "-1"]) == 2
         assert "n_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--n-points", "0"], "n_points"),
+        (["--sigma", "0", "--n-max", "0"], "sigma"),
+    ], ids=["n-points-0", "sigma-0"])
+    def test_ladder_rejects_degenerate_gaussian(self, capsys, flags, name):
+        assert main(["ladder", *flags]) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("relation, dims, count", [
+        ("minmax-tripartite", ["2"], 3),
+        ("minmax-tripartite", ["2", "2", "2", "2"], 3),
+        ("vn-tripartite", ["2", "2"], 3),
+        ("frank-lieb", ["2"], 2),
+        ("dilation", ["2"], 2),
+    ])
+    def test_verify_rejects_wrong_dims_arity(self, capsys, relation, dims, count):
+        assert main(["verify", "--relation", relation, "--dims", *dims, "--trials", "1"]) == 2
+        assert f"dims must give {count} dimensions" in capsys.readouterr().err
 
     @pytest.mark.parametrize("relation", ["minmax-tripartite", "vn-tripartite", "frank-lieb",
                                           "dilation", "operator-lemmas"])

@@ -248,3 +248,16 @@ class TestConvergenceLadder:
         t2 = convergence_ladder(psi2, kind="vn", n_max=3)
         assert np.allclose(t1.values, t2.values, atol=1e-8)
 
+
+
+class TestGaussianWavefunction:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_points": 0}, "n_points"),
+        ({"n_points": -4}, "n_points"),
+        ({"sigma": 0.0}, "sigma"),
+        ({"sigma": -1.0}, "sigma"),
+        ({"width_sigmas": 0.0}, "width_sigmas"),
+    ])
+    def test_rejects_degenerate_grid(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            gaussian_wavefunction(**kwargs)

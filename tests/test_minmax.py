@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from quncert import discretize, gaussian
 from quncert.minmax import (
+    _cq_embedding,
+    _tensor_embedding,
     cond_min_entropy_value,
     decoupling_fidelity,
     guessing_probability,
@@ -67,12 +70,12 @@ class TestGuessingProbability:
         assert res.converged
         assert res.gap < 1e-7
 
-    def test_admm_agrees_with_helstrom(self):
+    def test_sdp_agrees_with_helstrom(self):
         for trial in range(10):
             rng = _trial_rng(21, trial)
             cq = random_cq(rng, 2, int(rng.integers(2, 7)))
             hel = helstrom_value(cq.outcomes[0][1], cq.outcomes[1][1])
-            res = guessing_probability(cq, method="admm")
+            res = guessing_probability(cq, method="sdp")
             assert res.converged
             assert abs(res.value - hel) < 1e-6
             assert res.gap < 1e-7
@@ -110,14 +113,23 @@ class TestGuessingProbability:
             assert cq.probs.max() - 1e-8 <= res.value <= 1.0 + 1e-8
 
     def test_matches_loop_solver(self):
-        # Before the ADMM core worked on stacks, one eigh per outcome per
-        # iteration, this instance gave value 0.47012244556963223 with gap
-        # 1.373e-09 after 476 iterations. Same arithmetic, same iterations.
+        # An earlier first-order solver, with one eigh per outcome per
+        # iteration, gave this instance the value 0.47012244556963223 with
+        # gap 1.373e-09.
         cq = random_cq(_trial_rng(41, 0), 9, 8)
         res = guessing_probability(cq)
         assert res.converged
         assert abs(res.value - 0.47012244556963223) < 1e-9
-        assert res.iterations == 476
+
+    def test_tol_below_rounding_still_certified(self):
+        # at tol = 1e-14 rounding can break a Cholesky factorization before
+        # the stopping rule holds; the result is still a valid certificate
+        cq = random_cq(_trial_rng(41, 0), 9, 8)
+        res = guessing_probability(cq, tol=1e-14)
+        assert res.converged == (res.gap <= 1e-14)
+        assert 0.0 <= res.gap < 1e-9
+        assert np.linalg.eigvalsh(res.dual_certificate - cq.ops).min() >= -1e-12
+        assert np.abs(res.primal_povm.elements.sum(0) - np.eye(8)).max() <= 1e-12
 
     def test_trivial_memory_classical(self):
         p = np.array([0.6, 0.1, 0.3])
@@ -127,6 +139,41 @@ class TestGuessingProbability:
     def test_single_outcome(self):
         cq = CQState((("0", np.eye(2) / 2.0),))
         assert math.isclose(guessing_probability(cq).value, 1.0, abs_tol=1e-12)
+
+
+class TestPaperScale:
+    def test_epr_memory_at_alpha_2(self):
+        # the EPR state at r = 1.5 with its 19-level memory, 17 position cells
+        psi = gaussian.epr_grid_wavefunction(1.5)
+        part = discretize.Partition.centered(2.0, psi.grid[0], psi.grid[-1])
+        cq = discretize.discretize_position(psi, part)
+        assert cq.ops.shape == (17, 19, 19)
+        res = guessing_probability(cq)
+        assert res.converged
+        assert res.gap <= 1e-7
+        # the certificate, checked with numpy alone
+        sig = res.dual_certificate
+        assert np.linalg.eigvalsh(sig - cq.ops).min() >= -1e-9
+        els = res.primal_povm.elements
+        assert np.linalg.eigvalsh(els).min() >= -1e-9
+        assert np.abs(els.sum(0) - np.eye(19)).max() <= 1e-9
+        assert abs(res.value - 0.82041563) < 1e-8
+
+
+class TestEmbeddingPairs:
+    @pytest.mark.parametrize("emb, shape", [
+        (_cq_embedding(4), (4, 3, 3)),
+        (_tensor_embedding(3, 2), (1, 6, 6)),
+    ], ids=["cq", "tensor"])
+    def test_pairs_represent_adjoint(self, emb, shape):
+        # adjoint(X embed(D) W) = sum_p A_p D B_p for any X, W and D
+        rng = np.random.default_rng(51)
+        x, w = (rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape))
+        c = emb.adjoint(x).shape[0]
+        dmat = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
+        a, b = emb.pairs(x, w)
+        assert np.allclose(emb.adjoint(x @ emb.embed(dmat) @ w), (a @ dmat @ b).sum(0),
+                           atol=1e-12)
 
 
 class TestHmin:
