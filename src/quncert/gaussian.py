@@ -18,6 +18,7 @@ import numpy as np
 from .entropy import EntropyValue, _as_base
 
 SYMPLECTIC_TOL = 1e-10
+GAP_SERIES_NU = 2.0
 
 __all__ = [
     "GaussianState",
@@ -112,8 +113,23 @@ def _f_nats(nu: float) -> float:
 def epr_gap(nu: float, base: str = "bits") -> float:
     """Distance f(nu) - log(2 pi) above the uncertainty-relation bound.
 
-    Positive, and -> 0 as nu -> infinity; at nu = 1 it equals log(e/2)."""
-    gap = _f_nats(nu) - math.log(2.0 * math.pi)
+    Equal to sum_{k>=1} x^k / (2k (2k+1)) with x = 1/nu^2: positive,
+    1/(6 nu^2) to leading order, and log(e/2) = 1 - log 2 at nu = 1. For
+    nu >= GAP_SERIES_NU the series is summed (its terms fall at least 4x per
+    step), since f(nu) - log(2 pi) cancels there: at r = 8 it gives -1.5e-9
+    nats instead of 8.4e-15. Below it the closed form keeps full precision."""
+    if nu < GAP_SERIES_NU:
+        gap = _f_nats(nu) - math.log(2.0 * math.pi)
+    else:
+        x = 1.0 / (nu * nu)
+        gap, power, k = 0.0, x, 1
+        while True:
+            term = power / (2 * k * (2 * k + 1))
+            gap += term
+            if term <= 1e-17 * gap:
+                break
+            power *= x
+            k += 1
     return _as_base(gap, base).value
 
 

@@ -1,20 +1,28 @@
 """Conditional min-entropy via the guessing-probability SDP and conditional
-max-entropy via purification duality.
+max-entropy via the decoupling-fidelity SDP.
 
 The guessing probability P_guess(X|B) = sup { sum_x tr[omega_B^x E_x] } over
 POVMs equals, by strong duality, min { tr sigma : sigma >= omega_B^x for all
 x }. Two outcomes use the Helstrom closed form (exact measurement and dual
-certificate). The max-entropy H_max(X|B) = log F_dec(X|B) is computed through
-the duality H_max(X|B) = -H_min(X|C), where C purifies the cq state, and
-2^{-H_min(X|C)} is the SDP min { tr Y : 1_X (x) Y >= rho_XC }.
+certificate). The max-entropy H_max(X|B) = log F_dec(X|B) comes from the SDP
 
-Both SDPs read min { tr Y : embed(Y) >= rho_j for every block j } over a
-stack of blocks rho, with primal max { sum_j tr[rho_j X_j] : X >= 0,
-adjoint(X) = 1 }: sigma against each of the m outcome blocks, or 1_X (x) Y
-against the one block rho_XC. One primal-dual interior-point core solves
-both: HKM direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J.
-Optim. 6, 1996) with Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992),
-one Schur system in the entries of Y per iteration. Its result is a
+    F_dec = min { sum_x tr Y_x : Y_0 (+) ... (+) Y_{m-1} >= R },
+    R_xy = sqrt(omega_x) sqrt(omega_y),
+
+of size md. It is the purification SDP min { tr Y : 1_X (x) Y >= rho_XC }
+(C = X'B' purifying the cq state) reduced by symmetry: rho_XC is invariant
+under D (x) conj(D) for every diagonal unitary D on X, so an optimal Y is
+block-diagonal in X', and its constraint splits into this block and
+Y_x >= 0, which the block implies.
+
+All three SDPs read min { tr Y : embed(Y) >= rho_j for every block j } over
+a (q, c, c) stack Y and a stack of blocks rho, with primal max { sum_j
+tr[rho_j X_j] : X >= 0, adjoint(X) = 1 }: sigma against each of the m
+outcome blocks, 1_A (x) Y against one block rho_AC, or the block-diagonal
+(+)_x Y_x against R. One primal-dual interior-point core solves them: HKM
+direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6,
+1996) with Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992), one
+Schur system in the entries of Y per iteration. Its result is a
 certificate: Y shifted until feasible, X scaled until adjoint(X) = 1 to
 rounding, and the gap between their values.
 """
@@ -28,7 +36,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .entropy import EntropyValue, _as_base
-from .qstate import CQState, POVM, herm, partial_trace, psd_funcm, purify_cq, trace_norm
+from .qstate import CQState, POVM, herm, psd_funcm, psd_sqrt, trace_norm
+# unused here; perfbench/spans.py traces these two bindings of this module by name
+from .qstate import partial_trace, purify_cq  # noqa: F401
 
 DEFAULT_TOL = 1e-7
 IPM_MAX_ITER = 200
@@ -54,9 +64,10 @@ class SDPResult:
 
 
 class _Embedding(NamedTuple):
-    """The map Y -> embed(Y) onto a stack of (s, n, n) blocks and its adjoint,
-    with adjoint(embed(Y)) = k*Y. pairs(X, W) returns the (p, c, c) stacks
-    A, B with adjoint(X embed(D) W) = sum_p A_p D B_p for every c x c D."""
+    """The map Y -> embed(Y) from a (q, c, c) stack onto a stack of (s, n, n)
+    blocks and its adjoint, with adjoint(embed(Y)) = k*Y. pairs(X, W) returns
+    the (p, q, q, c, c) stacks A, B with adjoint(X embed(D) W)_x =
+    sum_{p, y} A_pxy D_y B_pxy for every (q, c, c) stack D."""
 
     embed: Callable
     adjoint: Callable
@@ -65,22 +76,46 @@ class _Embedding(NamedTuple):
 
 
 def _cq_embedding(m: int) -> _Embedding:
-    """sigma against each of m outcome blocks."""
-    return _Embedding(lambda y: y[None], lambda s: s.sum(0), lambda x, w: (x, w), m)
+    """sigma (q = 1) against each of m outcome blocks."""
+    return _Embedding(lambda y: y, lambda s: s.sum(0, keepdims=True),
+                      lambda x, w: (x[:, None, None], w[:, None, None]), m)
+
+
+def _cross_blocks(x: np.ndarray, w: np.ndarray, dim_a: int, dim_c: int):
+    """The (a, a', c, c) stacks of the c-blocks X_aa' and W_a'a of two
+    (1, ac, ac) stacks."""
+    shape = (dim_a, dim_c, dim_a, dim_c)
+    return (x.reshape(shape).transpose(0, 2, 1, 3),
+            w.reshape(shape).transpose(2, 0, 1, 3))
 
 
 def _tensor_embedding(dim_a: int, dim_c: int) -> _Embedding:
-    """Y -> 1_A (x) Y as one block; the adjoint is the partial trace over A,
-    and the pairs are the (a, a') c-blocks of X with the (a', a) c-blocks of W."""
+    """Y (q = 1) -> 1_A (x) Y as one block; the adjoint is the partial trace
+    over A, and the pairs are the (a, a') c-blocks of X with the (a', a)
+    c-blocks of W."""
     n = dim_a * dim_c
     eye = np.eye(dim_a)[:, None, :, None]
     shape = (dim_a, dim_c, dim_a, dim_c)
-    blocks = (dim_a * dim_a, dim_c, dim_c)
-    return _Embedding(lambda y: (eye * y[:, None, :]).reshape(1, n, n),
-                      lambda s: np.einsum("iaib->ab", s.reshape(shape)),
-                      lambda x, w: (x.reshape(shape).transpose(0, 2, 1, 3).reshape(blocks),
-                                    w.reshape(shape).transpose(2, 0, 1, 3).reshape(blocks)),
+    blocks = (dim_a * dim_a, 1, 1, dim_c, dim_c)
+    return _Embedding(lambda y: (eye * y[0, :, None, :]).reshape(1, n, n),
+                      lambda s: np.einsum("iaib->ab", s.reshape(shape))[None],
+                      lambda x, w: tuple(b.reshape(blocks)
+                                         for b in _cross_blocks(x, w, dim_a, dim_c)),
                       dim_a)
+
+
+def _block_embedding(m: int, d: int) -> _Embedding:
+    """Y (q = m) -> Y_0 (+) ... (+) Y_{m-1} as one block; the adjoint takes the
+    diagonal d-blocks, and the pair of (x, y) is X_xy with W_yx."""
+    def embed(y):
+        out = np.zeros((m, d, m, d), dtype=y.dtype)
+        out[np.arange(m), :, np.arange(m)] = y
+        return out.reshape(1, m * d, m * d)
+
+    return _Embedding(embed,
+                      lambda s: np.einsum("xixj->xij", s.reshape(m, d, m, d)),
+                      lambda x, w: tuple(b[None] for b in _cross_blocks(x, w, m, d)),
+                      1)
 
 
 def _check_tol(tol: float) -> None:
@@ -107,11 +142,15 @@ def _pgm(ops: np.ndarray, emb: _Embedding) -> np.ndarray:
 
 
 def _schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix, on row-major vec(D), of D -> sum_p (A_p D B_p + B_p^H D A_p^H) / 2."""
-    p, c = a.shape[:2]
-    g = a.reshape(p, c * c).T @ np.swapaxes(b, 1, 2).reshape(p, c * c)
-    m = g.reshape(c, c, c, c).transpose(0, 2, 1, 3)
-    return 0.5 * (m + m.transpose(1, 0, 3, 2).conj()).reshape(c * c, c * c)
+    """Matrix, on row-major vec(D) of a (q, c, c) stack, of the map whose block
+    x is sum_{p, y} (A_pxy D_y B_pxy + B_pxy^H D_y A_pxy^H) / 2: entry
+    (x, i, j), (y, k, l) is sum_p A_pxy[i, k] B_pxy[l, j] plus its twin."""
+    p, q, _, c, _ = a.shape
+    g = (a.transpose(1, 2, 3, 4, 0).reshape(q, q, c * c, p)
+         @ b.transpose(1, 2, 0, 4, 3).reshape(q, q, p, c * c))
+    m = g.reshape(q, q, c, c, c, c).transpose(0, 2, 4, 1, 3, 5)
+    n = q * c * c
+    return 0.5 * (m + m.transpose(0, 2, 1, 3, 5, 4).conj()).reshape(n, n)
 
 
 def _step(inv_chol: np.ndarray, direction: np.ndarray, fraction: float = 1.0) -> float:
@@ -128,10 +167,11 @@ def _ipm(rho: np.ndarray, emb: _Embedding, tol: float):
     corrector; steps go 0.98 of the way to the cone's boundary. Stops when
     <X, Z> < tol/100 and |1 - adjoint(X)| < 1e-8, after IPM_MAX_ITER steps
     (read at call time), or when rounding breaks a Cholesky factorization.
-    Returns (Y shifted until feasible, X repaired by _pgm, iterations).
+    Returns (Y shifted until feasible, X repaired by _pgm, iterations); Y is a
+    (q, c, c) stack.
     """
-    c = emb.adjoint(rho).shape[0]
-    eye = np.eye(c)
+    shape = emb.adjoint(rho).shape
+    eye = np.broadcast_to(np.eye(shape[-1]), shape)
     y = (1.0 + max(0.0, float(np.linalg.eigvalsh(rho).max()))) * eye
     x = np.broadcast_to(emb.embed(eye) / emb.k, rho.shape).astype(complex)
     size = rho.shape[0] * rho.shape[1]
@@ -152,7 +192,7 @@ def _ipm(rho: np.ndarray, emb: _Embedding, tol: float):
         schur = _schur(*emb.pairs(x, zinv))
 
         def direction(rhs, x_term):
-            dy = herm(np.linalg.solve(schur, rhs.reshape(-1)).reshape(c, c))
+            dy = herm(np.linalg.solve(schur, rhs.reshape(-1)).reshape(shape))
             dz = emb.embed(dy)
             return dy, dz, herm(x_term - x @ dz @ zinv)
 
@@ -168,6 +208,14 @@ def _ipm(rho: np.ndarray, emb: _Embedding, tol: float):
         y = y + _step(lz, dz, 0.98) * dy
     cert = y + _feasible_shift(rho, emb.embed(y)) * eye
     return cert, _pgm(x, emb), it
+
+
+def _ipm_value(rho: np.ndarray, emb: _Embedding, tol: float):
+    """(tr Y, gap, iterations) of _ipm: the certified upper bound sum_q tr Y_q
+    and its distance to the value of the repaired primal X."""
+    cert, x, it = _ipm(rho, emb, tol)
+    dual_val = float(np.trace(cert, axis1=1, axis2=2).real.sum())
+    return dual_val, dual_val - _primal_value(rho, x), it
 
 
 def helstrom_value(op0: np.ndarray, op1: np.ndarray) -> float:
@@ -215,10 +263,10 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
             raise ValueError("Helstrom closed form needs exactly two outcomes")
         return _helstrom_solve(ops)
 
-    cert, elements, iters = _ipm(ops, _cq_embedding(m), tol)
+    (sigma,), elements, iters = _ipm(ops, _cq_embedding(m), tol)
     value = _primal_value(ops, elements)
-    gap = float(np.real(np.trace(cert))) - value
-    return SDPResult(value, POVM(elements), cert, gap, iters, converged=gap <= tol)
+    gap = float(np.real(np.trace(sigma))) - value
+    return SDPResult(value, POVM(elements), sigma, gap, iters, converged=gap <= tol)
 
 
 def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
@@ -239,33 +287,33 @@ def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
     rho = herm(np.asarray(rho, dtype=complex))
     if rho.shape[0] != dim_a * dim_c:
         raise ValueError("dims do not match rho")
-    rho = rho[None]
-    cert, x, it = _ipm(rho, _tensor_embedding(dim_a, dim_c), tol)
-    dual_val = float(np.real(np.trace(cert)))
-    return dual_val, dual_val - _primal_value(rho, x), it
+    return _ipm_value(rho[None], _tensor_embedding(dim_a, dim_c), tol)
 
 
 def _decoupling_sdp(omega: CQState, tol: float):
-    """(F_dec, gap, iterations) of the purification SDP behind
-    decoupling_fidelity; the value is certified when gap <= tol."""
+    """(F_dec, gap, iterations) of the block SDP behind decoupling_fidelity;
+    the value is certified when gap <= tol."""
+    _check_tol(tol)
     m, d = omega.ops.shape[:2]
-    vec, dims = purify_cq(omega)
-    rho = np.outer(vec, vec.conj())
-    # factor order (X, X', B, B'); trace out B, keep X and C = X' (x) B'
-    rho_xc = partial_trace(rho, list(dims), keep=[0, 1, 3])
-    return cond_min_entropy_value(rho_xc, dim_a=m, dim_c=m * d, tol=tol)
+    roots = psd_sqrt(omega.ops).reshape(m * d, d)
+    # R_xy = sqrt(omega_x) sqrt(omega_y)
+    r = herm(roots @ roots.conj().T)[None]
+    return _ipm_value(r, _block_embedding(m, d), tol)
 
 
 def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> float:
     """F_dec(X|B) = sup_sigma (sum_x sqrt(F(omega_B^x, sigma)))^2.
 
-    Computed through purification duality: F_dec = 2^{H_max(X|B)} =
-    2^{-H_min(X|C)} = min { tr Y : 1_X (x) Y >= rho_XC } with C = X'B' the
-    purifying factors.
+    Computed as the SDP min { sum_x tr Y_x : (+)_x Y_x >= R } with
+    R_xy = sqrt(omega_x) sqrt(omega_y), of size md: the purification dual
+    F_dec = 2^{H_max(X|B)} = 2^{-H_min(X|C)} reduced by the phase symmetry
+    of the purified cq state (see the module docstring). Its dual is
+    max { tr[R X] : X >= 0, X_xx = 1 for every x }.
     """
     return float(_decoupling_sdp(omega, tol)[0])
 
 
 def h_max_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
-    """H_max(X|B) = log F_dec(X|B)."""
+    """H_max(X|B) = log F_dec(X|B), with F_dec from the md-dimensional block
+    SDP of decoupling_fidelity."""
     return _as_base(math.log(decoupling_fidelity(omega, tol)), base)

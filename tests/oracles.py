@@ -43,21 +43,19 @@ def pguess_qubit_projective_grid(cq, n_theta=400, n_phi=400):
 
     For two hypotheses the optimal POVM is projective, so a dense angle grid
     over qubit projectors lower-bounds (and at this resolution pins down)
-    the optimum.
+    the optimum. Each grid point v gives <v|om0|v> + tr om1 - <v|om1|v> and
+    the same with the outcomes swapped; the whole grid is one broadcast.
     """
     (_, om0), (_, om1) = cq.outcomes
-    th = np.linspace(0.0, math.pi, n_theta)
-    ph = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    th = np.linspace(0.0, math.pi, n_theta)[:, None]
+    ph = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)[None, :]
+    v = np.stack(np.broadcast_arrays(np.cos(th / 2.0) + 0j,
+                                     np.sin(th / 2.0) * np.exp(1j * ph)), axis=-1)
+    t0, t1 = float(np.real(np.trace(om0))), float(np.real(np.trace(om1)))
+    q0 = np.einsum("tpi,ij,tpj->tp", v.conj(), om0, v).real
+    q1 = np.einsum("tpi,ij,tpj->tp", v.conj(), om1, v).real
     # rank-0 and rank-2 guessing operators (always bet on one hypothesis)
-    best = max(float(np.real(np.trace(om0))), float(np.real(np.trace(om1))))
-    for t in th:
-        for p in ph:
-            v = np.array([math.cos(t / 2.0), math.sin(t / 2.0) * np.exp(1j * p)])
-            proj = np.outer(v, v.conj())
-            val = np.real(np.trace(proj @ om0) + np.trace((np.eye(2) - proj) @ om1))
-            best = max(best, val, np.real(np.trace(proj @ om1)
-                                          + np.trace((np.eye(2) - proj) @ om0)))
-    return best
+    return max(t0, t1, float(np.max(q0 + t1 - q1)), float(np.max(q1 + t0 - q0)))
 
 
 def fdec_bloch_grid(cq, levels=4, n=41):
@@ -149,6 +147,28 @@ def epr_gap_nats(nu):
         logp = math.log1p(-t) + n * math.log(t)
         h_b = -math.fsum(np.exp(logp) * logp)
     return math.log(math.pi * math.e * nu) - h_b - math.log(2.0 * math.pi)
+
+
+def epr_gap_decimal(nu, digits=60):
+    """EPR uncertainty gap log(pi e nu) - H(B) - log(2 pi) in nats, evaluated
+    in `digits`-digit decimal arithmetic.
+
+    The pi terms cancel exactly, leaving 1 + log(nu/2) - H(B) with the
+    thermal memory entropy H(B) = t log t - (t - 1) log(t - 1), t =
+    (nu + 1)/2. The float nu is taken exactly; the cancellation at large nu
+    costs about log10(nu^2) + 1 digits, so 60 digits leave the float result
+    exact for every nu below 1e20.
+    """
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        nu = Decimal(nu)
+        t = (nu + 1) / 2
+        h_b = t * t.ln()
+        if t > 1:
+            h_b -= (t - 1) * (t - 1).ln()
+        return float(1 + (nu / 2).ln() - h_b)
 
 
 def binned_cq_loop(q0, dq, samples, alpha, offset, k_min, k_max):

@@ -189,6 +189,20 @@ class TestCLI:
         assert payload["iterations"] == 3
         assert payload["gap"] > 1e-7
 
+    def test_entropy_hmax_epr_memory(self, tmp_path, capsys):
+        from quncert.discretize import Partition, discretize_position
+        from quncert.gaussian import epr_grid_wavefunction
+
+        psi = epr_grid_wavefunction(1.5, memory_dim=3)
+        cq = discretize_position(psi, Partition.centered(8.0, psi.grid[0], psi.grid[-1]))
+        state = tmp_path / "epr.json"
+        save_state(cq, state)
+        assert main(["entropy", "--state", str(state), "--measure", "hmax"]) == 0
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload["converged"] is True
+        assert payload["gap"] <= 1e-7
+        assert 0.0 < payload["value"] < 1e-3
+
     @pytest.mark.parametrize("measure", ["hmin", "hmax"])
     def test_entropy_rejects_bad_tol(self, tmp_path, capsys, measure):
         state = tmp_path / "cq.json"

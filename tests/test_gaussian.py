@@ -6,6 +6,7 @@ import pytest
 from quncert.discretize import Partition, convergence_ladder, discretize_position
 from quncert.entropy import von_neumann
 from quncert.gaussian import (
+    GAP_SERIES_NU,
     GaussianState,
     epr_conditional_entropies,
     epr_gap,
@@ -15,6 +16,8 @@ from quncert.gaussian import (
     gaussian_vn_entropy,
     symplectic_eigenvalues,
 )
+
+from oracles import epr_gap_decimal
 
 
 class TestCovariance:
@@ -68,6 +71,20 @@ class TestGap:
     def test_positive_and_decreasing(self):
         nus = np.linspace(1.0, 50.0, 40)
         gaps = [epr_gap(nu, base="nats") for nu in nus]
+        assert all(g > 0 for g in gaps)
+        assert all(np.diff(gaps) < 0)
+
+    @pytest.mark.parametrize("r", [5.0, 8.0, 10.0])
+    def test_large_squeezing_matches_decimal_oracle(self, r):
+        nu = math.cosh(2.0 * r)
+        assert math.isclose(epr_gap(nu, base="nats"), epr_gap_decimal(nu), rel_tol=1e-10)
+
+    @pytest.mark.parametrize("nu", [1.0, 1.3, 1.999, GAP_SERIES_NU, 2.001, 3.0, math.cosh(3.0)])
+    def test_both_branches_match_decimal_oracle(self, nu):
+        assert math.isclose(epr_gap(nu, base="nats"), epr_gap_decimal(nu), rel_tol=1e-12)
+
+    def test_positive_and_decreasing_at_large_squeezing(self):
+        gaps = [epr_gap(math.cosh(2.0 * r), base="nats") for r in np.linspace(1.0, 12.0, 45)]
         assert all(g > 0 for g in gaps)
         assert all(np.diff(gaps) < 0)
 

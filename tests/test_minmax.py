@@ -5,7 +5,10 @@ import pytest
 
 from quncert import discretize, gaussian
 from quncert.minmax import (
+    _block_embedding,
     _cq_embedding,
+    _decoupling_sdp,
+    _schur,
     _tensor_embedding,
     cond_min_entropy_value,
     decoupling_fidelity,
@@ -14,8 +17,9 @@ from quncert.minmax import (
     h_min_cq,
     helstrom_value,
 )
-from quncert.qstate import CQState
-from quncert.verify import _trial_rng, random_density
+from quncert.entropy import cond_vn_cq
+from quncert.qstate import CQState, partial_trace, purify_cq
+from quncert.verify import _trial_rng, haar_state, measure_to_cq, mub_pair, random_density
 
 from oracles import (
     fdec_bloch_grid,
@@ -61,6 +65,16 @@ class TestHelstrom:
         exact = helstrom_value(cq.outcomes[0][1], cq.outcomes[1][1])
         assert abs(exact - grid) < 5e-5
         assert grid <= exact + 1e-12  # grid is a feasible-point lower bound
+
+    def test_projective_angle_grid_finds_bb84_optimum(self):
+        # a pair where neither operator dominates, so the optimum is a
+        # projector of the grid and not one of the constant guesses
+        a, b = BB84.ops
+        assert np.linalg.eigvalsh(a - b).min() < 0.0 < np.linalg.eigvalsh(a - b).max()
+        grid = pguess_qubit_projective_grid(BB84, n_theta=600, n_phi=600)
+        exact = 0.5 + math.sqrt(2.0) / 4.0
+        assert abs(exact - grid) < 5e-5
+        assert grid <= exact + 1e-12
 
 
 class TestGuessingProbability:
@@ -160,20 +174,48 @@ class TestPaperScale:
         assert abs(res.value - 0.82041563) < 1e-8
 
 
+EMBEDDINGS = pytest.mark.parametrize("emb, shape", [
+    (_cq_embedding(4), (4, 3, 3)),
+    (_tensor_embedding(3, 2), (1, 6, 6)),
+    (_block_embedding(3, 2), (1, 6, 6)),
+], ids=["cq", "tensor", "block"])
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 class TestEmbeddingPairs:
-    @pytest.mark.parametrize("emb, shape", [
-        (_cq_embedding(4), (4, 3, 3)),
-        (_tensor_embedding(3, 2), (1, 6, 6)),
-    ], ids=["cq", "tensor"])
+    @EMBEDDINGS
     def test_pairs_represent_adjoint(self, emb, shape):
-        # adjoint(X embed(D) W) = sum_p A_p D B_p for any X, W and D
+        # adjoint(X embed(D) W)_x = sum_{p, y} A_pxy D_y B_pxy for any X, W and D
         rng = np.random.default_rng(51)
-        x, w = (rng.normal(size=(2,) + shape) + 1j * rng.normal(size=(2,) + shape))
-        c = emb.adjoint(x).shape[0]
-        dmat = rng.normal(size=(c, c)) + 1j * rng.normal(size=(c, c))
+        x, w = _complex_normal(rng, (2,) + shape)
+        dmat = _complex_normal(rng, emb.adjoint(x).shape)
         a, b = emb.pairs(x, w)
-        assert np.allclose(emb.adjoint(x @ emb.embed(dmat) @ w), (a @ dmat @ b).sum(0),
+        assert np.allclose(emb.adjoint(x @ emb.embed(dmat) @ w),
+                           np.einsum("pxyik,ykl,pxylj->xij", a, dmat, b), atol=1e-12)
+
+    @EMBEDDINGS
+    def test_adjoint_of_embed(self, emb, shape):
+        rng = np.random.default_rng(52)
+        y = _complex_normal(rng, emb.adjoint(np.zeros(shape)).shape)
+        assert np.allclose(emb.adjoint(np.broadcast_to(emb.embed(y), shape)), emb.k * y,
                            atol=1e-12)
+
+    @EMBEDDINGS
+    def test_schur_matrix_is_the_symmetrized_map(self, emb, shape):
+        # _schur(A, B) vec(D) = vec of (L(D) + L(D^H)^H) / 2, L(D) = adjoint(X embed(D) W)
+        rng = np.random.default_rng(53)
+        x, w = _complex_normal(rng, (2,) + shape)
+        dmat = _complex_normal(rng, emb.adjoint(x).shape)
+
+        def lmap(d):
+            return emb.adjoint(x @ emb.embed(d) @ w)
+
+        want = 0.5 * (lmap(dmat) + np.swapaxes(lmap(np.swapaxes(dmat.conj(), 1, 2)).conj(), 1, 2))
+        got = _schur(*emb.pairs(x, w)) @ dmat.reshape(-1)
+        assert np.allclose(got, want.reshape(-1), atol=1e-12)
 
 
 class TestHmin:
@@ -251,3 +293,57 @@ class TestHmax:
             rng = _trial_rng(34, trial)
             cq = random_cq(rng, 2, 3)
             assert h_min_cq(cq).value <= h_max_cq(cq).value + 1e-6
+
+
+def _fdec_by_purification(cq, tol):
+    """(F_dec, gap, iterations) as 2^{-H_min(X|C)} of the purified cq state,
+    C = X'B': the SDP of dimension m^2 d^2 that the block SDP reduces."""
+    m, d = cq.ops.shape[:2]
+    vec, dims = purify_cq(cq)
+    rho_xc = partial_trace(np.outer(vec, vec.conj()), list(dims), keep=[0, 1, 3])
+    return cond_min_entropy_value(rho_xc, m, m * d, tol)
+
+
+def _assert_same_fdec(cq, tol=1e-9):
+    # both values are certified upper bounds within their gaps of F_dec
+    block, gap, _ = _decoupling_sdp(cq, tol)
+    pure, pure_gap, _ = _fdec_by_purification(cq, tol)
+    assert gap <= tol and pure_gap <= tol
+    assert abs(block - pure) < 1e-8
+
+
+class TestHmaxBlockSDP:
+    def test_matches_purification_on_tripartite_mub(self):
+        # X from the computational basis of A on Haar-random (3, 3, 3) states
+        e, _ = mub_pair(3)
+        for trial in range(60):
+            psi = haar_state(27, _trial_rng(61, trial))
+            _assert_same_fdec(measure_to_cq(np.outer(psi, psi.conj()), [3, 3, 3], e, keep=1))
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_matches_purification_rank_deficient(self, m, d):
+        for trial in range(3):
+            _assert_same_fdec(random_cq(_trial_rng(62, trial), m, d, rank=1))
+
+    def test_matches_purification_with_zero_outcome(self):
+        cq = random_cq(_trial_rng(63, 0), 4, 3, rank=2)
+        ops = cq.ops.copy()
+        ops[1] = 0.0
+        ops /= np.trace(ops, axis1=1, axis2=2).real.sum()
+        _assert_same_fdec(CQState.from_stack(cq.labels, ops))
+
+    def test_epr_memory_at_alpha_8(self):
+        # the purification route took about a minute here (dimension 225)
+        psi = gaussian.epr_grid_wavefunction(1.5, memory_dim=3)
+        part = discretize.Partition.centered(8.0, psi.grid[0], psi.grid[-1])
+        cq = discretize.discretize_position(psi, part)
+        assert cq.ops.shape == (5, 3, 3)
+        fdec, gap, _ = _decoupling_sdp(cq, 1e-7)
+        assert gap <= 1e-7
+        h_max = math.log2(fdec)
+        assert math.isclose(h_max_cq(cq).value, h_max, abs_tol=1e-12)
+        assert cond_vn_cq(cq).value <= h_max
+        assert h_max <= 2.0 * math.log2(np.sqrt(cq.probs).sum())
+        # sigma = omega_B is one point of the supremum that F_dec is
+        assert fdec >= fdec_direct(cq, cq.ops.sum(0)) - 1e-9
