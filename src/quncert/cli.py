@@ -105,7 +105,10 @@ def cmd_ladder(args) -> int:
         lines.append(f"{_fmt(alpha)},{_fmt(val)},{table.entropy_kind},{table.base}")
     lines.append(f"# extrapolated_limit_estimate,{_fmt(table.extrapolated)}")
     _emit(args, _header(args, args.base), lines)
-    return 0
+    for alpha in table.unconverged:
+        print(f"error: {table.entropy_kind} rung at alpha={_fmt(alpha)} not converged "
+              f"to tol={_fmt(minmax.DEFAULT_TOL)}", file=sys.stderr)
+    return 0 if table.converged else 1
 
 
 def cmd_entropy(args) -> int:

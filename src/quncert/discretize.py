@@ -67,12 +67,19 @@ class Partition:
 @dataclass(frozen=True)
 class ConvergenceTable:
     """Rows (alpha, H_regularized) in decreasing alpha, plus an extrapolated
-    limit estimate (Aitken delta-squared on the last three rungs)."""
+    limit estimate (Aitken delta-squared on the last three rungs).
+    unconverged lists the alphas of rungs whose SDP gap exceeded tol."""
 
     entropy_kind: str
     which: str
     base: str
     rows: tuple = field(default_factory=tuple)
+    unconverged: tuple = ()
+
+    @property
+    def converged(self) -> bool:
+        """True when every rung's SDP gap is at most tol."""
+        return not self.unconverged
 
     @property
     def alphas(self) -> np.ndarray:
@@ -166,16 +173,19 @@ def _classical_regularized(probs: np.ndarray, alpha: float, kind: str) -> float:
     return h + math.log(alpha)
 
 
-def _memory_regularized(cq: CQState, alpha: float, kind: str, tol: float) -> float:
+def _memory_regularized(cq: CQState, alpha: float, kind: str, tol: float):
+    """(H(X_alpha|B) + log(alpha) in nats, whether its SDP gap is <= tol)."""
     if kind == "vn":
-        h = entropy.cond_vn_cq(cq, base="nats").value
+        h, converged = entropy.cond_vn_cq(cq, base="nats").value, True
     elif kind == "min":
-        h = minmax.h_min_cq(cq, tol, base="nats").value
+        res = minmax.guessing_probability(cq, tol)
+        h, converged = -math.log(res.value), res.converged
     elif kind == "max":
-        h = minmax.h_max_cq(cq, tol, base="nats").value
+        fdec, gap, _ = minmax._decoupling_sdp(cq, tol)
+        h, converged = math.log(fdec), gap <= tol
     else:
         raise ValueError(f"unknown entropy kind {kind!r}")
-    return h + math.log(alpha)
+    return h + math.log(alpha), converged
 
 
 def convergence_ladder(psi: GridWaveFunction, which: str = "position",
@@ -185,6 +195,8 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
 
     which selects the position or momentum statistics of psi; kind is one of
     vn / min / max; n_max >= 0. The finest rung must keep alpha >= 2*dq.
+    With a memory, min and max rungs are SDP solves at tol; the table's
+    converged flag is False when some rung's gap exceeds tol.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
@@ -198,19 +210,21 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
             f"finest cell {finest} below twice the grid spacing {psi.dq}")
     q = psi.grid
     ln2 = math.log(2.0)
-    rows = []
+    rows, unconverged = [], []
     for n in range(n_max + 1):
         alpha = alpha0 * 2.0 ** (-n)
         part = Partition.centered(alpha, q[0], q[-1])
         cq = discretize_position(psi, part)
         if psi.memory_dim == 1:
-            val = _classical_regularized(cq.probs, alpha, kind)
+            val, converged = _classical_regularized(cq.probs, alpha, kind), True
         else:
-            val = _memory_regularized(cq, alpha, kind, tol)
+            val, converged = _memory_regularized(cq, alpha, kind, tol)
         if base == "bits":
             val /= ln2
         rows.append((alpha, val))
-    return ConvergenceTable(kind, which, base, tuple(rows))
+        if not converged:
+            unconverged.append(alpha)
+    return ConvergenceTable(kind, which, base, tuple(rows), tuple(unconverged))
 
 
 def gaussian_wavefunction(sigma: float = 1.0, n_points: int = 4096,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import CQState, clipped_eigh, herm
+from .qstate import CQState, clipped_eigh, herm, kept_cells
 
 SUPPORT_RTOL = 1e-10
 
@@ -158,8 +158,18 @@ def cond_vn_cq(omega: CQState, base: str = "bits") -> EntropyValue:
     outcome's diagonal in omega_B's eigenbasis, clipped at 0. Returns -inf
     when some outcome fails the support test of relative_entropy. Agrees
     with H(XB) - H(B) on the block-diagonal embedding.
+
+    Cells of negligible trace are skipped (qstate.kept_cells): each term
+    lies in [0, -t_x log t_x], since omega_B^x <= omega_B, so the value is a
+    lower bound within qstate.NEGLIGIBLE = 1e-15 nats of the sum over all
+    cells. omega_B stays the marginal of all cells; a skipped cell's kernel
+    leak is at most its trace, below 3e-17, so it cannot fail the support
+    test.
     """
     ops = omega.ops
+    keep = kept_cells(ops, lambda t: -_xlogx(t))
+    if not keep.all():
+        ops = ops[keep]
     spec = _support(omega.marginal(), ops)
     if spec is None:
         return _as_base(-math.inf, base)

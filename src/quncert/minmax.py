@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .entropy import EntropyValue, _as_base
-from .qstate import CQState, POVM, herm, psd_funcm, psd_sqrt, trace_norm
+from .qstate import CQState, POVM, herm, kept_cells, psd_funcm, psd_sqrt, trace_norm
 # unused here; perfbench/spans.py traces these two bindings of this module by name
 from .qstate import partial_trace, purify_cq  # noqa: F401
 
@@ -240,6 +240,22 @@ def _helstrom_solve(ops: np.ndarray) -> SDPResult:
     return SDPResult(primal, POVM(elements), sigma, gap, iterations=0)
 
 
+def _guess(ops: np.ndarray, tol: float, method: str) -> SDPResult:
+    """guessing_probability on an (m, d, d) stack."""
+    m, d = ops.shape[:2]
+    if m == 1:
+        sigma = ops[0].copy()
+        povm = POVM(np.eye(d)[None])
+        return SDPResult(float(np.real(np.trace(sigma))), povm, sigma, 0.0, 0)
+    if method == "helstrom" or (method == "auto" and m == 2):
+        return _helstrom_solve(ops)
+
+    (sigma,), elements, iters = _ipm(ops, _cq_embedding(m), tol)
+    value = _primal_value(ops, elements)
+    gap = float(np.real(np.trace(sigma))) - value
+    return SDPResult(value, POVM(elements), sigma, gap, iters, converged=gap <= tol)
+
+
 def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
                          method: str = "auto") -> SDPResult:
     """Optimal probability of guessing the label from the quantum memory.
@@ -250,23 +266,29 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
     outcomes only). The value is that of the returned POVM, complete to
     rounding; the dual certificate sigma >= omega_x has tr sigma = value + gap,
     and converged = gap <= tol.
+
+    Outcomes of negligible trace are skipped (qstate.kept_cells, bound t_y
+    per cell, qstate.NEGLIGIBLE = 1e-15 in all) and solved for as if absent;
+    the method then applies to the outcomes kept. A skipped outcome gets
+    E_y = 0, so the POVM keeps one element per label and the value is still
+    sum_x tr[omega_x E_x]. The certificate is sigma + sum_y omega_y over the
+    skipped y, which dominates every omega_x, and the gap grows by their
+    total trace.
     """
     _check_tol(tol)
     ops = omega.ops
-    m, d = ops.shape[:2]
-    if m == 1:
-        sigma = ops[0].copy()
-        povm = POVM(np.eye(d)[None])
-        return SDPResult(float(np.real(np.trace(sigma))), povm, sigma, 0.0, 0)
-    if method == "helstrom" or (method == "auto" and m == 2):
-        if m != 2:
-            raise ValueError("Helstrom closed form needs exactly two outcomes")
-        return _helstrom_solve(ops)
-
-    (sigma,), elements, iters = _ipm(ops, _cq_embedding(m), tol)
-    value = _primal_value(ops, elements)
-    gap = float(np.real(np.trace(sigma))) - value
-    return SDPResult(value, POVM(elements), sigma, gap, iters, converged=gap <= tol)
+    if method == "helstrom" and len(ops) > 2:
+        raise ValueError("Helstrom closed form needs exactly two outcomes")
+    keep = kept_cells(ops, lambda t: t)
+    if keep.all():
+        return _guess(ops, tol, method)
+    res = _guess(ops[keep], tol, method)
+    skipped = ops[~keep].sum(0)
+    elements = np.zeros(ops.shape, dtype=complex)
+    elements[keep] = res.primal_povm.elements
+    gap = res.gap + float(np.real(np.trace(skipped)))
+    return SDPResult(res.value, POVM(elements), res.dual_certificate + skipped, gap,
+                     res.iterations, converged=res.converged and gap <= tol)
 
 
 def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
@@ -292,13 +314,31 @@ def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
 
 def _decoupling_sdp(omega: CQState, tol: float):
     """(F_dec, gap, iterations) of the block SDP behind decoupling_fidelity;
-    the value is certified when gap <= tol."""
+    the value is certified when gap <= tol.
+
+    Cells skipped by qstate.kept_cells (bound sqrt(t_y) per cell) are
+    accounted with T = sum_y sqrt(t_y) and S = sum_y t_y over them. The
+    kept solve's upper bound U gives sqrt(F_dec) <= sqrt(U) + T, from the
+    dual Y_y proportional to omega_y / sqrt(t_y); its primal value L, with
+    1_d blocks padded in for the skipped cells, gives F_dec >= L + S. The
+    value is the upper bound (sqrt(U) + T)^2 and the gap its distance to
+    L + S.
+    """
     _check_tol(tol)
-    m, d = omega.ops.shape[:2]
-    roots = psd_sqrt(omega.ops).reshape(m * d, d)
+    ops = omega.ops
+    keep = kept_cells(ops, np.sqrt)
+    if not keep.all():
+        ops = ops[keep]
+    m, d = ops.shape[:2]
+    roots = psd_sqrt(ops).reshape(m * d, d)
     # R_xy = sqrt(omega_x) sqrt(omega_y)
     r = herm(roots @ roots.conj().T)[None]
-    return _ipm_value(r, _block_embedding(m, d), tol)
+    fdec, gap, iters = _ipm_value(r, _block_embedding(m, d), tol)
+    if keep.all():
+        return fdec, gap, iters
+    t = omega.probs[~keep]
+    upper = (math.sqrt(fdec) + float(np.sqrt(t).sum())) ** 2
+    return upper, upper - (fdec - gap + float(t.sum())), iters
 
 
 def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> float:
@@ -309,6 +349,11 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> float:
     F_dec = 2^{H_max(X|B)} = 2^{-H_min(X|C)} reduced by the phase symmetry
     of the purified cq state (see the module docstring). Its dual is
     max { tr[R X] : X >= 0, X_xx = 1 for every x }.
+
+    Cells of negligible trace are skipped (qstate.kept_cells, bound
+    sqrt(t_y) per cell, qstate.NEGLIGIBLE = 1e-15 in all). The value is
+    then (sqrt(U) + sum_y sqrt(t_y))^2 from the kept solve's upper bound U,
+    still an upper bound on F_dec.
     """
     return float(_decoupling_sdp(omega, tol)[0])
 

@@ -17,6 +17,8 @@ HERM_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-9
 NORM_TOL = 1e-8
+# total accounted contribution of the cells a cq functional may skip
+NEGLIGIBLE = 1e-15
 
 __all__ = [
     "DensityMatrix",
@@ -27,6 +29,7 @@ __all__ = [
     "psd_sqrt",
     "psd_funcm",
     "trace_norm",
+    "kept_cells",
     "validate",
     "partial_trace",
     "fidelity",
@@ -65,6 +68,25 @@ def psd_funcm(mat: np.ndarray, fn) -> np.ndarray:
 
 def trace_norm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
+
+
+def kept_cells(ops: np.ndarray, bound) -> np.ndarray:
+    """Keep-mask of a cq stack: False on the cells a functional may skip.
+
+    bound maps cell traces t >= 0 to the most a cell of that trace can
+    contribute to the functional. With the cells in increasing order of
+    trace, the skipped cells are the longest leading run whose bounds sum to
+    at most NEGLIGIBLE. Only cells with 0 <= t <= NEGLIGIBLE are candidates,
+    so a cell of negative trace is never skipped, and the largest cell is
+    always kept. The caller accounts for the skipped cells.
+    """
+    tr = np.trace(ops, axis1=1, axis2=2).real
+    cand = np.flatnonzero((tr >= 0.0) & (tr <= NEGLIGIBLE))
+    cand = cand[np.argsort(tr[cand], kind="stable")]
+    n = int(np.searchsorted(np.cumsum(bound(tr[cand])), NEGLIGIBLE, side="right"))
+    keep = np.ones(len(tr), dtype=bool)
+    keep[cand[:min(n, len(tr) - 1)]] = False
+    return keep
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,18 @@ def eig_entropy_bits(rho):
     return float(-np.sum(vals * np.log2(vals)))
 
 
+def cond_vn_block_nats(ops):
+    """H(XB) - H(B) in nats for the cq stack ops, from the spectra of the
+    block-diagonal embedding sum_x |x><x| (x) omega_x and of the marginal
+    sum_x omega_x."""
+    ops = np.asarray(ops, dtype=complex)
+    m, d = ops.shape[:2]
+    block = np.zeros((m * d, m * d), dtype=complex)
+    for x in range(m):
+        block[x * d:(x + 1) * d, x * d:(x + 1) * d] = ops[x]
+    return (eig_entropy_bits(block) - eig_entropy_bits(ops.sum(0))) * math.log(2.0)
+
+
 def fidelity_sqrtm(rho, sigma):
     """Uhlmann fidelity via scipy's general matrix square root."""
     import scipy.linalg
@@ -133,17 +145,26 @@ def prolate_lambda0(c):
     return 2.0 * lam(1.0 + 1e-7) - lam(1.0 + 2e-7)
 
 
+FOCK_TERMS_MAX = 1e7
+
+
 def epr_gap_nats(nu):
     """EPR uncertainty gap 2 h(Q) - H(B) - log(2 pi) in nats, by Fock sums.
 
     h(Q) = log(pi e nu) / 2 is the Gaussian marginal entropy; H(B) is the
     Shannon entropy of the thermal photon distribution (1 - t) t^n with
-    t = tanh(r)^2 = (nu - 1)/(nu + 1), summed until t^n < e^-80.
+    t = tanh(r)^2 = (nu - 1)/(nu + 1), summed until t^n < e^-80. The term
+    count grows like nu, so past FOCK_TERMS_MAX terms it raises ValueError;
+    epr_gap_decimal serves there.
     """
     t = (nu - 1.0) / (nu + 1.0)
     h_b = 0.0
     if t > 0.0:
-        n = np.arange(int(80.0 / -math.log(t)) + 1)
+        terms = 80.0 / -math.log(t) + 1.0 if t < 1.0 else math.inf
+        if terms > FOCK_TERMS_MAX:
+            raise ValueError(f"nu = {nu:g} needs {terms:.3g} Fock terms, above "
+                             f"{FOCK_TERMS_MAX:g}; use epr_gap_decimal")
+        n = np.arange(int(terms))
         logp = math.log1p(-t) + n * math.log(t)
         h_b = -math.fsum(np.exp(logp) * logp)
     return math.log(math.pi * math.e * nu) - h_b - math.log(2.0 * math.pi)
@@ -187,6 +208,16 @@ def binned_cq_loop(q0, dq, samples, alpha, offset, k_min, k_max):
         if np.real(np.trace(op)) > 0.0:
             out[str(k)] = op
     return out
+
+
+def with_cells(cq, rng, traces):
+    """cq with one random density operator per trace appended as new
+    outcomes, labelled after the existing ones."""
+    from quncert.qstate import CQState
+    from quncert.verify import random_density
+
+    extra = [(f"extra{i}", t * random_density(cq.dim, rng)) for i, t in enumerate(traces)]
+    return CQState(cq.outcomes + tuple(extra))
 
 
 def random_cq(rng, n_outcomes, dim, rank=None):

@@ -203,6 +203,35 @@ class TestCLI:
         assert payload["gap"] <= 1e-7
         assert 0.0 < payload["value"] < 1e-3
 
+    @staticmethod
+    def _epr_ladder_argv(tmp_path, kind):
+        from quncert.gaussian import epr_grid_wavefunction
+
+        state = tmp_path / "epr.json"
+        save_state(epr_grid_wavefunction(1.5, memory_dim=3), state)
+        # alpha = 8 and 4: 3 and 5 cells kept, so both rungs run the SDP
+        return ["ladder", "--input", str(state), "--kind", kind,
+                "--alpha0", "8", "--n-max", "1"]
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_ladder_capped_solve_exits_1(self, tmp_path, capsys, monkeypatch, kind):
+        from quncert import minmax
+
+        argv = self._epr_ladder_argv(tmp_path, kind)
+        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 2)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().splitlines()) == 7
+        for alpha in ("8", "4"):
+            assert f"{kind} rung at alpha={alpha} not converged" in captured.err
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_ladder_converged_exits_0(self, tmp_path, capsys, kind):
+        assert main(self._epr_ladder_argv(tmp_path, kind)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.strip().splitlines()) == 7
+
     @pytest.mark.parametrize("measure", ["hmin", "hmax"])
     def test_entropy_rejects_bad_tol(self, tmp_path, capsys, measure):
         state = tmp_path / "cq.json"

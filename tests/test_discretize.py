@@ -247,7 +247,20 @@ class TestConvergenceLadder:
         t1 = convergence_ladder(psi, kind="vn", n_max=3)
         t2 = convergence_ladder(psi2, kind="vn", n_max=3)
         assert np.allclose(t1.values, t2.values, atol=1e-8)
+        assert t1.converged and t2.converged
 
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_capped_rungs_are_reported(self, monkeypatch, kind):
+        from quncert import minmax
+        from quncert.gaussian import epr_grid_wavefunction
+
+        psi = epr_grid_wavefunction(1.5, memory_dim=3)
+        tab = convergence_ladder(psi, kind=kind, n_max=1, alpha0=8.0)
+        assert tab.converged and tab.unconverged == ()
+        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 2)
+        capped = convergence_ladder(psi, kind=kind, n_max=1, alpha0=8.0)
+        assert not capped.converged
+        assert capped.unconverged == (8.0, 4.0)
 
 
 class TestGaussianWavefunction:

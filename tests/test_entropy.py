@@ -14,9 +14,10 @@ from quncert.entropy import (
     shannon,
     von_neumann,
 )
-from quncert.qstate import CQState
+from quncert import qstate
+from quncert.qstate import CQState, NEGLIGIBLE
 
-from oracles import eig_entropy_bits, gaussian_h_bits, random_cq
+from oracles import cond_vn_block_nats, eig_entropy_bits, gaussian_h_bits, random_cq, with_cells
 
 
 def random_density(dim, rng):
@@ -186,6 +187,69 @@ class TestCondVNcqBatched:
         cq = CQState((("0", w0), ("1", w1)))
         assert math.isfinite(cond_vn_cq(cq).value)
         assert abs(cond_vn_cq(cq, base="nats").value - self._loop_nats(cq)) < 1e-12
+
+
+class TestCondVNcqTrim:
+    """Cells of negligible trace are skipped with their contribution
+    -t log t accounted; checked against the block-diagonal oracle."""
+
+    @pytest.mark.parametrize("seed,m,d,rank", [
+        (71, 2, 2, None), (72, 5, 3, None), (73, 12, 4, 1), (74, 7, 6, 2)])
+    def test_within_bound_of_block_oracle(self, seed, m, d, rank):
+        rng = np.random.default_rng(seed)
+        cq = with_cells(random_cq(rng, m, d, rank), rng, [1e-40, 1e-20, 1e-40])
+        assert qstate.kept_cells(cq.ops, lambda t: -t * np.log(t)).sum() == m
+        got = cond_vn_cq(cq, base="nats").value
+        want = cond_vn_block_nats(cq.ops)
+        assert want - NEGLIGIBLE - 1e-12 <= got <= want + 1e-12
+
+    def test_cell_of_trace_1e3_is_kept(self):
+        rng = np.random.default_rng(75)
+        cq = with_cells(random_cq(rng, 4, 3), rng, [1e-3, 1e-40])
+        for bound in (lambda t: t, np.sqrt, lambda t: -t * np.log(t)):
+            assert qstate.kept_cells(cq.ops, bound).tolist() == [True] * 5 + [False]
+        assert abs(cond_vn_cq(cq, base="nats").value - cond_vn_block_nats(cq.ops)) < 1e-12
+
+    @pytest.mark.parametrize("seed,m,d", [(76, 1, 2), (77, 3, 3), (78, 9, 5)])
+    def test_no_negligible_cell_is_bit_identical(self, seed, m, d, monkeypatch):
+        cq = random_cq(np.random.default_rng(seed), m, d)
+        got = cond_vn_cq(cq, base="nats").value
+        monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
+        assert got == cond_vn_cq(cq, base="nats").value
+
+    def test_non_negligible_leak_gives_minus_infinity(self):
+        # as test_kernel_leak_gives_minus_infinity, with negligible cells
+        # added so that the leaking cell is tested after the trim
+        w0 = np.diag([1.0 - 1.8e-10, 0.0, 0.0]).astype(complex)
+        w1 = np.diag([0.0, 9e-11, 9e-11]).astype(complex)
+        cq = with_cells(CQState((("0", w0), ("1", w1))), np.random.default_rng(79),
+                        [1e-30, 1e-40])
+        assert not qstate.kept_cells(cq.ops, lambda t: -t * np.log(t)).all()
+        assert cond_vn_cq(cq).value == -math.inf
+
+    def test_negative_trace_cell_is_never_skipped(self):
+        ops = np.stack([np.diag([0.6, 0.4]), np.diag([-1e-30, 0.0]), np.diag([1e-30, 0.0])])
+        keep = qstate.kept_cells(ops.astype(complex), lambda t: t)
+        assert keep.tolist() == [True, True, False]
+
+    def test_largest_cell_is_always_kept(self):
+        ops = np.stack([np.diag([1e-20, 0.0]), np.diag([2e-20, 0.0])]).astype(complex)
+        assert qstate.kept_cells(ops, lambda t: t).tolist() == [False, True]
+
+    def test_epr_momentum_cells(self, monkeypatch):
+        # the alpha = 1 momentum rung of the EPR state on 32768 points: all
+        # but 15 of its 6,435 cells are skipped
+        from quncert.discretize import Partition, discretize_position, momentum_transform
+        from quncert.gaussian import epr_grid_wavefunction
+
+        psi = momentum_transform(epr_grid_wavefunction(1.5, n_points=32768))
+        cq = discretize_position(psi, Partition.centered(1.0, psi.grid[0], psi.grid[-1]))
+        keep = qstate.kept_cells(cq.ops, lambda t: -t * np.log(t))
+        assert (len(keep), int(keep.sum())) == (6435, 15)
+        got = cond_vn_cq(cq, base="nats").value
+        monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
+        full = cond_vn_cq(cq, base="nats").value
+        assert full - NEGLIGIBLE - 1e-12 <= got <= full + 1e-12
 
 
 class TestClassicalAndDifferential:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from quncert.gaussian import (
     symplectic_eigenvalues,
 )
 
-from oracles import epr_gap_decimal
+from oracles import epr_gap_decimal, epr_gap_nats
 
 
 class TestCovariance:
@@ -87,6 +88,19 @@ class TestGap:
         gaps = [epr_gap(math.cosh(2.0 * r), base="nats") for r in np.linspace(1.0, 12.0, 45)]
         assert all(g > 0 for g in gaps)
         assert all(np.diff(gaps) < 0)
+
+    @pytest.mark.parametrize("nu", [math.cosh(20.0), 1e17])
+    def test_fock_oracle_refuses_large_squeezing(self, nu):
+        # r = 10 would need about 1e10 Fock terms (a 72 GiB array); at 1e17
+        # t rounds to 1. Both refuse before allocating anything.
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="epr_gap_decimal"):
+            epr_gap_nats(nu)
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_fock_oracle_agrees_with_decimal_oracle(self):
+        nu = math.cosh(3.0)
+        assert math.isclose(epr_gap_nats(nu), epr_gap_decimal(nu), rel_tol=1e-10)
 
     def test_conditional_entropies_sum(self):
         hq, hp, tot = epr_conditional_entropies(2.0, base="nats")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quncert import discretize, gaussian
+from quncert import discretize, gaussian, qstate
 from quncert.minmax import (
     _block_embedding,
     _cq_embedding,
@@ -27,6 +27,7 @@ from oracles import (
     helstrom_textbook,
     pguess_qubit_projective_grid,
     random_cq,
+    with_cells,
 )
 
 BB84 = CQState((("0", 0.5 * np.diag([1.0, 0.0])),
@@ -153,6 +154,87 @@ class TestGuessingProbability:
     def test_single_outcome(self):
         cq = CQState((("0", np.eye(2) / 2.0),))
         assert math.isclose(guessing_probability(cq).value, 1.0, abs_tol=1e-12)
+
+
+def _trimmed_cq(seed, m, d):
+    """A random cq state of m cells with cells of trace 1e-40, 1e-20 and
+    1e-40 appended. P_guess (bound t) skips all three; F_dec (bound
+    sqrt(t)) keeps the one of 1e-20."""
+    rng = _trial_rng(seed, 0)
+    cq = with_cells(random_cq(rng, m, d), rng, [1e-40, 1e-20, 1e-40])
+    assert qstate.kept_cells(cq.ops, lambda t: t).tolist() == [True] * m + [False] * 3
+    assert qstate.kept_cells(cq.ops, np.sqrt).tolist() == [True] * m + [False, True, False]
+    return cq
+
+
+class TestGuessingProbabilityTrim:
+    """Outcomes of negligible trace are skipped with their mass accounted."""
+
+    @pytest.mark.parametrize("seed,m,d", [(81, 1, 3), (82, 2, 2), (83, 4, 3), (84, 6, 5)])
+    def test_certificate_covers_every_outcome(self, seed, m, d):
+        cq = _trimmed_cq(seed, m, d)
+        res = guessing_probability(cq)
+        assert res.converged and res.gap <= 1e-7
+        # sigma >= omega_x for every x, the skipped ones included
+        assert np.linalg.eigvalsh(res.dual_certificate - cq.ops).min() >= -1e-12
+        els = res.primal_povm.elements
+        assert els.shape == (len(cq.labels), d, d)
+        assert np.linalg.eigvalsh(els).min() >= -1e-12
+        assert np.abs(els.sum(0) - np.eye(d)).max() <= 1e-9
+        primal = float(np.einsum("xij,xji->", cq.ops, els).real)
+        assert abs(primal - res.value) <= 1e-12
+        assert abs(np.trace(res.dual_certificate).real - res.value - res.gap) <= 1e-12
+
+    def test_certificate_covers_skipped_outcome_off_its_support(self):
+        # the kept outcomes live on |0>, so the Helstrom sigma = diag(0.6, 0)
+        # dominates the skipped diag(0, 1e-30) only once that is added
+        cq = CQState((("0", np.diag([0.6, 0.0])), ("1", np.diag([0.4, 0.0])),
+                      ("2", np.diag([0.0, 1e-30]))))
+        res = guessing_probability(cq)
+        assert abs(res.value - 0.6) < 1e-15 and abs(res.gap - 1e-30) < 1e-15
+        assert np.linalg.eigvalsh(res.dual_certificate - cq.ops).min() >= 0.0
+
+    @pytest.mark.parametrize("seed,m,d", [(82, 2, 2), (83, 4, 3), (84, 6, 5)])
+    def test_agrees_with_untrimmed_solve(self, seed, m, d, monkeypatch):
+        cq = _trimmed_cq(seed, m, d)
+        res = guessing_probability(cq)
+        monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
+        full = guessing_probability(cq, method="sdp")
+        assert full.converged
+        assert res.value <= full.value + full.gap + 1e-12
+        assert full.value <= res.value + res.gap + 1e-12
+
+    @pytest.mark.parametrize("seed,m,d", [(85, 1, 2), (86, 2, 3), (87, 5, 4)])
+    def test_no_negligible_cell_is_bit_identical(self, seed, m, d, monkeypatch):
+        cq = random_cq(_trial_rng(seed, 0), m, d)
+        res = guessing_probability(cq)
+        monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
+        full = guessing_probability(cq)
+        assert (res.value, res.gap, res.iterations) == (full.value, full.gap, full.iterations)
+        assert np.array_equal(res.dual_certificate, full.dual_certificate)
+        assert np.array_equal(res.primal_povm.elements, full.primal_povm.elements)
+
+
+class TestDecouplingTrim:
+    @pytest.mark.parametrize("seed,m,d", [(91, 1, 2), (92, 2, 3), (93, 4, 3), (94, 5, 4)])
+    def test_within_gap_of_untrimmed_solve(self, seed, m, d, monkeypatch):
+        cq = _trimmed_cq(seed, m, d)
+        fdec, gap, _ = _decoupling_sdp(cq, 1e-9)
+        assert 0.0 <= gap <= 1e-9
+        assert decoupling_fidelity(cq, 1e-9) == fdec
+        monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
+        full, full_gap, _ = _decoupling_sdp(cq, 1e-9)
+        assert full_gap <= 1e-9
+        # each solve's [value - gap, value] contains F_dec
+        assert fdec - gap <= full + 1e-12
+        assert full - full_gap <= fdec + 1e-12
+
+    @pytest.mark.parametrize("seed,m,d", [(95, 1, 2), (96, 3, 3)])
+    def test_no_negligible_cell_is_bit_identical(self, seed, m, d, monkeypatch):
+        cq = random_cq(_trial_rng(seed, 0), m, d)
+        got = _decoupling_sdp(cq, 1e-7)
+        monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
+        assert got == _decoupling_sdp(cq, 1e-7)
 
 
 class TestPaperScale:
