@@ -28,7 +28,6 @@ from .minmax import (
     guessing_probability,
     h_max_cq,
     h_min_cq,
-    helstrom_value,
 )
 from .discretize import (
     ConvergenceTable,

@@ -6,7 +6,9 @@ configuration and the log base, and use 17 significant digits so figure
 regressions diff numerically rather than textually. Identical configurations
 (including seeds) produce byte-identical bodies.
 
-Exit codes: 0 success, 1 solver failure, 2 validation error.
+Exit codes: 0 success; 1 solver failure (a result not converged, or a
+verify report that fails); 2 validation error (every ValueError raised
+while checking arguments or input files).
 """
 
 from __future__ import annotations
@@ -51,12 +53,12 @@ def _parse_sweep(spec: str):
         kind, lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
-        raise SystemExit(f"bad sweep spec {spec!r}: expected log:lo:hi:n") from exc
+        raise ValueError(f"bad sweep spec {spec!r}: expected log:lo:hi:n") from exc
     if kind == "log":
         return np.geomspace(lo, hi, n)
     if kind == "lin":
         return np.linspace(lo, hi, n)
-    raise SystemExit(f"unknown sweep kind {kind!r}")
+    raise ValueError(f"unknown sweep kind {kind!r}")
 
 
 def cmd_overlap(args) -> int:
@@ -64,7 +66,7 @@ def cmd_overlap(args) -> int:
         points = [(d, d, d) for d in _parse_sweep(args.sweep)]
     else:
         if args.delta_q is None or args.delta_p is None:
-            raise SystemExit("need --delta-q and --delta-p (or --sweep)")
+            raise ValueError("need --delta-q and --delta-p (or --sweep)")
         points = [(math.sqrt(args.delta_q * args.delta_p), args.delta_q, args.delta_p)]
     rows = [(d, overlap_mod.prolate_overlap(dq, dp)) for d, dq, dp in points]
     lines = ["delta,c,neg_log2_c"]
@@ -94,7 +96,7 @@ def cmd_ladder(args) -> int:
     if args.input:
         psi = load_state(args.input)
         if not isinstance(psi, GridWaveFunction):
-            raise SystemExit("ladder input must be a wavefunction file")
+            raise ValueError("ladder input must be a wavefunction file")
     else:
         psi = discretize.gaussian_wavefunction(sigma=args.sigma, n_points=args.n_points)
     table = discretize.convergence_ladder(
@@ -120,24 +122,20 @@ def cmd_entropy(args) -> int:
         elif isinstance(state, DensityMatrix):
             out.update(entropy_mod.von_neumann(state.mat, base=args.base).to_json())
         else:
-            raise SystemExit("vn needs a density or cq state file")
-    elif args.measure in ("hmin", "hmax"):
+            raise ValueError("vn needs a density or cq state file")
+    else:
         if not isinstance(state, CQState):
-            raise SystemExit(f"{args.measure} needs a cq state file")
-        if args.measure == "hmin":
-            res = minmax.guessing_probability(state, args.tol)
-            nats, gap, iters = -math.log(res.value), res.gap, res.iterations
-            converged = res.converged
-        else:
-            fdec, gap, iters = minmax._decoupling_sdp(state, args.tol)
-            nats, converged = math.log(fdec), gap <= args.tol
-        out.update(entropy_mod.EntropyValue(nats, "nats").in_base(args.base).to_json())
-        out.update({"gap": gap, "iterations": iters, "converged": converged})
-        if not converged:
+            raise ValueError(f"{args.measure} needs a cq state file")
+        # H_min = -log P_guess and H_max = log F_dec
+        sign, solve = ((-1.0, minmax.guessing_probability) if args.measure == "hmin"
+                       else (1.0, minmax.decoupling_fidelity))
+        res = solve(state, args.tol)
+        out.update(entropy_mod.EntropyValue(sign * math.log(res.value), "nats")
+                   .in_base(args.base).to_json())
+        out.update({"gap": res.gap, "iterations": res.iterations, "converged": res.converged})
+        if not res.converged:
             print(json.dumps(out, sort_keys=True), file=sys.stderr)
             return 1
-    else:
-        raise SystemExit(f"unknown measure {args.measure!r}")
     text = json.dumps(out, sort_keys=True)
     if args.json:
         atomic_write(args.json, _header(args, args.base) + text + "\n")
@@ -147,22 +145,27 @@ def cmd_entropy(args) -> int:
     return 0
 
 
+def _dims(args) -> dict:
+    """--dims for a checker, or nothing so that it keeps its own default."""
+    return {} if args.dims is None else {"dims": tuple(args.dims)}
+
+
 _RELATIONS = {
     "minmax-tripartite": lambda a: verify.check_minmax_tripartite(
-        tuple(a.dims), a.trials, a.seed),
+        trials=a.trials, seed=a.seed, **_dims(a)),
     "vn-tripartite": lambda a: verify.check_vn_tripartite(
-        tuple(a.dims), a.trials, a.seed),
+        trials=a.trials, seed=a.seed, **_dims(a)),
     "frank-lieb": lambda a: verify.check_bipartite(
-        tuple(a.dims[:2]), a.trials, a.seed, variant="frank_lieb"),
+        trials=a.trials, seed=a.seed, variant="frank_lieb", **_dims(a)),
     "dilation": lambda a: verify.check_bipartite(
-        tuple(a.dims[:2]), a.trials, a.seed, variant="dilation"),
+        trials=a.trials, seed=a.seed, variant="dilation", **_dims(a)),
     "operator-lemmas": lambda a: verify.check_operator_lemmas(a.trials, a.seed),
 }
 
 
 def cmd_verify(args) -> int:
     if args.relation not in _RELATIONS:
-        raise SystemExit(f"unknown relation {args.relation!r}; "
+        raise ValueError(f"unknown relation {args.relation!r}; "
                          f"choose from {sorted(_RELATIONS)}")
     report = _RELATIONS[args.relation](args)
     text = json.dumps(report.to_json(), sort_keys=True)
@@ -216,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ve = sub.add_parser("verify", help="randomized inequality checkers")
     ve.add_argument("--relation", required=True)
-    ve.add_argument("--dims", type=int, nargs="+", default=[2, 2, 2])
+    ve.add_argument("--dims", type=int, nargs="+",
+                    help="subsystem dimensions (default: the checker's own)")
     ve.add_argument("--trials", type=int, default=50)
     ve.add_argument("--seed", type=int, default=0)
     ve.add_argument("--json")

@@ -174,15 +174,15 @@ def _classical_regularized(probs: np.ndarray, alpha: float, kind: str) -> float:
 
 
 def _memory_regularized(cq: CQState, alpha: float, kind: str, tol: float):
-    """(H(X_alpha|B) + log(alpha) in nats, whether its SDP gap is <= tol)."""
+    """(H(X_alpha|B) + log(alpha) in nats, whether its SDP converged)."""
     if kind == "vn":
         h, converged = entropy.cond_vn_cq(cq, base="nats").value, True
-    elif kind == "min":
-        res = minmax.guessing_probability(cq, tol)
-        h, converged = -math.log(res.value), res.converged
-    elif kind == "max":
-        fdec, gap, _ = minmax._decoupling_sdp(cq, tol)
-        h, converged = math.log(fdec), gap <= tol
+    elif kind in ("min", "max"):
+        # H_min = -log P_guess and H_max = log F_dec
+        sign, solve = ((-1.0, minmax.guessing_probability) if kind == "min"
+                       else (1.0, minmax.decoupling_fidelity))
+        res = solve(cq, tol)
+        h, converged = sign * math.log(res.value), res.converged
     else:
         raise ValueError(f"unknown entropy kind {kind!r}")
     return h + math.log(alpha), converged

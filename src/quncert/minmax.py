@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .entropy import EntropyValue, _as_base
-from .qstate import CQState, POVM, herm, kept_cells, psd_funcm, psd_sqrt, trace_norm
+from .qstate import CQState, POVM, herm, kept_cells, psd_funcm, psd_sqrt
 # unused here; perfbench/spans.py traces these two bindings of this module by name
 from .qstate import partial_trace, purify_cq  # noqa: F401
 
@@ -55,12 +55,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SDPResult:
+    """One SDP solve and its certificate. The optimum lies in
+    [value - gap, value] for decoupling_fidelity and cond_min_entropy_value,
+    whose value is the dual upper bound, and in [value, value + gap] for
+    guessing_probability, whose value is that of primal_povm. converged says
+    whether the gap is at most the solve's tol. Only guessing_probability
+    sets primal_povm and dual_certificate."""
+
     value: float
-    primal_povm: POVM
-    dual_certificate: np.ndarray
     gap: float
     iterations: int
-    converged: bool = True
+    converged: bool
+    primal_povm: POVM | None = None
+    dual_certificate: np.ndarray | None = None
+
+
+def _certified(value: float, gap: float, iterations: int, tol: float,
+               povm: POVM | None = None, sigma: np.ndarray | None = None) -> SDPResult:
+    return SDPResult(value, gap, iterations, gap <= tol, povm, sigma)
 
 
 class _Embedding(NamedTuple):
@@ -210,22 +222,16 @@ def _ipm(rho: np.ndarray, emb: _Embedding, tol: float):
     return cert, _pgm(x, emb), it
 
 
-def _ipm_value(rho: np.ndarray, emb: _Embedding, tol: float):
-    """(tr Y, gap, iterations) of _ipm: the certified upper bound sum_q tr Y_q
-    and its distance to the value of the repaired primal X."""
+def _ipm_value(rho: np.ndarray, emb: _Embedding, tol: float) -> SDPResult:
+    """_ipm as a result whose value is the certified upper bound sum_q tr Y_q
+    and whose gap is its distance to the value of the repaired primal X."""
     cert, x, it = _ipm(rho, emb, tol)
     dual_val = float(np.trace(cert, axis1=1, axis2=2).real.sum())
-    return dual_val, dual_val - _primal_value(rho, x), it
+    return _certified(dual_val, dual_val - _primal_value(rho, x), it, tol)
 
 
-def helstrom_value(op0: np.ndarray, op1: np.ndarray) -> float:
-    """Closed form P_guess = (tr op0 + tr op1 + ||op0 - op1||_1) / 2."""
-    t0 = float(np.real(np.trace(op0)))
-    t1 = float(np.real(np.trace(op1)))
-    return 0.5 * (t0 + t1 + trace_norm(herm(op0 - op1)))
-
-
-def _helstrom_solve(ops: np.ndarray) -> SDPResult:
+def _helstrom(ops: np.ndarray):
+    """Optimal POVM elements and dual sigma of two outcomes in closed form."""
     op0, op1 = ops
     delta = herm(op0 - op1)
     vals, vecs = np.linalg.eigh(delta)
@@ -234,61 +240,53 @@ def _helstrom_solve(ops: np.ndarray) -> SDPResult:
     elements = np.stack([e0, np.eye(op0.shape[0]) - e0])
     # dual optimum: sigma = op1 + (op0 - op1)_+
     sigma = herm(op1 + (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
-    sigma = sigma + _feasible_shift(ops, sigma) * np.eye(op0.shape[0])
-    primal = _primal_value(ops, elements)
-    gap = float(np.real(np.trace(sigma))) - primal
-    return SDPResult(primal, POVM(elements), sigma, gap, iterations=0)
+    return elements, sigma + _feasible_shift(ops, sigma) * np.eye(op0.shape[0])
 
 
-def _guess(ops: np.ndarray, tol: float, method: str) -> SDPResult:
+def _guess(ops: np.ndarray, tol: float) -> SDPResult:
     """guessing_probability on an (m, d, d) stack."""
     m, d = ops.shape[:2]
     if m == 1:
         sigma = ops[0].copy()
-        povm = POVM(np.eye(d)[None])
-        return SDPResult(float(np.real(np.trace(sigma))), povm, sigma, 0.0, 0)
-    if method == "helstrom" or (method == "auto" and m == 2):
-        return _helstrom_solve(ops)
-
-    (sigma,), elements, iters = _ipm(ops, _cq_embedding(m), tol)
+        return _certified(float(np.real(np.trace(sigma))), 0.0, 0, tol,
+                          POVM(np.eye(d)[None]), sigma)
+    iters = 0
+    if m == 2:
+        elements, sigma = _helstrom(ops)
+    else:
+        (sigma,), elements, iters = _ipm(ops, _cq_embedding(m), tol)
     value = _primal_value(ops, elements)
     gap = float(np.real(np.trace(sigma))) - value
-    return SDPResult(value, POVM(elements), sigma, gap, iters, converged=gap <= tol)
+    return _certified(value, gap, iters, tol, POVM(elements), sigma)
 
 
-def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL,
-                         method: str = "auto") -> SDPResult:
+def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     """Optimal probability of guessing the label from the quantum memory.
 
-    method: "auto" uses the Helstrom closed form for two outcomes and the
-    interior-point SDP solver otherwise; "sdp" forces the SDP solver (used to
-    cross-check the closed form); "helstrom" forces the closed form (two
-    outcomes only). The value is that of the returned POVM, complete to
-    rounding; the dual certificate sigma >= omega_x has tr sigma = value + gap,
-    and converged = gap <= tol.
+    Two outcomes take the Helstrom closed form (0 iterations), three or more
+    the interior-point core. The value is that of the returned POVM,
+    complete to rounding, so it is a lower bound; the dual certificate
+    sigma >= omega_x has tr sigma = value + gap, an upper bound.
 
     Outcomes of negligible trace are skipped (qstate.kept_cells, bound t_y
     per cell, qstate.NEGLIGIBLE = 1e-15 in all) and solved for as if absent;
-    the method then applies to the outcomes kept. A skipped outcome gets
-    E_y = 0, so the POVM keeps one element per label and the value is still
-    sum_x tr[omega_x E_x]. The certificate is sigma + sum_y omega_y over the
-    skipped y, which dominates every omega_x, and the gap grows by their
-    total trace.
+    the outcome count that picks the solver is that of the outcomes kept. A
+    skipped outcome gets E_y = 0, so the POVM keeps one element per label
+    and the value is still sum_x tr[omega_x E_x]. The certificate is
+    sigma + sum_y omega_y over the skipped y, which dominates every omega_x,
+    and the gap grows by their total trace.
     """
     _check_tol(tol)
     ops = omega.ops
-    if method == "helstrom" and len(ops) > 2:
-        raise ValueError("Helstrom closed form needs exactly two outcomes")
     keep = kept_cells(ops, lambda t: t)
     if keep.all():
-        return _guess(ops, tol, method)
-    res = _guess(ops[keep], tol, method)
+        return _guess(ops, tol)
+    res = _guess(ops[keep], tol)
     skipped = ops[~keep].sum(0)
     elements = np.zeros(ops.shape, dtype=complex)
     elements[keep] = res.primal_povm.elements
-    gap = res.gap + float(np.real(np.trace(skipped)))
-    return SDPResult(res.value, POVM(elements), res.dual_certificate + skipped, gap,
-                     res.iterations, converged=res.converged and gap <= tol)
+    return _certified(res.value, res.gap + float(np.real(np.trace(skipped))), res.iterations,
+                      tol, POVM(elements), res.dual_certificate + skipped)
 
 
 def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
@@ -298,12 +296,12 @@ def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> En
 
 
 def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
-                           tol: float = DEFAULT_TOL):
+                           tol: float = DEFAULT_TOL) -> SDPResult:
     """2^{-H_min(A|C)} = min { tr Y : 1_A (x) Y >= rho_AC } for arbitrary rho.
 
     The interior-point core on the single block rho with embed(Y) = 1_A (x) Y.
-    Returns (value, gap, iterations): the certified upper bound tr Y, and its
-    distance to the value of the primal X >= 0 with tr_A X = 1_C.
+    The value is the certified upper bound tr Y; the gap is its distance to
+    the value of the primal X >= 0 with tr_A X = 1_C, a lower bound.
     """
     _check_tol(tol)
     rho = herm(np.asarray(rho, dtype=complex))
@@ -312,17 +310,23 @@ def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
     return _ipm_value(rho[None], _tensor_embedding(dim_a, dim_c), tol)
 
 
-def _decoupling_sdp(omega: CQState, tol: float):
-    """(F_dec, gap, iterations) of the block SDP behind decoupling_fidelity;
-    the value is certified when gap <= tol.
+def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
+    """F_dec(X|B) = sup_sigma (sum_x sqrt(F(omega_B^x, sigma)))^2.
 
-    Cells skipped by qstate.kept_cells (bound sqrt(t_y) per cell) are
-    accounted with T = sum_y sqrt(t_y) and S = sum_y t_y over them. The
-    kept solve's upper bound U gives sqrt(F_dec) <= sqrt(U) + T, from the
-    dual Y_y proportional to omega_y / sqrt(t_y); its primal value L, with
-    1_d blocks padded in for the skipped cells, gives F_dec >= L + S. The
-    value is the upper bound (sqrt(U) + T)^2 and the gap its distance to
-    L + S.
+    Computed as the SDP min { sum_x tr Y_x : (+)_x Y_x >= R } with
+    R_xy = sqrt(omega_x) sqrt(omega_y), of size md: the purification dual
+    F_dec = 2^{H_max(X|B)} = 2^{-H_min(X|C)} reduced by the phase symmetry
+    of the purified cq state (see the module docstring). Its dual is
+    max { tr[R X] : X >= 0, X_xx = 1 for every x }. The value is the dual
+    upper bound and value - gap the primal lower bound.
+
+    Cells of negligible trace are skipped (qstate.kept_cells, bound
+    sqrt(t_y) per cell, qstate.NEGLIGIBLE = 1e-15 in all) and accounted with
+    T = sum_y sqrt(t_y) and S = sum_y t_y over them. The kept solve's upper
+    bound U gives sqrt(F_dec) <= sqrt(U) + T, from the dual Y_y proportional
+    to omega_y / sqrt(t_y); its primal value L, with 1_d blocks padded in
+    for the skipped cells, gives F_dec >= L + S. The value is then the
+    upper bound (sqrt(U) + T)^2 and the gap its distance to L + S.
     """
     _check_tol(tol)
     ops = omega.ops
@@ -333,32 +337,16 @@ def _decoupling_sdp(omega: CQState, tol: float):
     roots = psd_sqrt(ops).reshape(m * d, d)
     # R_xy = sqrt(omega_x) sqrt(omega_y)
     r = herm(roots @ roots.conj().T)[None]
-    fdec, gap, iters = _ipm_value(r, _block_embedding(m, d), tol)
+    res = _ipm_value(r, _block_embedding(m, d), tol)
     if keep.all():
-        return fdec, gap, iters
+        return res
     t = omega.probs[~keep]
-    upper = (math.sqrt(fdec) + float(np.sqrt(t).sum())) ** 2
-    return upper, upper - (fdec - gap + float(t.sum())), iters
-
-
-def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> float:
-    """F_dec(X|B) = sup_sigma (sum_x sqrt(F(omega_B^x, sigma)))^2.
-
-    Computed as the SDP min { sum_x tr Y_x : (+)_x Y_x >= R } with
-    R_xy = sqrt(omega_x) sqrt(omega_y), of size md: the purification dual
-    F_dec = 2^{H_max(X|B)} = 2^{-H_min(X|C)} reduced by the phase symmetry
-    of the purified cq state (see the module docstring). Its dual is
-    max { tr[R X] : X >= 0, X_xx = 1 for every x }.
-
-    Cells of negligible trace are skipped (qstate.kept_cells, bound
-    sqrt(t_y) per cell, qstate.NEGLIGIBLE = 1e-15 in all). The value is
-    then (sqrt(U) + sum_y sqrt(t_y))^2 from the kept solve's upper bound U,
-    still an upper bound on F_dec.
-    """
-    return float(_decoupling_sdp(omega, tol)[0])
+    upper = (math.sqrt(res.value) + float(np.sqrt(t).sum())) ** 2
+    return _certified(upper, upper - (res.value - res.gap + float(t.sum())),
+                      res.iterations, tol)
 
 
 def h_max_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
     """H_max(X|B) = log F_dec(X|B), with F_dec from the md-dimensional block
     SDP of decoupling_fidelity."""
-    return _as_base(math.log(decoupling_fidelity(omega, tol)), base)
+    return _as_base(math.log(decoupling_fidelity(omega, tol).value), base)

@@ -4,7 +4,9 @@ relations and the supporting entropy lemmas.
 Every checker draws its instances from a seeded generator (one derived seed
 per trial, so reports are reproducible regardless of execution order) and
 records the minimum slack LHS - RHS observed. A violation is slack below
--1e-7, matching the SDP solver tolerance.
+-1e-7, matching the SDP solver tolerance. A trial whose SDP solve stops at
+its iteration cap adds no slack and is counted as unconverged instead; a
+report with an unconverged trial does not pass.
 """
 
 from __future__ import annotations
@@ -36,16 +38,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckReport:
+    """min_slack is None when no trial gave a slack (all unconverged)."""
+
     relation: str
     instances: int
-    min_slack: float
+    min_slack: float | None
     violations: int
     seed: int
     slacks: tuple = field(default_factory=tuple)
+    unconverged: int = 0
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0
+        return self.violations == 0 and self.unconverged == 0
 
     def to_json(self) -> dict:
         return {
@@ -53,6 +58,7 @@ class CheckReport:
             "instances": self.instances,
             "min_slack": self.min_slack,
             "violations": self.violations,
+            "unconverged": self.unconverged,
             "seed": self.seed,
             "passed": self.passed,
         }
@@ -143,31 +149,40 @@ def _povm_pair(d_a: int, rng: np.random.Generator, use_mub: bool, n_outcomes: in
     return e, random_povm(d_a, m, rng)
 
 
-def _report(relation, slacks, seed) -> CheckReport:
+def _report(relation, slacks, seed, unconverged: int = 0) -> CheckReport:
     slacks = tuple(float(s) for s in slacks)
     violations = sum(1 for s in slacks if s < VIOLATION_TOL)
-    return CheckReport(relation, len(slacks), min(slacks), violations, seed, slacks)
+    return CheckReport(relation, len(slacks), min(slacks, default=None), violations, seed,
+                       slacks, unconverged)
+
+
+def _bits(nats: float) -> float:
+    """nats in bits, rounded as h_min_cq and h_max_cq round them."""
+    return entropy.EntropyValue(nats, "nats").in_base("bits").value
 
 
 def check_minmax_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
                             tol: float = minmax.DEFAULT_TOL, use_mub: bool = True) -> CheckReport:
     """H_max(X|B) + H_min(Y|C) >= -log2 c(E, F) on Haar-random tripartite
-    pure states with MUB or random POVM pairs on A."""
+    pure states with MUB or random POVM pairs on A. H_max = log F_dec and
+    H_min = -log P_guess each come from a certified solve."""
     d_a, d_b, d_c = _check_dims(dims, 3)
     if d_a * d_b * d_c > 64:
         raise ValueError("total dimension above desk scale")
-    slacks = []
+    slacks, unconverged = [], 0
     for rng in _trial_rngs(trials, seed):
         psi = haar_state(d_a * d_b * d_c, rng)
         rho = np.outer(psi, psi.conj())
         e, f = _povm_pair(d_a, rng, use_mub)
         c = overlap.povm_overlap(e, f)
-        cq_xb = measure_to_cq(rho, list(dims), e, keep=1)
-        cq_yc = measure_to_cq(rho, list(dims), f, keep=2)
-        lhs = (minmax.h_max_cq(cq_xb, tol).value
-               + minmax.h_min_cq(cq_yc, tol).value)
+        fdec = minmax.decoupling_fidelity(measure_to_cq(rho, list(dims), e, keep=1), tol)
+        pguess = minmax.guessing_probability(measure_to_cq(rho, list(dims), f, keep=2), tol)
+        if not (fdec.converged and pguess.converged):
+            unconverged += 1
+            continue
+        lhs = _bits(math.log(fdec.value)) + _bits(-math.log(pguess.value))
         slacks.append(lhs + math.log2(c))
-    return _report("minmax_tripartite", slacks, seed)
+    return _report("minmax_tripartite", slacks, seed, unconverged)
 
 
 def check_vn_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
@@ -283,30 +298,32 @@ def check_operator_lemmas(trials: int = 50, seed: int = 0,
     """Property checks for the supporting entropy lemmas on random qubit-pair
     instances: relative-entropy monotonicity and scaling, the chain rule,
     D_max ordering and monotonicity, data processing for H_min/H_max, and
-    the min/max and von Neumann purification dualities."""
-    slacks = []
+    the min/max and von Neumann purification dualities. A trial with a
+    capped H_min or H_max solve adds none of its slacks."""
+    slacks, unconverged = [], 0
     for rng in _trial_rngs(trials, seed):
+        trial = []
         d = 4
         rho = random_density(d, rng)
         gamma = random_density(d, rng)
         pert = random_density(d, rng) * rng.uniform(0.1, 1.0)
         sigma = gamma + pert  # sigma >= gamma
         # monotonicity in the second argument, relative and max-relative
-        slacks.append(entropy.relative_entropy(rho, gamma).value
-                      - entropy.relative_entropy(rho, sigma).value)
-        slacks.append(entropy.max_relative_entropy(rho, gamma).value
-                      - entropy.max_relative_entropy(rho, sigma).value)
+        trial.append(entropy.relative_entropy(rho, gamma).value
+                     - entropy.relative_entropy(rho, sigma).value)
+        trial.append(entropy.max_relative_entropy(rho, gamma).value
+                     - entropy.max_relative_entropy(rho, sigma).value)
         # scaling identities (exact)
         cscale = rng.uniform(0.05, 2.0)
         lhs = entropy.relative_entropy(rho, cscale * gamma, base="nats").value
         rhs = entropy.relative_entropy(rho, gamma, base="nats").value + math.log(1.0 / cscale)
-        slacks.append(1e-10 - abs(lhs - rhs))
+        trial.append(1e-10 - abs(lhs - rhs))
         lhs = entropy.max_relative_entropy(rho, cscale * gamma, base="nats").value
         rhs = entropy.max_relative_entropy(rho, gamma, base="nats").value + math.log(1.0 / cscale)
-        slacks.append(1e-10 - abs(lhs - rhs))
+        trial.append(1e-10 - abs(lhs - rhs))
         # D_max >= D
-        slacks.append(entropy.max_relative_entropy(rho, gamma).value
-                      - entropy.relative_entropy(rho, gamma).value)
+        trial.append(entropy.max_relative_entropy(rho, gamma).value
+                     - entropy.relative_entropy(rho, gamma).value)
         # chain rule D(w_AB || s_A (x) s_B) = D(w_A||s_A) + D(w_AB||w_A (x) s_B)
         s_a = random_density(2, rng)
         s_b = random_density(2, rng)
@@ -314,23 +331,29 @@ def check_operator_lemmas(trials: int = 50, seed: int = 0,
         lhs = entropy.relative_entropy(rho, np.kron(s_a, s_b), base="nats").value
         rhs = (entropy.relative_entropy(w_a, s_a, base="nats").value
                + entropy.relative_entropy(rho, np.kron(w_a, s_b), base="nats").value)
-        slacks.append(1e-9 - abs(lhs - rhs))
+        trial.append(1e-9 - abs(lhs - rhs))
         # D_max monotone under a random unital channel (Kraus from Haar unitaries)
         kraus = _random_unital_kraus(2, rng)
         chan = lambda m: herm(sum(k @ m @ k.conj().T for k in kraus))
         rho2 = random_density(2, rng)
         gam2 = random_density(2, rng)
-        slacks.append(entropy.max_relative_entropy(rho2, gam2).value
-                      - entropy.max_relative_entropy(chan(rho2), chan(gam2)).value)
+        trial.append(entropy.max_relative_entropy(rho2, gam2).value
+                     - entropy.max_relative_entropy(chan(rho2), chan(gam2)).value)
         # data processing: discarding a memory factor cannot lower H_min/H_max
         cq_bc = _random_cq(3, 4, rng)
         cq_b = CQState(tuple((lbl, partial_trace(op, [2, 2], [0]))
                              for lbl, op in cq_bc.outcomes))
-        slacks.append(minmax.h_min_cq(cq_b, tol).value - minmax.h_min_cq(cq_bc, tol).value + 2 * tol)
-        slacks.append(minmax.h_max_cq(cq_b, tol).value - minmax.h_max_cq(cq_bc, tol).value + 2 * tol)
+        p_b, p_bc = (minmax.guessing_probability(cq, tol) for cq in (cq_b, cq_bc))
+        f_b, f_bc = (minmax.decoupling_fidelity(cq, tol) for cq in (cq_b, cq_bc))
+        trial.append(_bits(-math.log(p_b.value)) - _bits(-math.log(p_bc.value)) + 2 * tol)
+        trial.append(_bits(math.log(f_b.value)) - _bits(math.log(f_bc.value)) + 2 * tol)
         # von Neumann duality H(A|C) = -H(A|B) for a purified two-qubit state
-        slacks.append(1e-9 - abs(_vn_duality_defect(rho)))
-    return _report("operator_lemmas", slacks, seed)
+        trial.append(1e-9 - abs(_vn_duality_defect(rho)))
+        if all(res.converged for res in (p_b, p_bc, f_b, f_bc)):
+            slacks.extend(trial)
+        else:
+            unconverged += 1
+    return _report("operator_lemmas", slacks, seed, unconverged)
 
 
 def _random_unital_kraus(dim: int, rng: np.random.Generator, n: int = 3):

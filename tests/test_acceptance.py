@@ -19,7 +19,7 @@ from quncert.discretize import (
 )
 from quncert.entropy import classical_hmin_hmax, differential_entropy
 from quncert.gaussian import epr_conditional_entropies, epr_gap, epr_grid_wavefunction
-from quncert.minmax import decoupling_fidelity, guessing_probability, helstrom_value
+from quncert.minmax import cond_min_entropy_value, decoupling_fidelity
 from quncert.overlap import prolate_overlap
 from quncert.verify import (
     check_operator_lemmas,
@@ -36,6 +36,7 @@ from oracles import (
     gaussian_h_bits,
     gaussian_hmax_bits,
     gaussian_hmin_bits,
+    helstrom_textbook,
     prolate_lambda0,
     random_cq,
 )
@@ -196,9 +197,10 @@ def test_07_solver_correctness():
     worst_hel, worst_gap = 0.0, 0.0
     for trial in range(50):
         rng = _trial_rng(123, trial)
-        cq = random_cq(rng, 2, int(rng.integers(2, 9)))
-        hel = helstrom_value(cq.outcomes[0][1], cq.outcomes[1][1])
-        res = guessing_probability(cq, method="sdp")
+        d = int(rng.integers(2, 9))
+        cq = random_cq(rng, 2, d)
+        hel = helstrom_textbook(cq.outcomes[0][1], cq.outcomes[1][1])
+        res = cond_min_entropy_value(cq.block_diagonal(), 2, d)
         worst_hel = max(worst_hel, abs(res.value - hel))
         worst_gap = max(worst_gap, res.gap)
     worst_dual = 0.0
@@ -206,7 +208,7 @@ def test_07_solver_correctness():
         rng = _trial_rng(77, trial)
         cq = random_cq(rng, int(rng.integers(2, 4)), 2)
         worst_dual = max(worst_dual,
-                         abs(decoupling_fidelity(cq) - fdec_bloch_grid(cq)))
+                         abs(decoupling_fidelity(cq).value - fdec_bloch_grid(cq)))
     ok = worst_hel < 1e-6 and worst_gap < 1e-7 and worst_dual < 1e-4
     _report("solver correctness", ok,
             f"SDP vs Helstrom={worst_hel:.1e}, gap cert={worst_gap:.1e}, "

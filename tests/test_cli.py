@@ -303,17 +303,70 @@ class TestCLI:
         ("vn-tripartite", ["2", "2"], 3),
         ("frank-lieb", ["2"], 2),
         ("dilation", ["2"], 2),
+        ("frank-lieb", ["2", "2", "7"], 2),
+        ("dilation", ["2", "2", "7"], 2),
     ])
     def test_verify_rejects_wrong_dims_arity(self, capsys, relation, dims, count):
         assert main(["verify", "--relation", relation, "--dims", *dims, "--trials", "1"]) == 2
         assert f"dims must give {count} dimensions" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("relation", ["minmax-tripartite", "vn-tripartite", "frank-lieb",
-                                          "dilation", "operator-lemmas"])
-    def test_verify_rejects_zero_trials(self, capsys, relation):
-        assert main(["verify", "--relation", relation, "--dims", "2", "2", "2",
+    @pytest.mark.parametrize("relation, dims", [
+        ("minmax-tripartite", ["--dims", "2", "2", "2"]),
+        ("vn-tripartite", ["--dims", "2", "2", "2"]),
+        ("frank-lieb", ["--dims", "2", "2"]),
+        ("dilation", ["--dims", "2", "2"]),
+        ("operator-lemmas", []),
+    ], ids=["minmax-tripartite", "vn-tripartite", "frank-lieb", "dilation", "operator-lemmas"])
+    def test_verify_rejects_zero_trials(self, capsys, relation, dims):
+        assert main(["verify", "--relation", relation, *dims,
                      "--trials", "0"]) == 2
         assert "trials must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("relation, dims", [("frank-lieb", []), ("dilation", []),
+                                                ("minmax-tripartite", [])])
+    def test_verify_default_dims_are_the_checkers(self, capsys, relation, dims):
+        assert main(["verify", "--relation", relation, *dims, "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize("relation, dims, cap", [
+        ("minmax-tripartite", ["--dims", "3", "3", "3"], 3),
+        ("operator-lemmas", [], 3),
+    ])
+    def test_verify_capped_solve_exits_1(self, capsys, monkeypatch, relation, dims, cap):
+        from quncert import minmax
+
+        monkeypatch.setattr(minmax, "IPM_MAX_ITER", cap)
+        assert main(["verify", "--relation", relation, *dims, "--trials", "3",
+                     "--seed", "1"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["unconverged"] > 0
+        assert payload["passed"] is False
+
+    @pytest.mark.parametrize("argv, message", [
+        (["overlap", "--sweep", "bad:1"], "bad sweep spec"),
+        (["overlap", "--sweep", "log:1:2:x"], "bad sweep spec"),
+        (["overlap", "--sweep", "cubic:1:2:3"], "unknown sweep kind"),
+        (["overlap"], "need --delta-q and --delta-p"),
+        (["overlap", "--delta-q", "1"], "need --delta-q and --delta-p"),
+        (["verify", "--relation", "nope"], "unknown relation"),
+        (["entropy", "--state", "{psi}", "--measure", "vn"], "vn needs a density or cq"),
+        (["entropy", "--state", "{psi}", "--measure", "hmin"], "hmin needs a cq state"),
+        (["entropy", "--state", "{rho}", "--measure", "hmax"], "hmax needs a cq state"),
+        (["ladder", "--input", "{cq}"], "ladder input must be a wavefunction"),
+    ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
+            "relation", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
+            "ladder-cq"])
+    def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
+        from quncert.discretize import gaussian_wavefunction
+
+        files = {"psi": tmp_path / "psi.json", "rho": tmp_path / "rho.json",
+                 "cq": tmp_path / "cq.json"}
+        save_state(gaussian_wavefunction(n_points=256), files["psi"])
+        save_state(DensityMatrix(np.eye(2) / 2.0), files["rho"])
+        save_state(BB84, files["cq"])
+        assert main([a.format(**files) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     @pytest.mark.parametrize("ops", [
         [[[0.5]], [[0.25, 0.0], [0.0, 0.25]]],

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from quncert import discretize, gaussian, qstate
+from quncert import discretize, gaussian, minmax, qstate
 from quncert.minmax import (
+    SDPResult,
     _block_embedding,
     _cq_embedding,
-    _decoupling_sdp,
     _schur,
     _tensor_embedding,
     cond_min_entropy_value,
@@ -15,7 +15,6 @@ from quncert.minmax import (
     guessing_probability,
     h_max_cq,
     h_min_cq,
-    helstrom_value,
 )
 from quncert.entropy import cond_vn_cq
 from quncert.qstate import CQState, partial_trace, purify_cq
@@ -34,19 +33,26 @@ BB84 = CQState((("0", 0.5 * np.diag([1.0, 0.0])),
                 ("1", 0.5 * np.ones((2, 2)) / 2.0)))
 
 
+def _helstrom(om0, om1):
+    """Two-outcome guessing_probability, which takes the Helstrom closed form."""
+    res = guessing_probability(CQState((("0", om0), ("1", om1))))
+    assert res.iterations == 0
+    return res.value
+
+
 class TestHelstrom:
     def test_bb84_closed_form(self):
         # 1/2 + sqrt(2)/4 for the |0> vs |+> pair
-        val = helstrom_value(BB84.outcomes[0][1], BB84.outcomes[1][1])
+        val = _helstrom(BB84.outcomes[0][1], BB84.outcomes[1][1])
         assert math.isclose(val, 0.5 + math.sqrt(2.0) / 4.0, abs_tol=1e-12)
 
     def test_orthogonal_states_perfect(self):
-        val = helstrom_value(0.5 * np.diag([1.0, 0.0]), 0.5 * np.diag([0.0, 1.0]))
+        val = _helstrom(0.5 * np.diag([1.0, 0.0]), 0.5 * np.diag([0.0, 1.0]))
         assert math.isclose(val, 1.0, abs_tol=1e-12)
 
     def test_identical_states_random_guess(self):
         rho = np.eye(2) / 2.0
-        assert math.isclose(helstrom_value(0.5 * rho, 0.5 * rho), 0.5,
+        assert math.isclose(_helstrom(0.5 * rho, 0.5 * rho), 0.5,
                             abs_tol=1e-12)
 
     def test_matches_textbook_trace_norm(self):
@@ -55,7 +61,7 @@ class TestHelstrom:
             p = rng.dirichlet([1.0, 1.0])
             om0 = p[0] * random_density(4, rng)
             om1 = p[1] * random_density(4, rng)
-            assert math.isclose(helstrom_value(om0, om1),
+            assert math.isclose(_helstrom(om0, om1),
                                 helstrom_textbook(om0, om1), abs_tol=1e-10)
 
     def test_matches_projective_angle_grid(self):
@@ -63,7 +69,7 @@ class TestHelstrom:
         rng = np.random.default_rng(12)
         cq = random_cq(rng, 2, 2)
         grid = pguess_qubit_projective_grid(cq, n_theta=600, n_phi=600)
-        exact = helstrom_value(cq.outcomes[0][1], cq.outcomes[1][1])
+        exact = _helstrom(cq.outcomes[0][1], cq.outcomes[1][1])
         assert abs(exact - grid) < 5e-5
         assert grid <= exact + 1e-12  # grid is a feasible-point lower bound
 
@@ -88,9 +94,10 @@ class TestGuessingProbability:
     def test_sdp_agrees_with_helstrom(self):
         for trial in range(10):
             rng = _trial_rng(21, trial)
-            cq = random_cq(rng, 2, int(rng.integers(2, 7)))
-            hel = helstrom_value(cq.outcomes[0][1], cq.outcomes[1][1])
-            res = guessing_probability(cq, method="sdp")
+            d = int(rng.integers(2, 7))
+            cq = random_cq(rng, 2, d)
+            hel = helstrom_textbook(cq.outcomes[0][1], cq.outcomes[1][1])
+            res = cond_min_entropy_value(cq.block_diagonal(), 2, d)
             assert res.converged
             assert abs(res.value - hel) < 1e-6
             assert res.gap < 1e-7
@@ -199,7 +206,7 @@ class TestGuessingProbabilityTrim:
         cq = _trimmed_cq(seed, m, d)
         res = guessing_probability(cq)
         monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
-        full = guessing_probability(cq, method="sdp")
+        full = guessing_probability(cq)
         assert full.converged
         assert res.value <= full.value + full.gap + 1e-12
         assert full.value <= res.value + res.gap + 1e-12
@@ -219,11 +226,12 @@ class TestDecouplingTrim:
     @pytest.mark.parametrize("seed,m,d", [(91, 1, 2), (92, 2, 3), (93, 4, 3), (94, 5, 4)])
     def test_within_gap_of_untrimmed_solve(self, seed, m, d, monkeypatch):
         cq = _trimmed_cq(seed, m, d)
-        fdec, gap, _ = _decoupling_sdp(cq, 1e-9)
+        res = decoupling_fidelity(cq, 1e-9)
+        fdec, gap = res.value, res.gap
         assert 0.0 <= gap <= 1e-9
-        assert decoupling_fidelity(cq, 1e-9) == fdec
         monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
-        full, full_gap, _ = _decoupling_sdp(cq, 1e-9)
+        full_res = decoupling_fidelity(cq, 1e-9)
+        full, full_gap = full_res.value, full_res.gap
         assert full_gap <= 1e-9
         # each solve's [value - gap, value] contains F_dec
         assert fdec - gap <= full + 1e-12
@@ -232,9 +240,9 @@ class TestDecouplingTrim:
     @pytest.mark.parametrize("seed,m,d", [(95, 1, 2), (96, 3, 3)])
     def test_no_negligible_cell_is_bit_identical(self, seed, m, d, monkeypatch):
         cq = random_cq(_trial_rng(seed, 0), m, d)
-        got = _decoupling_sdp(cq, 1e-7)
+        got = decoupling_fidelity(cq, 1e-7)
         monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
-        assert got == _decoupling_sdp(cq, 1e-7)
+        assert got == decoupling_fidelity(cq, 1e-7)
 
 
 class TestPaperScale:
@@ -316,7 +324,8 @@ class TestCondMinEntropyGeneral:
         # rho_AC = rho_A (x) sigma_C: min tr Y with Y >= ||rho_A|| sigma... the
         # optimal value is ||rho_A||_inf... for rho_A = I/2 it is 1/2
         rho = np.kron(np.eye(2) / 2.0, np.diag([0.6, 0.4]))
-        val, gap, _ = cond_min_entropy_value(rho, 2, 2)
+        res = cond_min_entropy_value(rho, 2, 2)
+        val, gap = res.value, res.gap
         assert math.isclose(val, 0.5, abs_tol=1e-7)
         assert gap < 1e-7
 
@@ -325,7 +334,8 @@ class TestCondMinEntropyGeneral:
         v = np.zeros(4)
         v[0] = v[3] = 1.0 / math.sqrt(2.0)
         rho = np.outer(v, v)
-        val, gap, _ = cond_min_entropy_value(rho, 2, 2)
+        res = cond_min_entropy_value(rho, 2, 2)
+        val, gap = res.value, res.gap
         assert math.isclose(val, 2.0, abs_tol=1e-6)
         assert gap < 1e-7
 
@@ -335,7 +345,8 @@ class TestCondMinEntropyGeneral:
             rng = _trial_rng(31, trial)
             cq = random_cq(rng, 3, 2)
             pg = guessing_probability(cq).value
-            val, gap, _ = cond_min_entropy_value(cq.block_diagonal(), 3, 2)
+            res = cond_min_entropy_value(cq.block_diagonal(), 3, 2)
+            val, gap = res.value, res.gap
             assert abs(val - pg) < 3e-6
             assert gap < 1e-7
 
@@ -358,14 +369,14 @@ class TestHmax:
         for trial in range(8):
             rng = _trial_rng(32, trial)
             cq = random_cq(rng, int(rng.integers(2, 4)), 2)
-            dual = decoupling_fidelity(cq)
+            dual = decoupling_fidelity(cq).value
             grid = fdec_bloch_grid(cq)
             assert abs(dual - grid) < 1e-4
 
     def test_fdec_direct_lower_bounds_supremum(self):
         rng = _trial_rng(33, 0)
         cq = random_cq(rng, 3, 2)
-        sup = decoupling_fidelity(cq)
+        sup = decoupling_fidelity(cq).value
         for _ in range(10):
             sig = random_density(2, rng)
             assert fdec_direct(cq, sig) <= sup + 1e-6
@@ -378,7 +389,7 @@ class TestHmax:
 
 
 def _fdec_by_purification(cq, tol):
-    """(F_dec, gap, iterations) as 2^{-H_min(X|C)} of the purified cq state,
+    """The SDPResult of F_dec as 2^{-H_min(X|C)} of the purified cq state,
     C = X'B': the SDP of dimension m^2 d^2 that the block SDP reduces."""
     m, d = cq.ops.shape[:2]
     vec, dims = purify_cq(cq)
@@ -388,10 +399,10 @@ def _fdec_by_purification(cq, tol):
 
 def _assert_same_fdec(cq, tol=1e-9):
     # both values are certified upper bounds within their gaps of F_dec
-    block, gap, _ = _decoupling_sdp(cq, tol)
-    pure, pure_gap, _ = _fdec_by_purification(cq, tol)
-    assert gap <= tol and pure_gap <= tol
-    assert abs(block - pure) < 1e-8
+    block = decoupling_fidelity(cq, tol)
+    pure = _fdec_by_purification(cq, tol)
+    assert block.gap <= tol and pure.gap <= tol
+    assert abs(block.value - pure.value) < 1e-8
 
 
 class TestHmaxBlockSDP:
@@ -421,7 +432,8 @@ class TestHmaxBlockSDP:
         part = discretize.Partition.centered(8.0, psi.grid[0], psi.grid[-1])
         cq = discretize.discretize_position(psi, part)
         assert cq.ops.shape == (5, 3, 3)
-        fdec, gap, _ = _decoupling_sdp(cq, 1e-7)
+        res = decoupling_fidelity(cq, 1e-7)
+        fdec, gap = res.value, res.gap
         assert gap <= 1e-7
         h_max = math.log2(fdec)
         assert math.isclose(h_max_cq(cq).value, h_max, abs_tol=1e-12)
@@ -429,3 +441,58 @@ class TestHmaxBlockSDP:
         assert h_max <= 2.0 * math.log2(np.sqrt(cq.probs).sum())
         # sigma = omega_B is one point of the supremum that F_dec is
         assert fdec >= fdec_direct(cq, cq.ops.sum(0)) - 1e-9
+
+
+def _assert_result(res, tol, certificates):
+    assert isinstance(res, SDPResult)
+    assert res.converged == (res.gap <= tol)
+    assert (res.primal_povm is not None) == certificates
+    assert (res.dual_certificate is not None) == certificates
+
+
+class TestSDPResult:
+    """Every SDP returns one SDPResult whose converged flag is gap <= tol."""
+
+    @pytest.mark.parametrize("m, iterations", [(1, 0), (2, 0), (4, None)],
+                             ids=["one-outcome", "helstrom", "interior-point"])
+    @pytest.mark.parametrize("tol", [1e-7, 1e-12])
+    def test_guessing_probability(self, m, iterations, tol):
+        res = guessing_probability(random_cq(_trial_rng(71, m), m, 3), tol)
+        _assert_result(res, tol, certificates=True)
+        assert res.converged
+        if iterations is not None:
+            assert res.iterations == iterations
+
+    def test_guessing_probability_trimmed(self):
+        res = guessing_probability(_trimmed_cq(72, 3, 3))
+        _assert_result(res, 1e-7, certificates=True)
+        assert res.converged and res.iterations > 0
+
+    @pytest.mark.parametrize("trimmed", [False, True])
+    def test_decoupling_fidelity(self, trimmed):
+        cq = _trimmed_cq(73, 3, 3) if trimmed else random_cq(_trial_rng(73, 0), 3, 3)
+        res = decoupling_fidelity(cq)
+        _assert_result(res, 1e-7, certificates=False)
+        assert res.converged and res.iterations > 0
+
+    def test_cond_min_entropy_value(self):
+        cq = random_cq(_trial_rng(74, 0), 3, 2)
+        res = cond_min_entropy_value(cq.block_diagonal(), 3, 2)
+        _assert_result(res, 1e-7, certificates=False)
+        assert res.converged and res.iterations > 0
+
+    @pytest.mark.parametrize("trimmed", [False, True])
+    def test_capped_solves_are_not_converged(self, monkeypatch, trimmed):
+        cq = _trimmed_cq(75, 3, 3) if trimmed else random_cq(_trial_rng(75, 0), 3, 3)
+        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 2)
+        for res in (decoupling_fidelity(cq), guessing_probability(cq),
+                    cond_min_entropy_value(cq.block_diagonal(), len(cq.labels), 3)):
+            assert isinstance(res, SDPResult)
+            assert not res.converged
+            assert res.iterations == 2
+            assert res.gap > 1e-7
+
+    def test_capped_helstrom_is_exact(self, monkeypatch):
+        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 2)
+        res = guessing_probability(BB84)
+        assert res.converged and res.iterations == 0

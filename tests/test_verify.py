@@ -133,6 +133,48 @@ class TestInequalitySuites:
         assert rep.passed
 
 
+class TestUnconvergedSolves:
+    """A capped H_min or H_max solve is counted, adds no slack, and fails
+    the report."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_minmax_tripartite(self, monkeypatch, cap):
+        from quncert import minmax
+
+        monkeypatch.setattr(minmax, "IPM_MAX_ITER", cap)
+        rep = check_minmax_tripartite(dims=(3, 3, 3), trials=20, seed=1)
+        assert rep.unconverged > 0
+        assert rep.instances == len(rep.slacks) == 20 - rep.unconverged
+        assert not rep.passed
+        assert rep.to_json()["unconverged"] == rep.unconverged
+        assert rep.to_json()["passed"] is False
+
+    def test_operator_lemmas(self, monkeypatch):
+        from quncert import minmax
+
+        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 3)
+        rep = check_operator_lemmas(trials=5, seed=1)
+        assert rep.unconverged > 0
+        # ten slacks per trial that converged
+        assert rep.instances == 10 * (5 - rep.unconverged)
+        assert not rep.passed
+
+    def test_all_trials_capped_leave_no_slack(self, monkeypatch):
+        from quncert import minmax
+
+        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 1)
+        rep = check_minmax_tripartite(dims=(3, 3, 3), trials=3, seed=1)
+        assert (rep.unconverged, rep.instances, rep.min_slack) == (3, 0, None)
+        assert not rep.passed
+
+    def test_uncapped_reports_zero(self):
+        for rep in (check_minmax_tripartite(dims=(3, 3, 3), trials=5, seed=1),
+                    check_operator_lemmas(trials=5, seed=1)):
+            assert rep.unconverged == 0
+            assert rep.to_json()["unconverged"] == 0
+            assert rep.passed
+
+
 class TestGedankenexperiment:
     def test_measure_entangled_qubit(self):
         # measuring the Bell-paired qubit: both entropies vanish, and the
