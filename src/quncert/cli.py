@@ -126,12 +126,12 @@ def cmd_entropy(args) -> int:
     else:
         if not isinstance(state, CQState):
             raise ValueError(f"{args.measure} needs a cq state file")
-        # H_min = -log P_guess and H_max = log F_dec
-        sign, solve = ((-1.0, minmax.guessing_probability) if args.measure == "hmin"
-                       else (1.0, minmax.decoupling_fidelity))
-        res = solve(state, args.tol)
-        out.update(entropy_mod.EntropyValue(sign * math.log(res.value), "nats")
-                   .in_base(args.base).to_json())
+        # H_min = -log P_guess and H_max = log F_dec; 0.0 - keeps a zero H_min at +0.0
+        hmin = args.measure == "hmin"
+        res = (minmax.guessing_probability if hmin else minmax.decoupling_fidelity)(
+            state, args.tol)
+        nats = 0.0 - math.log(res.value) if hmin else math.log(res.value)
+        out.update(entropy_mod.EntropyValue(nats, "nats").in_base(args.base).to_json())
         out.update({"gap": res.gap, "iterations": res.iterations, "converged": res.converged})
         if not res.converged:
             print(json.dumps(out, sort_keys=True), file=sys.stderr)
@@ -150,6 +150,15 @@ def _dims(args) -> dict:
     return {} if args.dims is None else {"dims": tuple(args.dims)}
 
 
+def _no_dims(args) -> dict:
+    """Nothing, once checked that --dims is not given to a checker with fixed
+    dimensions."""
+    if args.dims is not None:
+        raise ValueError(f"{args.relation} runs on fixed qubit pairs and takes no --dims, "
+                         f"got {args.dims}")
+    return {}
+
+
 _RELATIONS = {
     "minmax-tripartite": lambda a: verify.check_minmax_tripartite(
         trials=a.trials, seed=a.seed, **_dims(a)),
@@ -159,7 +168,7 @@ _RELATIONS = {
         trials=a.trials, seed=a.seed, variant="frank_lieb", **_dims(a)),
     "dilation": lambda a: verify.check_bipartite(
         trials=a.trials, seed=a.seed, variant="dilation", **_dims(a)),
-    "operator-lemmas": lambda a: verify.check_operator_lemmas(a.trials, a.seed),
+    "operator-lemmas": lambda a: verify.check_operator_lemmas(a.trials, a.seed, **_no_dims(a)),
 }
 
 

@@ -1,30 +1,39 @@
 """Conditional min-entropy via the guessing-probability SDP and conditional
-max-entropy via the decoupling-fidelity SDP.
+max-entropy via the decoupling fidelity.
 
 The guessing probability P_guess(X|B) = sup { sum_x tr[omega_B^x E_x] } over
 POVMs equals, by strong duality, min { tr sigma : sigma >= omega_B^x for all
 x }. Two outcomes use the Helstrom closed form (exact measurement and dual
-certificate). The max-entropy H_max(X|B) = log F_dec(X|B) comes from the SDP
+certificate). The max-entropy H_max(X|B) = log F_dec(X|B) is the value of
+the SDP
 
     F_dec = min { sum_x tr Y_x : Y_0 (+) ... (+) Y_{m-1} >= R },
     R_xy = sqrt(omega_x) sqrt(omega_y),
 
-of size md. It is the purification SDP min { tr Y : 1_X (x) Y >= rho_XC }
-(C = X'B' purifying the cq state) reduced by symmetry: rho_XC is invariant
-under D (x) conj(D) for every diagonal unitary D on X, so an optimal Y is
-block-diagonal in X', and its constraint splits into this block and
-Y_x >= 0, which the block implies.
+of size md: the purification SDP min { tr Y : 1_X (x) Y >= rho_XC } (C = X'B'
+purifying the cq state) reduced by the phase symmetry of rho_XC under
+D (x) conj(D), D diagonal unitary on X. Its primal max { tr[R X] : X >= 0,
+X_xx = 1 } has an optimum of rank at most d, from the fidelity form
+F_dec = max_sigma (sum_x ||sqrt(omega_x) sqrt(sigma)||_1)^2 (Koenig, Renner
+and Schaffner, IEEE TIT 55, 2009), so the factorization X_xy = U_x^H U_y
+over unitaries (Burer and Monteiro, Math. Program. 95, 2003) is exact:
 
-All three SDPs read min { tr Y : embed(Y) >= rho_j for every block j } over
-a (q, c, c) stack Y and a stack of blocks rho, with primal max { sum_j
-tr[rho_j X_j] : X >= 0, adjoint(X) = 1 }: sigma against each of the m
-outcome blocks, 1_A (x) Y against one block rho_AC, or the block-diagonal
-(+)_x Y_x against R. One primal-dual interior-point core solves them: HKM
-direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6,
-1996) with Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992), one
-Schur system in the entries of Y per iteration. Its result is a
-certificate: Y shifted until feasible, X scaled until adjoint(X) = 1 to
-rounding, and the gap between their values.
+    F_dec = max { ||sum_x U_x sqrt(omega_x)||_F^2 : every U_x unitary }.
+
+decoupling_fidelity climbs it by block-coordinate ascent, one d x d SVD per
+block step, and certifies the result with the dual that complementary
+slackness reads off the unitaries (_ascent_bound).
+
+The guessing SDP and 2^{-H_min(A|C)} read min { tr Y : embed(Y) >= rho_j
+for every block j } over a (q, c, c) stack Y and a stack of blocks rho,
+with primal max { sum_j tr[rho_j X_j] : X >= 0, adjoint(X) = 1 }: sigma
+against each of the m outcome blocks, or 1_A (x) Y against one block
+rho_AC. One primal-dual interior-point core solves both: HKM direction
+(Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6, 1996) with
+Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992), one Schur system in
+the entries of Y per iteration. Its result is a certificate: Y shifted until
+feasible, X scaled until adjoint(X) = 1 to rounding, and the gap between
+their values.
 """
 
 from __future__ import annotations
@@ -36,12 +45,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .entropy import EntropyValue, _as_base
-from .qstate import CQState, POVM, herm, kept_cells, psd_funcm, psd_sqrt
+from .qstate import CQState, POVM, clipped_eigh, herm, kept_cells, psd_funcm
 # unused here; perfbench/spans.py traces these two bindings of this module by name
 from .qstate import partial_trace, purify_cq  # noqa: F401
 
 DEFAULT_TOL = 1e-7
 IPM_MAX_ITER = 200
+ASCENT_MAX_SWEEPS = 5000
 
 __all__ = [
     "SDPResult",
@@ -58,9 +68,12 @@ class SDPResult:
     """One SDP solve and its certificate. The optimum lies in
     [value - gap, value] for decoupling_fidelity and cond_min_entropy_value,
     whose value is the dual upper bound, and in [value, value + gap] for
-    guessing_probability, whose value is that of primal_povm. converged says
-    whether the gap is at most the solve's tol. Only guessing_probability
-    sets primal_povm and dual_certificate."""
+    guessing_probability, whose value is that of primal_povm. For
+    decoupling_fidelity value - gap is ||sum_x U_x sqrt(omega_x)||_F^2 of the
+    ascent's unitaries. converged says whether the gap is at most the
+    solve's tol. iterations counts interior-point steps, or the ascent's
+    sweeps over all cells for decoupling_fidelity. Only
+    guessing_probability sets primal_povm and dual_certificate."""
 
     value: float
     gap: float
@@ -114,20 +127,6 @@ def _tensor_embedding(dim_a: int, dim_c: int) -> _Embedding:
                       lambda x, w: tuple(b.reshape(blocks)
                                          for b in _cross_blocks(x, w, dim_a, dim_c)),
                       dim_a)
-
-
-def _block_embedding(m: int, d: int) -> _Embedding:
-    """Y (q = m) -> Y_0 (+) ... (+) Y_{m-1} as one block; the adjoint takes the
-    diagonal d-blocks, and the pair of (x, y) is X_xy with W_yx."""
-    def embed(y):
-        out = np.zeros((m, d, m, d), dtype=y.dtype)
-        out[np.arange(m), :, np.arange(m)] = y
-        return out.reshape(1, m * d, m * d)
-
-    return _Embedding(embed,
-                      lambda s: np.einsum("xixj->xij", s.reshape(m, d, m, d)),
-                      lambda x, w: tuple(b[None] for b in _cross_blocks(x, w, m, d)),
-                      1)
 
 
 def _check_tol(tol: float) -> None:
@@ -292,7 +291,8 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
 def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
     """H_min(X|B) = -log P_guess(X|B)."""
     res = guessing_probability(omega, tol)
-    return _as_base(-math.log(res.value), base)
+    # 0.0 - keeps a certain guess at +0.0 rather than -0.0
+    return _as_base(0.0 - math.log(res.value), base)
 
 
 def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
@@ -310,34 +310,184 @@ def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
     return _ipm_value(rho[None], _tensor_embedding(dim_a, dim_c), tol)
 
 
+def _polar(b: np.ndarray) -> np.ndarray:
+    """Unitary polar factor W V^H of b = W S V^H."""
+    w, _, vh = np.linalg.svd(b)
+    return w @ vh
+
+
+def _kept_directions(vals: np.ndarray, budget: float):
+    """Keep-mask of an (m, d) stack of spectra: in each cell the smallest
+    eigenvalues are left out while their sum s_x is at most budget > 0, so
+    zeros always are. Returns the mask and the charge sum_x sqrt(s_x)."""
+    order = np.argsort(vals, axis=1)
+    left_out = np.cumsum(np.take_along_axis(vals, order, axis=1), axis=1) <= budget
+    keep = np.empty_like(left_out)
+    np.put_along_axis(keep, order, ~left_out, axis=1)
+    return keep, float(np.sqrt(np.where(keep, 0.0, vals).sum(1)).sum())
+
+
+def _schur_shift(theta: np.ndarray, g: np.ndarray, scale: float) -> float:
+    """The root of lambda_max(K(mu)) = 1 above the pole -min(theta), to
+    rounding and from below, for K(mu) = g diag(1/(theta + mu)) g^H.
+
+    lambda_max(K(mu)) is convex and decreasing there, so Newton steps taken
+    from below the root stay below it and increase to it; a step from above
+    that lands past the pole is replaced by the midpoint to the pole. scale
+    is the size of theta.
+    """
+    pole = -float(theta.min())
+    mu = max(0.0, pole + max(abs(pole), 1e-12 * scale))
+    for _ in range(100):
+        w = 1.0 / (theta + mu)
+        lam, vecs = np.linalg.eigh(herm((g * w) @ g.conj().T))
+        slope = float(np.sum(np.abs(g.conj().T @ vecs[:, -1]) ** 2 * w * w))
+        if slope == 0.0:
+            return mu
+        new = mu + (lam[-1] - 1.0) / slope
+        if new <= pole:
+            new = 0.5 * (pole + mu)
+        if abs(new - mu) <= 1e-15 * (scale + abs(mu)):
+            return max(mu, new)
+        mu = new
+    return mu
+
+
+def _ascent_bound(vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray,
+                  u: np.ndarray, a: np.ndarray) -> float | None:
+    """Upper bound on F_dec of the kept eigen-directions of the cells, from
+    the unitaries u and a = sum_x U_x sqrt(omega_x); None if no shift
+    passes the check.
+
+    At an optimum complementary slackness asks Y_x U_x^H = sqrt(omega_x)
+    A^H, so the dual is built from Y_x = herm(sqrt(omega_x) A^H U_x),
+    compressed to the kept directions V_x of omega_x and shifted by mu there
+    until (+)_x Y_x >= R. With R = W^H W, W_x = V_x D_x and D_x the square
+    roots of the kept eigenvalues, that holds iff every Y_x + mu > 0 and
+    lambda_max(K) <= 1 for K = sum_x W_x (Y_x + mu)^{-1} W_x^H, a d x d
+    Schur complement. _schur_shift finds mu over one batched eigh of the
+    Y_x; Cholesky factorizations of the Y_x + mu and of 1 - K then confirm
+    it, the margin above mu growing fourfold until they do. The bound is
+    sum_x tr Y_x + mu times the number of kept directions.
+    """
+    m, d = vals.shape
+    roots = np.sqrt(np.where(keep, vals, 0.0))
+    vh = vecs.conj().transpose(0, 2, 1)
+    y = herm(roots[:, :, None] * (vh @ (a.conj().T @ u) @ vecs))
+    y = np.where(keep[:, :, None] & keep[:, None, :], y, 0.0)
+    trace, kept = float(np.trace(y, axis1=1, axis2=2).real.sum()), int(keep.sum())
+    # a unit diagonal on the left-out directions, which W does not reach
+    diag = np.arange(d)
+    y[:, diag, diag] += ~keep
+    theta, q = np.linalg.eigh(y)
+    w = vecs * roots[:, None, :]
+    scale = float(np.abs(theta).max())
+    mu = _schur_shift(theta.reshape(-1), (w @ q).transpose(1, 0, 2).reshape(d, m * d), scale)
+    wh = w.conj().transpose(0, 2, 1)
+    margin = 1e-15 * (scale + abs(mu))
+    for _ in range(20):
+        shift = mu + margin
+        try:
+            t = np.linalg.solve(np.linalg.cholesky(y + shift * np.eye(d)), wh).reshape(m * d, d)
+            np.linalg.cholesky(np.eye(d) - herm(t.conj().T @ t))
+        except np.linalg.LinAlgError:
+            margin *= 4.0
+            continue
+        return trace + shift * kept
+    return None
+
+
+def _fdec_ascent(ops: np.ndarray, tol: float) -> SDPResult:
+    """F_dec of an (m, d, d) stack by block-coordinate ascent over the
+    unitaries of ||A||_F^2, A = sum_x U_x sqrt(omega_x).
+
+    Each block step sets U_x to the polar factor of (A - U_x sqrt(omega_x))
+    sqrt(omega_x), which maximizes ||A||_F^2 over U_x alone, and updates A;
+    ||A||_F^2 is the lower bound and never decreases. The residual is the
+    norm of the skew-Hermitian parts of the sqrt(omega_x) A^H U_x, zero at a
+    fixed point. The dual bound (_ascent_bound) costs about a sweep or more,
+    so it is formed only when the residual falls below a trigger: first
+    0.1 sqrt(tol), since at a nondegenerate optimum the gap falls like the
+    square of the residual; after a miss, where the gap, taken proportional
+    to the residual, would meet tol, and no sooner than a quarter of the
+    sweeps so far. The ascent stops when a bound is within tol, after
+    ASCENT_MAX_SWEEPS sweeps (read at call time), or when the residual has
+    stalled (no 10% drop in the last best_at + 64 sweeps, best_at being the
+    sweep of the last one); the last two form a final bound and come back
+    with it, converged or not.
+
+    Eigen-directions of the omega_x whose eigenvalues sum to at most
+    ((tol / 10) / (2 sum_x sqrt(t_x) + 1) / m)^2 per cell are left out of
+    the dual and charged like negligible cells: a bound U on the rest gives
+    (sqrt(U) + T)^2 with T = sum_x sqrt(s_x) over the left-out sums s_x,
+    at most tol / 10 above U. The value never exceeds (sum_x sqrt(t_x))^2,
+    which bounds ||A||_F for any unitaries.
+    """
+    cap = ASCENT_MAX_SWEEPS
+    m, d = ops.shape[:2]
+    vals, vecs = clipped_eigh(ops)
+    vals = np.clip(vals, 0.0, None)
+    roots = (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    root_sum = float(np.sqrt(vals.sum(1)).sum())
+    keep, charge = _kept_directions(vals, (0.1 * tol / (2.0 * root_sum + 1.0) / m) ** 2)
+    u = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d)).copy()
+    terms = roots.astype(complex)  # the U_x sqrt(omega_x)
+    a = terms.sum(0)
+    upper, lower = root_sum ** 2, float(np.vdot(a, a).real)
+    trigger, best, best_at, next_check = 0.1 * math.sqrt(tol), math.inf, 0, 1
+    sweeps = 0
+    while sweeps < cap:
+        sweeps += 1
+        for x in range(m):
+            rest = a - terms[x]
+            u[x] = _polar(rest @ roots[x])
+            terms[x] = u[x] @ roots[x]
+            a = rest + terms[x]
+        # summed afresh, so that rounding does not build up over the sweeps
+        a = terms.sum(0)
+        lower = float(np.vdot(a, a).real)
+        y = roots @ (a.conj().T @ u)
+        residual = float(np.linalg.norm(y - y.conj().transpose(0, 2, 1)))
+        if residual < 0.9 * best:
+            best, best_at = residual, sweeps
+        last = sweeps == cap or sweeps >= 2 * best_at + 64
+        if not (last or (residual <= trigger and sweeps >= next_check)):
+            continue
+        bound = _ascent_bound(vals, vecs, keep, u, a)
+        if bound is not None:
+            upper = min(upper, (math.sqrt(max(bound, 0.0)) + charge) ** 2)
+        if upper - lower <= tol or last:
+            break
+        trigger = 0.5 * residual * tol / (upper - lower)
+        next_check = sweeps + max(1, sweeps // 4)
+    # a bound below the lower bound is rounding
+    upper = max(upper, lower)
+    return _certified(upper, upper - lower, sweeps, tol)
+
+
 def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     """F_dec(X|B) = sup_sigma (sum_x sqrt(F(omega_B^x, sigma)))^2.
 
-    Computed as the SDP min { sum_x tr Y_x : (+)_x Y_x >= R } with
-    R_xy = sqrt(omega_x) sqrt(omega_y), of size md: the purification dual
-    F_dec = 2^{H_max(X|B)} = 2^{-H_min(X|C)} reduced by the phase symmetry
-    of the purified cq state (see the module docstring). Its dual is
-    max { tr[R X] : X >= 0, X_xx = 1 for every x }. The value is the dual
-    upper bound and value - gap the primal lower bound.
+    Computed as max { ||sum_x U_x sqrt(omega_x)||_F^2 : U_x unitary } by
+    certified block-coordinate ascent (_fdec_ascent; see the module
+    docstring for why this is the SDP min { sum_x tr Y_x : (+)_x Y_x >= R },
+    R_xy = sqrt(omega_x) sqrt(omega_y), that is F_dec = 2^{H_max(X|B)} =
+    2^{-H_min(X|C)}). The value is the dual upper bound, value - gap the
+    ascent's lower bound, and iterations the number of sweeps.
 
     Cells of negligible trace are skipped (qstate.kept_cells, bound
     sqrt(t_y) per cell, qstate.NEGLIGIBLE = 1e-15 in all) and accounted with
     T = sum_y sqrt(t_y) and S = sum_y t_y over them. The kept solve's upper
     bound U gives sqrt(F_dec) <= sqrt(U) + T, from the dual Y_y proportional
-    to omega_y / sqrt(t_y); its primal value L, with 1_d blocks padded in
-    for the skipped cells, gives F_dec >= L + S. The value is then the
-    upper bound (sqrt(U) + T)^2 and the gap its distance to L + S.
+    to omega_y / sqrt(t_y); its lower bound L, the primal value of
+    X_xy = U_x^H U_y, with 1_d blocks padded in for the skipped cells, gives
+    F_dec >= L + S. The value is then the upper
+    bound (sqrt(U) + T)^2 and the gap its distance to L + S.
     """
     _check_tol(tol)
     ops = omega.ops
     keep = kept_cells(ops, np.sqrt)
-    if not keep.all():
-        ops = ops[keep]
-    m, d = ops.shape[:2]
-    roots = psd_sqrt(ops).reshape(m * d, d)
-    # R_xy = sqrt(omega_x) sqrt(omega_y)
-    r = herm(roots @ roots.conj().T)[None]
-    res = _ipm_value(r, _block_embedding(m, d), tol)
+    res = _fdec_ascent(ops if keep.all() else ops[keep], tol)
     if keep.all():
         return res
     t = omega.probs[~keep]
@@ -347,6 +497,6 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
 
 
 def h_max_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
-    """H_max(X|B) = log F_dec(X|B), with F_dec from the md-dimensional block
-    SDP of decoupling_fidelity."""
+    """H_max(X|B) = log F_dec(X|B), with F_dec the certified upper bound of
+    decoupling_fidelity's unitary block ascent."""
     return _as_base(math.log(decoupling_fidelity(omega, tol).value), base)

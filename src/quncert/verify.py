@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entropy, minmax, overlap
-from .qstate import CQState, POVM, herm, partial_trace, psd_sqrt
+from .qstate import CQState, POVM, herm, partial_trace, psd_sqrt, purify_cq
 
 VIOLATION_TOL = -1e-7
 
@@ -298,8 +298,10 @@ def check_operator_lemmas(trials: int = 50, seed: int = 0,
     """Property checks for the supporting entropy lemmas on random qubit-pair
     instances: relative-entropy monotonicity and scaling, the chain rule,
     D_max ordering and monotonicity, data processing for H_min/H_max, and
-    the min/max and von Neumann purification dualities. A trial with a
-    capped H_min or H_max solve adds none of its slacks."""
+    the min/max and von Neumann purification dualities; eleven slacks per
+    trial. The min/max duality sets decoupling_fidelity's ascent against
+    the interior-point 2^{-H_min(X|C)} of the purified state. A trial with
+    a capped H_min or H_max solve adds none of its slacks."""
     slacks, unconverged = [], 0
     for rng in _trial_rngs(trials, seed):
         trial = []
@@ -347,9 +349,13 @@ def check_operator_lemmas(trials: int = 50, seed: int = 0,
         f_b, f_bc = (minmax.decoupling_fidelity(cq, tol) for cq in (cq_b, cq_bc))
         trial.append(_bits(-math.log(p_b.value)) - _bits(-math.log(p_bc.value)) + 2 * tol)
         trial.append(_bits(math.log(f_b.value)) - _bits(math.log(f_bc.value)) + 2 * tol)
+        # min/max duality H_max(X|B) = -H_min(X|C), C = X'B' purifying cq_b:
+        # the unitary ascent against the interior-point core
+        c_xc = _purified_min_entropy_value(cq_b, tol)
+        trial.append(2 * tol - abs(_bits(math.log(f_b.value)) - _bits(math.log(c_xc.value))))
         # von Neumann duality H(A|C) = -H(A|B) for a purified two-qubit state
         trial.append(1e-9 - abs(_vn_duality_defect(rho)))
-        if all(res.converged for res in (p_b, p_bc, f_b, f_bc)):
+        if all(res.converged for res in (p_b, p_bc, f_b, f_bc, c_xc)):
             slacks.extend(trial)
         else:
             unconverged += 1
@@ -372,6 +378,15 @@ def _random_cq(n_outcomes: int, dim: int, rng: np.random.Generator) -> CQState:
     p = rng.dirichlet(np.ones(n_outcomes))
     return CQState(tuple((str(i), p[i] * random_density(dim, rng))
                          for i in range(n_outcomes)))
+
+
+def _purified_min_entropy_value(omega: CQState, tol: float) -> minmax.SDPResult:
+    """2^{-H_min(X|C)} of the purified cq state, C = X'B' (qstate.purify_cq),
+    which equals F_dec(X|B) = 2^{H_max(X|B)} by duality."""
+    m, d = omega.ops.shape[:2]
+    vec, dims = purify_cq(omega)
+    rho_xc = partial_trace(np.outer(vec, vec.conj()), list(dims), keep=[0, 1, 3])
+    return minmax.cond_min_entropy_value(rho_xc, m, m * d, tol)
 
 
 def _vn_duality_defect(rho_ab: np.ndarray, d_a: int = 2, d_b: int = 2) -> float:

@@ -227,3 +227,46 @@ def random_cq(rng, n_outcomes, dim, rank=None):
     p = rng.dirichlet(np.ones(n_outcomes))
     return CQState(tuple((str(i), p[i] * random_density(dim, rng, rank))
                          for i in range(n_outcomes)))
+
+
+def block_embedding(m, d):
+    """The embedding Y (q = m) -> Y_0 (+) ... (+) Y_{m-1} as one block of the
+    package's interior-point core; the adjoint takes the diagonal d-blocks,
+    and the pair of (x, y) is X_xy with W_yx."""
+    from quncert.minmax import _cross_blocks, _Embedding
+
+    def embed(y):
+        out = np.zeros((m, d, m, d), dtype=y.dtype)
+        out[np.arange(m), :, np.arange(m)] = y
+        return out.reshape(1, m * d, m * d)
+
+    return _Embedding(embed,
+                      lambda s: np.einsum("xixj->xij", s.reshape(m, d, m, d)),
+                      lambda x, w: tuple(b[None] for b in _cross_blocks(x, w, m, d)),
+                      1)
+
+
+def fdec_block_sdp(cq, tol):
+    """The SDPResult of F_dec as the block SDP min { sum_x tr Y_x : (+)_x Y_x
+    >= R }, R_xy = sqrt(omega_x) sqrt(omega_y), of size md on the package's
+    interior-point core: a route that shares no step with the unitary
+    ascent of decoupling_fidelity. Its cost grows like (m d^2)^3 per step."""
+    from quncert.minmax import _ipm_value
+    from quncert.qstate import psd_sqrt
+
+    m, d = cq.ops.shape[:2]
+    roots = psd_sqrt(cq.ops).reshape(m * d, d)
+    r = roots @ roots.conj().T
+    return _ipm_value(0.5 * (r + r.conj().T)[None], block_embedding(m, d), tol)
+
+
+def fdec_by_purification(cq, tol):
+    """The SDPResult of F_dec as 2^{-H_min(X|C)} of the purified cq state,
+    C = X'B': the SDP of dimension m^2 d^2 that the block SDP reduces."""
+    from quncert.minmax import cond_min_entropy_value
+    from quncert.qstate import partial_trace, purify_cq
+
+    m, d = cq.ops.shape[:2]
+    vec, dims = purify_cq(cq)
+    rho_xc = partial_trace(np.outer(vec, vec.conj()), list(dims), keep=[0, 1, 3])
+    return cond_min_entropy_value(rho_xc, m, m * d, tol)

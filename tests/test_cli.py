@@ -10,10 +10,15 @@ import pytest
 from quncert.cli import main
 from quncert.qstate import CQState, DensityMatrix, GridWaveFunction
 from quncert.serialize import StateFormatError, load_state, loads_state, save_state
+from quncert.verify import _trial_rng
 
+from oracles import random_cq
 
 BB84 = CQState((("0", 0.5 * np.diag([1.0, 0.0])),
                 ("1", 0.5 * np.ones((2, 2)) / 2.0)))
+
+# the cap that leaves a ladder rung's H_min or H_max solve unconverged
+CAPS = {"min": ("IPM_MAX_ITER", 2), "max": ("ASCENT_MAX_SWEEPS", 1)}
 
 
 class TestSerialize:
@@ -166,6 +171,19 @@ class TestCLI:
         assert payload["base"] == "bits"
         assert payload["gap"] < 1e-7
 
+    def test_entropy_hmin_one_outcome_prints_plus_zero(self, tmp_path, capsys):
+        # P_guess = 1 when the label is certain, and H_min = +0.0, not -0.0
+        from quncert.minmax import h_min_cq
+
+        cq = CQState((("0", np.eye(2) / 2.0),))
+        assert math.copysign(1.0, h_min_cq(cq).value) == 1.0
+        state = tmp_path / "cq.json"
+        save_state(cq, state)
+        assert main(["entropy", "--state", str(state), "--measure", "hmin"]) == 0
+        out = capsys.readouterr().out
+        assert '"value": 0.0' in out
+        assert math.copysign(1.0, json.loads(out)["value"]) == 1.0
+
     def test_entropy_hmax_reports_certificate(self, tmp_path, capsys):
         state = tmp_path / "cq.json"
         save_state(BB84, state)
@@ -178,9 +196,11 @@ class TestCLI:
     def test_entropy_hmax_capped_solve_exits_1(self, tmp_path, capsys, monkeypatch):
         from quncert import minmax
 
+        # the ascent solves BB84's two pure cells in one sweep, and this
+        # state in four; three leave a gap of about 1e-6
         state = tmp_path / "cq.json"
-        save_state(BB84, state)
-        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 3)
+        save_state(random_cq(_trial_rng(75, 0), 3, 3), state)
+        monkeypatch.setattr(minmax, "ASCENT_MAX_SWEEPS", 3)
         assert main(["entropy", "--state", str(state), "--measure", "hmax"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -218,7 +238,8 @@ class TestCLI:
         from quncert import minmax
 
         argv = self._epr_ladder_argv(tmp_path, kind)
-        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 2)
+        # the ascent certifies the alpha = 8 rung at its second sweep
+        monkeypatch.setattr(minmax, *CAPS[kind])
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert len(captured.out.strip().splitlines()) == 7
@@ -349,12 +370,14 @@ class TestCLI:
         (["overlap"], "need --delta-q and --delta-p"),
         (["overlap", "--delta-q", "1"], "need --delta-q and --delta-p"),
         (["verify", "--relation", "nope"], "unknown relation"),
+        (["verify", "--relation", "operator-lemmas", "--dims", "9", "9", "9", "9"],
+         "operator-lemmas runs on fixed qubit pairs and takes no --dims"),
         (["entropy", "--state", "{psi}", "--measure", "vn"], "vn needs a density or cq"),
         (["entropy", "--state", "{psi}", "--measure", "hmin"], "hmin needs a cq state"),
         (["entropy", "--state", "{rho}", "--measure", "hmax"], "hmax needs a cq state"),
         (["ladder", "--input", "{cq}"], "ladder input must be a wavefunction"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
-            "relation", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
+            "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
             "ladder-cq"])
     def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
         from quncert.discretize import gaussian_wavefunction

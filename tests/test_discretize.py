@@ -257,7 +257,9 @@ class TestConvergenceLadder:
         psi = epr_grid_wavefunction(1.5, memory_dim=3)
         tab = convergence_ladder(psi, kind=kind, n_max=1, alpha0=8.0)
         assert tab.converged and tab.unconverged == ()
-        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 2)
+        # the ascent certifies the alpha = 8 rung at its second sweep
+        monkeypatch.setattr(minmax, *{"min": ("IPM_MAX_ITER", 2),
+                                      "max": ("ASCENT_MAX_SWEEPS", 1)}[kind])
         capped = convergence_ladder(psi, kind=kind, n_max=1, alpha0=8.0)
         assert not capped.converged
         assert capped.unconverged == (8.0, 4.0)

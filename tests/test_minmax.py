@@ -6,7 +6,6 @@ import pytest
 from quncert import discretize, gaussian, minmax, qstate
 from quncert.minmax import (
     SDPResult,
-    _block_embedding,
     _cq_embedding,
     _schur,
     _tensor_embedding,
@@ -17,11 +16,14 @@ from quncert.minmax import (
     h_min_cq,
 )
 from quncert.entropy import cond_vn_cq
-from quncert.qstate import CQState, partial_trace, purify_cq
+from quncert.qstate import CQState
 from quncert.verify import _trial_rng, haar_state, measure_to_cq, mub_pair, random_density
 
 from oracles import (
+    block_embedding,
+    fdec_block_sdp,
     fdec_bloch_grid,
+    fdec_by_purification,
     fdec_direct,
     helstrom_textbook,
     pguess_qubit_projective_grid,
@@ -263,11 +265,22 @@ class TestPaperScale:
         assert np.abs(els.sum(0) - np.eye(19)).max() <= 1e-9
         assert abs(res.value - 0.82041563) < 1e-8
 
+    def test_epr_fdec_at_alpha_2(self):
+        # 11 of the 17 cells are kept; the md block SDP took 165 s to give
+        # 1.9565971161 (gap 2.2e-10) here
+        psi = gaussian.epr_grid_wavefunction(1.5)
+        part = discretize.Partition.centered(2.0, psi.grid[0], psi.grid[-1])
+        cq = discretize.discretize_position(psi, part)
+        assert int(qstate.kept_cells(cq.ops, np.sqrt).sum()) == 11
+        res = decoupling_fidelity(cq)
+        assert res.converged
+        assert res.value - res.gap <= 1.9565971161 <= res.value
+
 
 EMBEDDINGS = pytest.mark.parametrize("emb, shape", [
     (_cq_embedding(4), (4, 3, 3)),
     (_tensor_embedding(3, 2), (1, 6, 6)),
-    (_block_embedding(3, 2), (1, 6, 6)),
+    (block_embedding(3, 2), (1, 6, 6)),
 ], ids=["cq", "tensor", "block"])
 
 
@@ -388,21 +401,12 @@ class TestHmax:
             assert h_min_cq(cq).value <= h_max_cq(cq).value + 1e-6
 
 
-def _fdec_by_purification(cq, tol):
-    """The SDPResult of F_dec as 2^{-H_min(X|C)} of the purified cq state,
-    C = X'B': the SDP of dimension m^2 d^2 that the block SDP reduces."""
-    m, d = cq.ops.shape[:2]
-    vec, dims = purify_cq(cq)
-    rho_xc = partial_trace(np.outer(vec, vec.conj()), list(dims), keep=[0, 1, 3])
-    return cond_min_entropy_value(rho_xc, m, m * d, tol)
-
-
 def _assert_same_fdec(cq, tol=1e-9):
     # both values are certified upper bounds within their gaps of F_dec
-    block = decoupling_fidelity(cq, tol)
-    pure = _fdec_by_purification(cq, tol)
-    assert block.gap <= tol and pure.gap <= tol
-    assert abs(block.value - pure.value) < 1e-8
+    ascent = decoupling_fidelity(cq, tol)
+    pure = fdec_by_purification(cq, tol)
+    assert ascent.gap <= tol and pure.gap <= tol
+    assert abs(ascent.value - pure.value) < 1e-8
 
 
 class TestHmaxBlockSDP:
@@ -484,6 +488,8 @@ class TestSDPResult:
     @pytest.mark.parametrize("trimmed", [False, True])
     def test_capped_solves_are_not_converged(self, monkeypatch, trimmed):
         cq = _trimmed_cq(75, 3, 3) if trimmed else random_cq(_trial_rng(75, 0), 3, 3)
+        # uncapped, the ascent certifies these at its fourth sweep
+        monkeypatch.setattr(minmax, "ASCENT_MAX_SWEEPS", 2)
         monkeypatch.setattr(minmax, "IPM_MAX_ITER", 2)
         for res in (decoupling_fidelity(cq), guessing_probability(cq),
                     cond_min_entropy_value(cq.block_diagonal(), len(cq.labels), 3)):
@@ -496,3 +502,38 @@ class TestSDPResult:
         monkeypatch.setattr(minmax, "IPM_MAX_ITER", 2)
         res = guessing_probability(BB84)
         assert res.converged and res.iterations == 0
+
+
+class TestAscentAgainstBlockSDP:
+    """decoupling_fidelity's bracket against the md block SDP on the
+    interior-point core (oracles.fdec_block_sdp)."""
+
+    def test_random_cq_brackets(self):
+        for trial in range(100):
+            rng = _trial_rng(64, trial)
+            m, d = int(rng.integers(2, 9)), int(rng.integers(2, 7))
+            cq = random_cq(rng, m, d, rank=int(rng.integers(1, d + 1)))
+            res = decoupling_fidelity(cq)
+            oracle = fdec_block_sdp(cq, 1e-9)
+            assert res.converged and oracle.converged
+            # both [value - gap, value] contain F_dec
+            assert res.value - res.gap <= oracle.value + 1e-12
+            assert oracle.value - oracle.gap <= res.value + 1e-12
+
+    def test_left_out_directions_are_charged(self):
+        # per cell, the smallest eigenvalues go while their sum stays within
+        # the budget, zeros always; the charge is the sum of the square roots
+        # of the per-cell sums
+        vals = np.array([[0.0, 4e-26, 0.3, 5e-27], [2e-25, 0.0, 9e-25, 0.7]])
+        keep, charge = minmax._kept_directions(vals, 1e-24)
+        assert keep.tolist() == [[False, False, True, False], [False, False, True, True]]
+        assert math.isclose(charge, math.sqrt(4.5e-26) + math.sqrt(2e-25), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_capped_bracket_contains_the_oracle(self, monkeypatch, cap):
+        cq = random_cq(_trial_rng(75, 0), 3, 3)
+        oracle = fdec_block_sdp(cq, 1e-10)
+        monkeypatch.setattr(minmax, "ASCENT_MAX_SWEEPS", cap)
+        res = decoupling_fidelity(cq)
+        assert not res.converged and res.iterations == cap
+        assert res.value - res.gap <= oracle.value <= res.value
