@@ -4,20 +4,31 @@ ladders H(X_alpha|B) + log(alpha) -> h(X|B).
 
 A partition covers the line with cells I_k = (offset + k*alpha,
 offset + (k+1)*alpha]; the default offset centers a cell at zero. Ladders
-halve alpha, so discretizing at alpha and merging neighboring cells pairwise
-reproduces the 2*alpha discretization exactly.
+halve alpha and re-bin the grid at each rung: a centered partition puts its
+edges at (k - 1/2)*alpha, so the edges of the 2*alpha rung fall on cell
+centers of the alpha rung, and the partitions do not nest (those of one
+fixed offset do).
+
+Cells are found trace first: every cell is one run of consecutive samples,
+and its trace comes from the samples' norms before any operator is formed.
+A ladder forms the operators of the cells its entropy keeps and merges the
+rest into one outcome.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import entropy
 from . import minmax
-from .qstate import CQState, GridWaveFunction
+from .qstate import CQState, GridWaveFunction, kept_cells
+
+log = logging.getLogger("quncert")
 
 __all__ = [
     "Partition",
@@ -128,48 +139,71 @@ def momentum_transform(psi: GridWaveFunction) -> GridWaveFunction:
     return GridWaveFunction(p0, dp, samples)
 
 
-def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
-    """Bin a grid wavefunction into the cq state of a partitioned measurement.
-
-    omega_B^k = dq * sum_{q_i in I_k} psi(q_i) psi(q_i)^dagger; for trivial
-    memory this reduces to binned |psi|^2 probabilities. Cell indices never
-    decrease along the grid, so each cell is one run of consecutive samples:
-    the runs are scattered into a zero-padded (cells, max run, d) array S and
-    every omega_B^k comes from one batched product dq * S^T conj(S). Cells of
-    zero trace are dropped, and the state adopts the stack of products
-    without a copy: the outcome operators are views of that one stack.
-    """
-    if part.alpha < 2.0 * psi.dq:
-        raise ValueError(
-            f"cell width {part.alpha} undersampled by grid spacing {psi.dq}")
+def _cells(psi: GridWaveFunction, part: Partition, norms: np.ndarray):
+    """The cells of psi's samples under part, as runs of consecutive samples
+    (cell indices never decrease along the grid): (start of each run, its
+    cell index k, its trace dq * sum ||psi(q_i)||^2). norms holds the
+    ||psi(q_i)||^2, so a ladder computes them once."""
     idx = part.cell_index(psi.grid)
     if idx[0] < part.k_min or idx[-1] > part.k_max:
         raise ValueError("partition does not cover the grid support")
     starts = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
-    counts = np.diff(starts, append=len(idx))
-    run = np.repeat(np.arange(len(starts)), counts)
-    padded = np.zeros((len(starts), counts.max(), psi.memory_dim), dtype=complex)
-    padded[run, np.arange(len(idx)) - starts[run]] = psi.samples
+    return starts, idx[starts], psi.dq * np.add.reduceat(norms, starts)
+
+
+def _cell_stack(psi: GridWaveFunction, starts: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """omega_B^k = dq * sum_{q_i in run} psi(q_i) psi(q_i)^dagger for the
+    listed runs: they are gathered into a zero-padded (runs, longest run, d)
+    array S and formed by one batched product dq * S^T conj(S)."""
+    first, counts = starts[runs], np.diff(starts, append=psi.n_points)[runs]
+    pos = np.arange(counts.max(initial=0))
+    filled = pos < counts[:, None]
+    padded = np.zeros(filled.shape + (psi.memory_dim,), dtype=complex)
+    padded[filled] = np.take(psi.samples, (first[:, None] + pos)[filled], axis=0)
     ops = np.swapaxes(padded, 1, 2) @ padded.conj()
-    del padded  # freed before the stack is filtered and symmetrized
     ops *= psi.dq
-    keep = np.trace(ops, axis1=1, axis2=2).real > 0.0
+    return ops
+
+
+def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
+    """Bin a grid wavefunction into the cq state of a partitioned measurement.
+
+    omega_B^k = dq * sum_{q_i in I_k} psi(q_i) psi(q_i)^dagger; for trivial
+    memory this reduces to binned |psi|^2 probabilities. Cells of zero trace
+    are dropped before any operator is formed; the others are formed by one
+    batched product, and the state adopts that stack without a copy: the
+    outcome operators are views of it.
+    """
+    if part.alpha < 2.0 * psi.dq:
+        raise ValueError(
+            f"cell width {part.alpha} undersampled by grid spacing {psi.dq}")
+    starts, labels, traces = _cells(psi, part, psi.density())
+    live = np.flatnonzero(traces > 0.0)
+    return CQState.from_stack([str(k) for k in labels[live]], _cell_stack(psi, starts, live))
+
+
+def _merged_state(psi: GridWaveFunction, starts: np.ndarray, labels: np.ndarray,
+                  keep: np.ndarray) -> CQState:
+    """The cq state of the cells kept, plus, when some are not, one outcome
+    "merged" holding all the others: dq * S^T conj(S) over their samples. The
+    memory marginal is that of every cell."""
+    ops = _cell_stack(psi, starts, np.flatnonzero(keep))
+    labels = [str(k) for k in labels[keep]]
     if not keep.all():
-        ops, starts = ops[keep], starts[keep]
-    return CQState.from_stack([str(k) for k in idx[starts]], ops)
+        rest = psi.samples[np.repeat(~keep, np.diff(starts, append=psi.n_points))]
+        ops = np.concatenate([ops, (psi.dq * (rest.T @ rest.conj()))[None]])
+        labels.append("merged")
+    return CQState.from_stack(labels, ops)
 
 
 def _classical_regularized(probs: np.ndarray, alpha: float, kind: str) -> float:
-    """H(X_alpha) + log(alpha) in nats for trivial memory."""
-    p = probs[probs > 0]
+    """H(X_alpha) + log(alpha) in nats for trivial memory and positive probs."""
     if kind == "vn":
-        h = -float(np.sum(p * np.log(p)))
+        h = -float(np.sum(probs * np.log(probs)))
     elif kind == "min":
-        h = -math.log(float(p.max()))
-    elif kind == "max":
-        h = 2.0 * math.log(float(np.sum(np.sqrt(p))))
+        h = -math.log(float(probs.max()))
     else:
-        raise ValueError(f"unknown entropy kind {kind!r}")
+        h = 2.0 * math.log(float(np.sum(np.sqrt(probs))))
     return h + math.log(alpha)
 
 
@@ -177,14 +211,12 @@ def _memory_regularized(cq: CQState, alpha: float, kind: str, tol: float):
     """(H(X_alpha|B) + log(alpha) in nats, whether its SDP converged)."""
     if kind == "vn":
         h, converged = entropy.cond_vn_cq(cq, base="nats").value, True
-    elif kind in ("min", "max"):
+    else:
         # H_min = -log P_guess and H_max = log F_dec
         sign, solve = ((-1.0, minmax.guessing_probability) if kind == "min"
                        else (1.0, minmax.decoupling_fidelity))
         res = solve(cq, tol)
         h, converged = sign * math.log(res.value), res.converged
-    else:
-        raise ValueError(f"unknown entropy kind {kind!r}")
     return h + math.log(alpha), converged
 
 
@@ -197,9 +229,26 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     vn / min / max; n_max >= 0. The finest rung must keep alpha >= 2*dq.
     With a memory, min and max rungs are SDP solves at tol; the table's
     converged flag is False when some rung's gap exceeds tol.
+
+    Each rung bins trace first (_cells). Trivial memory takes the entropy of
+    the cell traces. With a memory, the functional's own skip rule
+    (qstate.kept_cells) picks the cells to form, and the cells it would skip
+    are merged into one outcome, so the memory marginal stays exact. Merging
+    coarse-grains X, which moves the functional by at most
+    qstate.NEGLIGIBLE on the scale of its skip rule (nats of H(X|B),
+    P_guess, sqrt(F_dec)), and the functional's own skip moves it by at most
+    NEGLIGIBLE more: a rung is within 2*qstate.NEGLIGIBLE of the functional
+    of the full binned state (discretize_position). A min or max rung is a
+    certified solve on top of that, good to its gap: on the merged state
+    the functional's skip may leave out a few more cells than on the full
+    stack, so the two solves need not stop at the same point. Each rung
+    logs one DEBUG record to the "quncert" logger: alpha, cells, cells kept,
+    merged trace and seconds.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
+    if kind not in ("vn", "min", "max"):
+        raise ValueError(f"unknown entropy kind {kind!r}")
     if which == "momentum":
         psi = momentum_transform(psi)
     elif which != "position":
@@ -208,22 +257,28 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     if finest < 2.0 * psi.dq:
         raise ValueError(
             f"finest cell {finest} below twice the grid spacing {psi.dq}")
-    q = psi.grid
+    q, norms = psi.grid, psi.density()
     ln2 = math.log(2.0)
     rows, unconverged = [], []
     for n in range(n_max + 1):
+        began = time.perf_counter()
         alpha = alpha0 * 2.0 ** (-n)
-        part = Partition.centered(alpha, q[0], q[-1])
-        cq = discretize_position(psi, part)
+        starts, labels, traces = _cells(psi, Partition.centered(alpha, q[0], q[-1]), norms)
         if psi.memory_dim == 1:
-            val, converged = _classical_regularized(cq.probs, alpha, kind), True
+            keep = traces > 0.0
+            val, converged = _classical_regularized(traces[keep], alpha, kind), True
         else:
-            val, converged = _memory_regularized(cq, alpha, kind, tol)
+            keep = kept_cells(traces, kind)
+            val, converged = _memory_regularized(_merged_state(psi, starts, labels, keep),
+                                                 alpha, kind, tol)
         if base == "bits":
             val /= ln2
         rows.append((alpha, val))
         if not converged:
             unconverged.append(alpha)
+        log.debug("%s %s rung alpha=%g: %d cells, %d kept, merged trace %.3g, %.4f s",
+                  which, kind, alpha, len(traces), int(keep.sum()),
+                  float(traces[~keep].sum()), time.perf_counter() - began)
     return ConvergenceTable(kind, which, base, tuple(rows), tuple(unconverged))
 
 

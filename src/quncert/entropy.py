@@ -167,7 +167,7 @@ def cond_vn_cq(omega: CQState, base: str = "bits") -> EntropyValue:
     test.
     """
     ops = omega.ops
-    keep = kept_cells(ops, lambda t: -_xlogx(t))
+    keep = kept_cells(omega.probs, "vn")
     if not keep.all():
         ops = ops[keep]
     spec = _support(omega.marginal(), ops)

@@ -277,7 +277,7 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     """
     _check_tol(tol)
     ops = omega.ops
-    keep = kept_cells(ops, lambda t: t)
+    keep = kept_cells(omega.probs, "min")
     if keep.all():
         return _guess(ops, tol)
     res = _guess(ops[keep], tol)
@@ -483,17 +483,23 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     X_xy = U_x^H U_y, with 1_d blocks padded in for the skipped cells, gives
     F_dec >= L + S. The value is then the upper
     bound (sqrt(U) + T)^2 and the gap its distance to L + S.
+
+    Both bounds are clamped to (sum_x sqrt(t_x))^2 over all cells, since
+    H_max(X|B) <= H_max(X); a one-outcome state thus gives F_dec = tr omega
+    exactly, not that plus the ascent's rounding.
     """
     _check_tol(tol)
-    ops = omega.ops
-    keep = kept_cells(ops, np.sqrt)
+    ops, t = omega.ops, omega.probs
+    keep = kept_cells(t, "max")
     res = _fdec_ascent(ops if keep.all() else ops[keep], tol)
-    if keep.all():
-        return res
-    t = omega.probs[~keep]
-    upper = (math.sqrt(res.value) + float(np.sqrt(t).sum())) ** 2
-    return _certified(upper, upper - (res.value - res.gap + float(t.sum())),
-                      res.iterations, tol)
+    upper, lower = res.value, res.value - res.gap
+    if not keep.all():
+        skipped = t[~keep]
+        upper = (math.sqrt(upper) + float(np.sqrt(skipped).sum())) ** 2
+        lower += float(skipped.sum())
+    ceiling = float(np.sqrt(np.clip(t, 0.0, None)).sum()) ** 2
+    upper, lower = min(upper, ceiling), min(lower, ceiling)
+    return _certified(upper, upper - lower, res.iterations, tol)
 
 
 def h_max_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:

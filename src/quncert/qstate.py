@@ -70,17 +70,28 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
-def kept_cells(ops: np.ndarray, bound) -> np.ndarray:
-    """Keep-mask of a cq stack: False on the cells a functional may skip.
+# the most a cell of trace t (0 <= t <= NEGLIGIBLE) can contribute to each cq
+# functional, on its own scale: nats of H(X|B), P_guess and sqrt(F_dec)
+_CELL_BOUNDS = {
+    "vn": lambda t: -t * np.log(np.where(t > 0.0, t, 1.0)),
+    "min": lambda t: t,
+    "max": np.sqrt,
+}
 
-    bound maps cell traces t >= 0 to the most a cell of that trace can
-    contribute to the functional. With the cells in increasing order of
-    trace, the skipped cells are the longest leading run whose bounds sum to
-    at most NEGLIGIBLE. Only cells with 0 <= t <= NEGLIGIBLE are candidates,
-    so a cell of negative trace is never skipped, and the largest cell is
-    always kept. The caller accounts for the skipped cells.
+
+def kept_cells(traces: np.ndarray, kind: str) -> np.ndarray:
+    """Keep-mask of a cq state's cells: False on those a functional may skip.
+
+    traces are the cell traces t_x; kind is the functional, "vn", "min" or
+    "max", whose bound on what one cell of trace t can contribute is
+    -t ln t, t or sqrt(t). With the cells in increasing order of trace, the
+    skipped cells are the longest leading run whose bounds sum to at most
+    NEGLIGIBLE. Only cells with 0 <= t <= NEGLIGIBLE are candidates, so a
+    cell of negative trace is never skipped, and the largest cell is always
+    kept. The caller accounts for the skipped cells.
     """
-    tr = np.trace(ops, axis1=1, axis2=2).real
+    tr = np.asarray(traces, dtype=float)
+    bound = _CELL_BOUNDS[kind]
     cand = np.flatnonzero((tr >= 0.0) & (tr <= NEGLIGIBLE))
     cand = cand[np.argsort(tr[cand], kind="stable")]
     n = int(np.searchsorted(np.cumsum(bound(tr[cand])), NEGLIGIBLE, side="right"))
@@ -277,7 +288,10 @@ class GridWaveFunction:
 
     def density(self) -> np.ndarray:
         """Position probability density ||psi(q_i)||^2 on the grid."""
-        return np.sum(np.abs(self.samples) ** 2, axis=1).real
+        s = self.samples
+        # the squares of the real and imaginary parts, summed without an
+        # (N, d) temporary
+        return np.einsum("ij,ij->i", s.real, s.real) + np.einsum("ij,ij->i", s.imag, s.imag)
 
     def normalized(self) -> "GridWaveFunction":
         return GridWaveFunction(self.q0, self.dq, self.samples / np.sqrt(self.norm_sq()))

@@ -210,6 +210,23 @@ def binned_cq_loop(q0, dq, samples, alpha, offset, k_min, k_max):
     return out
 
 
+def binned_cq(q0, dq, samples, alpha, offset, k_min, k_max):
+    """As binned_cq_loop, one product per cell instead of one outer product
+    per sample, so that grids of many thousand samples and cells stay cheap:
+    for each k, dq S^T conj(S) over the rows S of samples whose grid point
+    lies in (offset + k alpha, offset + (k+1) alpha]."""
+    samples = np.asarray(samples, dtype=complex).reshape(len(samples), -1)
+    q = q0 + dq * np.arange(len(samples))
+    out = {}
+    for k in range(k_min, k_max + 1):
+        lo, hi = offset + k * alpha, offset + (k + 1) * alpha
+        rows = samples[(q > lo) & (q <= hi)]
+        op = dq * (rows.T @ rows.conj())
+        if np.real(np.trace(op)) > 0.0:
+            out[str(k)] = op
+    return out
+
+
 def with_cells(cq, rng, traces):
     """cq with one random density operator per trace appended as new
     outcomes, labelled after the existing ones."""

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -184,6 +185,12 @@ class TestCLI:
         assert '"value": 0.0' in out
         assert math.copysign(1.0, json.loads(out)["value"]) == 1.0
 
+    def test_entropy_hmax_one_outcome_prints_zero(self, tmp_path, capsys):
+        state = tmp_path / "cq.json"
+        save_state(CQState((("0", np.eye(2) / 2.0),)), state)
+        assert main(["entropy", "--state", str(state), "--measure", "hmax"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
     def test_entropy_hmax_reports_certificate(self, tmp_path, capsys):
         state = tmp_path / "cq.json"
         save_state(BB84, state)
@@ -305,6 +312,15 @@ class TestCLI:
                      "--n-max", "2"]) == 0
         out = capsys.readouterr().out
         assert "alpha,H_reg,entropy_kind,base" in out
+
+    def test_ladder_stdout_unchanged_by_debug_log(self, capsys, caplog):
+        argv = ["ladder", "--n-points", "1024", "--n-max", "2"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr().out
+        with caplog.at_level(logging.DEBUG, logger="quncert"):
+            assert main(argv) == 0
+        assert capsys.readouterr().out == quiet
+        assert len(caplog.records) == 3
 
     def test_ladder_rejects_negative_n_max(self, capsys):
         assert main(["ladder", "--n-points", "256", "--n-max", "-1"]) == 2

@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +14,16 @@ from quncert.discretize import (
     gaussian_wavefunction,
     momentum_transform,
 )
-from quncert.qstate import CQState, GridWaveFunction
+from quncert.entropy import cond_vn_cq
+from quncert.gaussian import epr_grid_wavefunction
+from quncert.minmax import DEFAULT_TOL, decoupling_fidelity, guessing_probability
+from quncert.qstate import NEGLIGIBLE, CQState, GridWaveFunction, kept_cells
 
-from oracles import binned_cq_loop, gaussian_h_bits, gaussian_hmax_bits, gaussian_hmin_bits
+from oracles import (binned_cq, binned_cq_loop, gaussian_h_bits, gaussian_hmax_bits,
+                     gaussian_hmin_bits)
+
+# the EPR state at r = 1.5 with its 19-level memory, on a small grid
+EPR = epr_grid_wavefunction(1.5, n_points=2048)
 
 
 def _random_wavefunction(rng, n, d, q0, dq):
@@ -203,6 +212,92 @@ class TestDiscretizeMatchesLoop:
         assert len(handed) == 1
         assert np.shares_memory(cq.ops, handed[0])
         assert cq.ops.shape == (len(cq.labels), 4, 4)
+
+    @staticmethod
+    def _assert_matches_cells(psi, alpha):
+        part = Partition.centered(alpha, psi.grid[0], psi.grid[-1])
+        cq = discretize_position(psi, part)
+        want = binned_cq(psi.q0, psi.dq, psi.samples, part.alpha, part.offset,
+                         part.k_min, part.k_max)
+        assert cq.labels == list(want)
+        assert np.abs(cq.ops - np.array(list(want.values()))).max() <= 1e-15
+        return cq, part
+
+    def test_per_cell_oracle_with_zero_trace_cell(self):
+        samples = EPR.samples.copy()
+        samples[1000:1100] = 0.0  # spans the cells (-0.25, 0.25] and (0.25, 0.75]
+        psi = GridWaveFunction(EPR.q0, EPR.dq, samples)
+        cq, part = self._assert_matches_cells(psi, 0.5)
+        assert len(cq.labels) < len(np.unique(part.cell_index(psi.grid)))
+
+    def test_per_cell_oracle_on_momentum_grid(self):
+        # no momentum grid point lies within rounding of a cell edge
+        phi = momentum_transform(EPR)
+        cq, part = self._assert_matches_cells(phi, 1.0)
+        edges = part.offset + part.alpha * np.arange(part.k_min, part.k_max + 2)
+        assert np.abs(phi.grid[:, None] - edges[None, :]).min() > 1e-9
+        assert len(cq.labels) > 100
+
+
+class TestTraceFirstLadder:
+    """Ladder rungs against discretize_position and the functional on the
+    full binned stack, on the 19-level EPR state."""
+
+    @pytest.mark.parametrize("which", ["position", "momentum"])
+    @pytest.mark.parametrize("kind", ["vn", "min", "max"])
+    def test_rungs_match_full_stack(self, which, kind):
+        tab = convergence_ladder(EPR, which, kind, n_max=1, alpha0=4.0, base="nats")
+        psi = momentum_transform(EPR) if which == "momentum" else EPR
+        for alpha, value in tab.rows:
+            cq = discretize_position(psi, Partition.centered(alpha, psi.grid[0], psi.grid[-1]))
+            slack = 2.0 * NEGLIGIBLE + 1e-12
+            if kind == "vn":
+                full, converged = cond_vn_cq(cq, base="nats").value, True
+            else:
+                res = (guessing_probability if kind == "min" else decoupling_fidelity)(cq)
+                full = (-1.0 if kind == "min" else 1.0) * math.log(res.value)
+                converged = res.converged
+                # two certified solves of nearly the same state agree to their gaps
+                slack += (res.gap + DEFAULT_TOL) / res.value
+            assert abs(value - (full + math.log(alpha))) <= slack
+            assert (alpha in tab.unconverged) == (not converged)
+        assert tab.converged
+
+    def test_forms_only_kept_cells(self, monkeypatch):
+        built = []
+        adopt = CQState.from_stack
+
+        def spy(labels, ops):
+            built.append(len(ops))
+            return adopt(labels, ops)
+
+        phi = momentum_transform(EPR)
+        full = discretize_position(phi, Partition.centered(1.0, phi.grid[0], phi.grid[-1]))
+        kept = int(kept_cells(full.probs, "vn").sum())
+        assert kept + 1 < len(full.labels)
+        monkeypatch.setattr(CQState, "from_stack", spy)
+        convergence_ladder(EPR, "momentum", "vn", n_max=0)
+        assert sum(built) <= kept + 1
+        # trivial memory takes the cell traces and forms no operator
+        built.clear()
+        convergence_ladder(gaussian_wavefunction(1.0, n_points=1024), "position", "vn", n_max=2)
+        assert built == []
+
+    def test_logs_one_debug_record_per_rung(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="quncert"):
+            tab = convergence_ladder(EPR, "momentum", "vn", n_max=1)
+        records = [r for r in caplog.records if r.name == "quncert"]
+        assert len(records) == len(tab.rows)
+        pattern = (r"momentum vn rung alpha=(\S+): (\d+) cells, (\d+) kept, "
+                   r"merged trace (\S+), (\S+) s")
+        for rec, alpha in zip(records, tab.alphas):
+            assert rec.levelno == logging.DEBUG
+            got = re.fullmatch(pattern, rec.getMessage())
+            assert got is not None
+            assert float(got[1]) == alpha
+            assert 0 < int(got[3]) < int(got[2])
+            assert 0.0 <= float(got[4]) <= NEGLIGIBLE
+            assert float(got[5]) >= 0.0
 
 
 class TestConvergenceLadder:

@@ -198,7 +198,7 @@ class TestCondVNcqTrim:
     def test_within_bound_of_block_oracle(self, seed, m, d, rank):
         rng = np.random.default_rng(seed)
         cq = with_cells(random_cq(rng, m, d, rank), rng, [1e-40, 1e-20, 1e-40])
-        assert qstate.kept_cells(cq.ops, lambda t: -t * np.log(t)).sum() == m
+        assert qstate.kept_cells(cq.probs, "vn").sum() == m
         got = cond_vn_cq(cq, base="nats").value
         want = cond_vn_block_nats(cq.ops)
         assert want - NEGLIGIBLE - 1e-12 <= got <= want + 1e-12
@@ -206,8 +206,8 @@ class TestCondVNcqTrim:
     def test_cell_of_trace_1e3_is_kept(self):
         rng = np.random.default_rng(75)
         cq = with_cells(random_cq(rng, 4, 3), rng, [1e-3, 1e-40])
-        for bound in (lambda t: t, np.sqrt, lambda t: -t * np.log(t)):
-            assert qstate.kept_cells(cq.ops, bound).tolist() == [True] * 5 + [False]
+        for kind in ("min", "max", "vn"):
+            assert qstate.kept_cells(cq.probs, kind).tolist() == [True] * 5 + [False]
         assert abs(cond_vn_cq(cq, base="nats").value - cond_vn_block_nats(cq.ops)) < 1e-12
 
     @pytest.mark.parametrize("seed,m,d", [(76, 1, 2), (77, 3, 3), (78, 9, 5)])
@@ -224,17 +224,15 @@ class TestCondVNcqTrim:
         w1 = np.diag([0.0, 9e-11, 9e-11]).astype(complex)
         cq = with_cells(CQState((("0", w0), ("1", w1))), np.random.default_rng(79),
                         [1e-30, 1e-40])
-        assert not qstate.kept_cells(cq.ops, lambda t: -t * np.log(t)).all()
+        assert not qstate.kept_cells(cq.probs, "vn").all()
         assert cond_vn_cq(cq).value == -math.inf
 
     def test_negative_trace_cell_is_never_skipped(self):
-        ops = np.stack([np.diag([0.6, 0.4]), np.diag([-1e-30, 0.0]), np.diag([1e-30, 0.0])])
-        keep = qstate.kept_cells(ops.astype(complex), lambda t: t)
+        keep = qstate.kept_cells(np.array([1.0, -1e-30, 1e-30]), "min")
         assert keep.tolist() == [True, True, False]
 
     def test_largest_cell_is_always_kept(self):
-        ops = np.stack([np.diag([1e-20, 0.0]), np.diag([2e-20, 0.0])]).astype(complex)
-        assert qstate.kept_cells(ops, lambda t: t).tolist() == [False, True]
+        assert qstate.kept_cells(np.array([1e-20, 2e-20]), "min").tolist() == [False, True]
 
     def test_epr_momentum_cells(self, monkeypatch):
         # the alpha = 1 momentum rung of the EPR state on 32768 points: all
@@ -244,7 +242,7 @@ class TestCondVNcqTrim:
 
         psi = momentum_transform(epr_grid_wavefunction(1.5, n_points=32768))
         cq = discretize_position(psi, Partition.centered(1.0, psi.grid[0], psi.grid[-1]))
-        keep = qstate.kept_cells(cq.ops, lambda t: -t * np.log(t))
+        keep = qstate.kept_cells(cq.probs, "vn")
         assert (len(keep), int(keep.sum())) == (6435, 15)
         got = cond_vn_cq(cq, base="nats").value
         monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)

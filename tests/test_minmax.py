@@ -171,8 +171,8 @@ def _trimmed_cq(seed, m, d):
     sqrt(t)) keeps the one of 1e-20."""
     rng = _trial_rng(seed, 0)
     cq = with_cells(random_cq(rng, m, d), rng, [1e-40, 1e-20, 1e-40])
-    assert qstate.kept_cells(cq.ops, lambda t: t).tolist() == [True] * m + [False] * 3
-    assert qstate.kept_cells(cq.ops, np.sqrt).tolist() == [True] * m + [False, True, False]
+    assert qstate.kept_cells(cq.probs, "min").tolist() == [True] * m + [False] * 3
+    assert qstate.kept_cells(cq.probs, "max").tolist() == [True] * m + [False, True, False]
     return cq
 
 
@@ -271,7 +271,7 @@ class TestPaperScale:
         psi = gaussian.epr_grid_wavefunction(1.5)
         part = discretize.Partition.centered(2.0, psi.grid[0], psi.grid[-1])
         cq = discretize.discretize_position(psi, part)
-        assert int(qstate.kept_cells(cq.ops, np.sqrt).sum()) == 11
+        assert int(qstate.kept_cells(cq.probs, "max").sum()) == 11
         res = decoupling_fidelity(cq)
         assert res.converged
         assert res.value - res.gap <= 1.9565971161 <= res.value
@@ -377,6 +377,13 @@ class TestHmax:
         cq = CQState((("0", 0.5 * np.diag([1.0, 0.0])),
                       ("1", 0.5 * np.diag([0.0, 1.0]))))
         assert abs(h_max_cq(cq).value) < 1e-6
+
+    def test_one_outcome_is_exactly_zero(self):
+        # F_dec = tr omega = 1: the classical ceiling (sum_x sqrt(t_x))^2 clamps
+        # the ascent's 1 + 2.2e-16 in both bounds
+        res = decoupling_fidelity(CQState((("0", np.eye(2) / 2.0),)))
+        assert (res.value, res.gap) == (1.0, 0.0)
+        assert h_max_cq(CQState((("0", np.eye(2) / 2.0),))).value == 0.0
 
     def test_duality_matches_bloch_grid(self):
         for trial in range(8):
