@@ -71,7 +71,8 @@ def cmd_overlap(args) -> int:
     rows = [(d, overlap_mod.prolate_overlap(dq, dp)) for d, dq, dp in points]
     lines = ["delta,c,neg_log2_c"]
     for d, res in rows:
-        lines.append(f"{_fmt(d)},{_fmt(res.c)},{_fmt(-math.log2(res.c))}")
+        # 0.0 - keeps -log2(c) at +0.0 when c is 1
+        lines.append(f"{_fmt(d)},{_fmt(res.c)},{_fmt(0.0 - math.log2(res.c))}")
     _emit(args, _header(args, "bits"), lines)
     failed = [(d, res.nystrom_order) for d, res in rows if not res.converged]
     for d, order in failed:

@@ -82,25 +82,34 @@ def von_neumann(rho: np.ndarray, base: str = "bits") -> EntropyValue:
     return _as_base(-float(_xlogx(vals).sum()), base)
 
 
+def _spectrum(sigma: np.ndarray):
+    """sigma's spectrum clipped at 0, its eigenvectors, and the mask of
+    eigenvalues above SUPPORT_RTOL times the largest (its support)."""
+    vals, vecs = clipped_eigh(sigma)
+    vals = np.clip(vals, 0.0, None)
+    return vals, vecs, vals > SUPPORT_RTOL * vals.max()
+
+
+def _leaks(diag: np.ndarray, on_support: np.ndarray, tr) -> bool:
+    """The support test: True when sigma has no positive eigenvalue, or when
+    some rho, of trace tr and with diagonal diag in sigma's eigenbasis, puts
+    weight above SUPPORT_RTOL * max(1, tr) in the kernel of sigma."""
+    if not on_support.any():
+        return True
+    leak = diag[..., ~on_support].sum(-1)
+    return bool(np.any(leak > SUPPORT_RTOL * np.maximum(1.0, tr)))
+
+
 def _support(sigma: np.ndarray, rho: np.ndarray):
     """Spectral data of sigma and the support test of rho against it.
 
     rho is one matrix or an (m, d, d) stack. Returns (vals, vecs, on_support,
-    diag): sigma's spectrum clipped at 0, its eigenvectors, the mask of
-    eigenvalues above SUPPORT_RTOL times the largest, and the real diagonal
-    of vecs^dagger rho vecs for each rho. Returns None when sigma has no
-    positive eigenvalue, or when some rho puts weight above
-    SUPPORT_RTOL * max(1, tr rho) in the kernel of sigma.
+    diag) as _spectrum gives them, with diag the real diagonal of
+    vecs^dagger rho vecs for each rho; None when rho fails _leaks.
     """
-    vals, vecs = clipped_eigh(sigma)
-    vals = np.clip(vals, 0.0, None)
-    on_support = vals > SUPPORT_RTOL * vals.max()
-    if not on_support.any():
-        return None
+    vals, vecs, on_support = _spectrum(sigma)
     diag = np.einsum("...ij,ij->...j", rho @ vecs, vecs.conj()).real
-    leak = diag[..., ~on_support].sum(-1)
-    tr = np.trace(rho, axis1=-2, axis2=-1).real
-    if np.any(leak > SUPPORT_RTOL * np.maximum(1.0, tr)):
+    if _leaks(diag, on_support, np.trace(rho, axis1=-2, axis2=-1).real):
         return None
     return vals, vecs, on_support, diag
 
@@ -149,6 +158,24 @@ def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits")
     return _as_base(math.log(lam), base)
 
 
+def _cond_vn_nats(svals: np.ndarray, on_support: np.ndarray, diag: np.ndarray,
+                  traces: np.ndarray, cells: np.ndarray) -> float:
+    """H(X|B) in nats = -sum_x tr[omega_x log omega_x] + sum_x tr[omega_x log omega_B].
+
+    svals and on_support are omega_B's clipped spectrum and support mask
+    (_spectrum); diag[x] is omega_x's diagonal in omega_B's eigenbasis and
+    traces[x] its trace. cells is a Hermitian stack whose x-th matrix has
+    the nonzero spectrum of omega_x: omega_x itself, or its Gram matrix.
+    Only the lower triangles are read. -inf when some omega_x fails the
+    support test (_leaks).
+    """
+    if _leaks(diag, on_support, traces):
+        return -math.inf
+    tr_rho_log_rho = float(_xlogx(np.clip(np.linalg.eigvalsh(cells), 0.0, None)).sum())
+    diag = np.clip(diag[:, on_support], 0.0, None)
+    return float(np.sum(diag @ np.log(svals[on_support]))) - tr_rho_log_rho
+
+
 def cond_vn_cq(omega: CQState, base: str = "bits") -> EntropyValue:
     """Conditional von Neumann entropy H(X|B) = -sum_x D(omega_B^x || omega_B).
 
@@ -166,19 +193,13 @@ def cond_vn_cq(omega: CQState, base: str = "bits") -> EntropyValue:
     leak is at most its trace, below 3e-17, so it cannot fail the support
     test.
     """
-    ops = omega.ops
-    keep = kept_cells(omega.probs, "vn")
+    ops, probs = omega.ops, omega.probs
+    keep = kept_cells(probs, "vn")
     if not keep.all():
-        ops = ops[keep]
-    spec = _support(omega.marginal(), ops)
-    if spec is None:
-        return _as_base(-math.inf, base)
-    svals, _, on_support, diag = spec
-    rvals = np.clip(np.linalg.eigvalsh(ops), 0.0, None)
-    tr_rho_log_rho = float(_xlogx(rvals).sum())
-    diag = np.clip(diag[:, on_support], 0.0, None)
-    tr_rho_log_sigma = float(np.sum(diag @ np.log(svals[on_support])))
-    return _as_base(tr_rho_log_sigma - tr_rho_log_rho, base)
+        ops, probs = ops[keep], probs[keep]
+    svals, vecs, on_support = _spectrum(omega.marginal())
+    diag = np.einsum("xij,ij->xj", ops @ vecs, vecs.conj()).real
+    return _as_base(_cond_vn_nats(svals, on_support, diag, probs, ops), base)
 
 
 def shannon(p: np.ndarray, base: str = "bits") -> EntropyValue:

@@ -14,6 +14,7 @@ function; the special function itself is never evaluated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -91,7 +92,7 @@ class ProlateEigenfunction:
         lowers the far cells, never the peak one."""
         if alpha is None:
             alpha = self.delta_p
-        xi, w = np.polynomial.legendre.leggauss(nodes_per_cell)
+        xi, w = _gauss_legendre(nodes_per_cell)
         n_cells += 1 - n_cells % 2  # odd count so one cell is centered on 0
         lo = -(n_cells / 2.0) * alpha
         probs = np.empty(n_cells)
@@ -112,8 +113,18 @@ def _sinc_kernel(x, y, delta_p: float) -> np.ndarray:
     return out
 
 
-def _nystrom_top(delta_q: float, delta_p: float, order: int):
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order.
+    Every caller shares the two arrays, so they are read-only."""
     xi, w = np.polynomial.legendre.leggauss(order)
+    xi.flags.writeable = False
+    w.flags.writeable = False
+    return xi, w
+
+
+def _nystrom_top(delta_q: float, delta_p: float, order: int):
+    xi, w = _gauss_legendre(order)
     half = delta_q / 2.0
     nodes = half * xi
     weights = half * w
@@ -135,9 +146,10 @@ def prolate_overlap(delta_q: float, delta_p: float, n_quad: int = NYSTROM_START,
 
     Quadrature order doubles from n_quad until |lambda(n) - lambda(2n)| is
     below 1e-10 or the cap of 2048 is hit (converged flag reports which).
+    Spacings must be positive and finite.
     """
-    if delta_q <= 0 or delta_p <= 0:
-        raise ValueError("spacings must be positive")
+    if not (0.0 < delta_q < math.inf and 0.0 < delta_p < math.inf):
+        raise ValueError(f"spacings must be positive and finite, got {delta_q} and {delta_p}")
     if n_quad < 16:
         raise ValueError("n_quad must be at least 16")
     order = n_quad

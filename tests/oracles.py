@@ -227,6 +227,20 @@ def binned_cq(q0, dq, samples, alpha, offset, k_min, k_max):
     return out
 
 
+def binned_cond_vn_nats(q0, dq, samples, alpha, offset, k_min, k_max):
+    """H(XB) - H(B) in nats of binned_cq's state, one block at a time: the
+    spectrum of the block-diagonal embedding is the union of the blocks'
+    spectra, so H(XB) is the sum of the blocks' entropies, and H(B) is the
+    entropy of their sum. Eigenvalues at or below 0 count as 0."""
+    def entropy_nats(mat):
+        vals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
+        vals = vals[vals > 0.0]
+        return float(-np.sum(vals * np.log(vals)))
+
+    blocks = list(binned_cq(q0, dq, samples, alpha, offset, k_min, k_max).values())
+    return sum(entropy_nats(b) for b in blocks) - entropy_nats(sum(blocks))
+
+
 def with_cells(cq, rng, traces):
     """cq with one random density operator per trace appended as new
     outcomes, labelled after the existing ones."""

@@ -105,6 +105,11 @@ class TestCLI:
         row = out.strip().splitlines()[-1].split(",")
         assert math.isclose(float(row[1]), 0.15805672744823066, abs_tol=1e-9)
 
+    def test_overlap_of_one_prints_plus_zero(self, capsys):
+        # c(20, 20) rounds to 1, and -log2(c) prints as 0, not -0
+        assert main(["overlap", "--delta-q", "20", "--delta-p", "20"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "20,1,0"
+
     def test_overlap_sweep_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["overlap", "--sweep", "log:0.1:5:10", "--csv", str(out)]) == 0
@@ -392,9 +397,13 @@ class TestCLI:
         (["entropy", "--state", "{psi}", "--measure", "hmin"], "hmin needs a cq state"),
         (["entropy", "--state", "{rho}", "--measure", "hmax"], "hmax needs a cq state"),
         (["ladder", "--input", "{cq}"], "ladder input must be a wavefunction"),
+        (["overlap", "--delta-q", "nan", "--delta-p", "1"], "spacings must be positive and finite"),
+        (["overlap", "--delta-q", "1", "--delta-p", "inf"], "spacings must be positive and finite"),
+        (["ladder", "--n-points", "256", "--alpha0", "nan"], "alpha0 must be positive and finite"),
+        (["ladder", "--n-points", "256", "--alpha0", "inf"], "alpha0 must be positive and finite"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
             "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
-            "ladder-cq"])
+            "ladder-cq", "overlap-nan", "overlap-inf", "ladder-alpha0-nan", "ladder-alpha0-inf"])
     def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
         from quncert.discretize import gaussian_wavefunction
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quncert import discretize
 from quncert.discretize import (
     ConvergenceTable,
     Partition,
@@ -14,13 +15,13 @@ from quncert.discretize import (
     gaussian_wavefunction,
     momentum_transform,
 )
-from quncert.entropy import cond_vn_cq
+from quncert.entropy import SUPPORT_RTOL, cond_vn_cq
 from quncert.gaussian import epr_grid_wavefunction
 from quncert.minmax import DEFAULT_TOL, decoupling_fidelity, guessing_probability
 from quncert.qstate import NEGLIGIBLE, CQState, GridWaveFunction, kept_cells
 
-from oracles import (binned_cq, binned_cq_loop, gaussian_h_bits, gaussian_hmax_bits,
-                     gaussian_hmin_bits)
+from oracles import (binned_cond_vn_nats, binned_cq, binned_cq_loop, gaussian_h_bits,
+                     gaussian_hmax_bits, gaussian_hmin_bits)
 
 # the EPR state at r = 1.5 with its 19-level memory, on a small grid
 EPR = epr_grid_wavefunction(1.5, n_points=2048)
@@ -263,21 +264,56 @@ class TestTraceFirstLadder:
             assert (alpha in tab.unconverged) == (not converged)
         assert tab.converged
 
+    @pytest.mark.parametrize("which, alpha0, n_max, run_lengths", [
+        # cells of 64 and 32 samples (at least the 19 levels), then 16, 8, 4, 2
+        ("position", 1.0, 5, [{64}, {32}, {16}, {8}, {4}, {2}]),
+        # dp = 2 pi / 32 does not divide alpha: ragged runs
+        ("momentum", 2.0, 1, [{10, 11}, {5, 6}]),
+    ])
+    def test_vn_rungs_equal_full_stack(self, which, alpha0, n_max, run_lengths):
+        tab = convergence_ladder(EPR, which, "vn", n_max=n_max, alpha0=alpha0, base="nats")
+        psi = momentum_transform(EPR) if which == "momentum" else EPR
+        # cond_vn_cq leaves omega_B's eigenvalues at or below SUPPORT_RTOL of
+        # the largest out of its cross term, so it exceeds H(XB) - H(B) by
+        # their entropy (8.1e-10 nats here)
+        marginal = np.linalg.eigvalsh(psi.dq * (psi.samples.T @ psi.samples.conj()))
+        off = marginal[(marginal > 0.0) & (marginal <= SUPPORT_RTOL * marginal.max())]
+        h_off = -float(np.sum(off * np.log(off)))
+        for (alpha, value), lengths in zip(tab.rows, run_lengths):
+            part = Partition.centered(alpha, psi.grid[0], psi.grid[-1])
+            counts = np.bincount(part.cell_index(psi.grid) - part.k_min)
+            assert set(counts[counts > 0][1:-1]) == lengths
+            rung = value - math.log(alpha)
+            assert abs(rung - cond_vn_cq(discretize_position(psi, part), base="nats").value) <= 1e-12
+            blocks = binned_cond_vn_nats(psi.q0, psi.dq, psi.samples, alpha, part.offset,
+                                         part.k_min, part.k_max)
+            assert abs(rung - blocks - h_off) <= 1e-12
+
     def test_forms_only_kept_cells(self, monkeypatch):
-        built = []
-        adopt = CQState.from_stack
+        built, stacked = [], []
+        adopt, cell_stack = CQState.from_stack, discretize._cell_stack
 
         def spy(labels, ops):
             built.append(len(ops))
             return adopt(labels, ops)
 
-        phi = momentum_transform(EPR)
-        full = discretize_position(phi, Partition.centered(1.0, phi.grid[0], phi.grid[-1]))
-        kept = int(kept_cells(full.probs, "vn").sum())
-        assert kept + 1 < len(full.labels)
+        def stack_spy(psi, starts, runs):
+            stacked.append(len(runs))
+            return cell_stack(psi, starts, runs)
+
         monkeypatch.setattr(CQState, "from_stack", spy)
+        monkeypatch.setattr(discretize, "_cell_stack", stack_spy)
+        # a vn rung with a memory forms no operator stack
         convergence_ladder(EPR, "momentum", "vn", n_max=0)
-        assert sum(built) <= kept + 1
+        assert built == [] and stacked == []
+        # a min rung forms the kept cells and one merged outcome
+        phi = momentum_transform(EPR)
+        full = discretize_position(phi, Partition.centered(2.0, phi.grid[0], phi.grid[-1]))
+        kept = int(kept_cells(full.probs, "min").sum())
+        assert kept + 1 < len(full.labels)
+        built.clear()
+        convergence_ladder(EPR, "momentum", "min", n_max=0, alpha0=2.0)
+        assert built == [kept + 1]
         # trivial memory takes the cell traces and forms no operator
         built.clear()
         convergence_ladder(gaussian_wavefunction(1.0, n_points=1024), "position", "vn", n_max=2)
@@ -331,6 +367,11 @@ class TestConvergenceLadder:
     def test_rejects_too_fine(self):
         with pytest.raises(ValueError):
             convergence_ladder(self.PSI, kind="vn", n_max=12)
+
+    @pytest.mark.parametrize("alpha0", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_alpha0_off_the_positive_reals(self, alpha0):
+        with pytest.raises(ValueError, match="alpha0"):
+            convergence_ladder(self.PSI, kind="vn", n_max=0, alpha0=alpha0)
 
     def test_memory_ladder_matches_classical_on_product(self):
         # a product wavefunction with 2-dim memory must give the same

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quncert import overlap
 from quncert.overlap import (
     frank_lieb_overlap,
     povm_overlap,
@@ -52,6 +53,29 @@ class TestProlateOverlap:
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
             prolate_overlap(0.0, 1.0)
+
+    @pytest.mark.parametrize("delta_q, delta_p", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (1.0, -math.inf)])
+    def test_rejects_non_finite_spacing(self, delta_q, delta_p):
+        with pytest.raises(ValueError, match="positive and finite"):
+            prolate_overlap(delta_q, delta_p)
+
+    def test_cached_quadrature_is_read_only_and_exact(self, monkeypatch):
+        xi, w = overlap._gauss_legendre(64)
+        assert overlap._gauss_legendre(64)[0] is xi
+        assert not (xi.flags.writeable or w.flags.writeable)
+        with pytest.raises(ValueError):
+            xi[0] = 0.0
+        cached = prolate_overlap(1.3, 0.7, with_eigenfunction=True)
+        cached_probs = cached.eigenfunction.momentum_cell_probabilities(n_cells=8)
+        monkeypatch.setattr(overlap, "_gauss_legendre", np.polynomial.legendre.leggauss)
+        fresh = prolate_overlap(1.3, 0.7, with_eigenfunction=True)
+        assert (cached.c, cached.nystrom_order) == (fresh.c, fresh.nystrom_order)
+        for name in ("nodes", "weights", "values"):
+            assert np.array_equal(getattr(cached.eigenfunction, name),
+                                  getattr(fresh.eigenfunction, name))
+        assert np.array_equal(cached_probs,
+                              fresh.eigenfunction.momentum_cell_probabilities(n_cells=8))
 
 
 class TestEigenfunction:
