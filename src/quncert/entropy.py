@@ -118,7 +118,8 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits") -> 
     """Umegaki relative entropy D(rho||sigma) = tr[rho log rho - rho log sigma].
 
     rho may be subnormalized. Returns +inf when supp(rho) is not contained in
-    supp(sigma).
+    supp(sigma) (the support test of _leaks); once it is, the cross term
+    runs over every positive eigenvalue of sigma.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
@@ -127,12 +128,14 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits") -> 
     spec = _support(sigma, rho)
     if spec is None:
         return _as_base(math.inf, base)
-    svals, _, on_support, diag = spec
+    svals, _, _, diag = spec
     rvals, _ = clipped_eigh(rho)
     rvals = np.clip(rvals, 0.0, None)
     tr_rho_log_rho = float(_xlogx(rvals).sum())
-    diag = np.clip(diag, 0.0, None)
-    tr_rho_log_sigma = float(np.sum(diag[on_support] * np.log(svals[on_support])))
+    # every positive eigenvalue of sigma, as in _cond_vn_nats
+    positive = svals > 0.0
+    diag = np.clip(diag[positive], 0.0, None)
+    tr_rho_log_sigma = float(np.sum(diag * np.log(svals[positive])))
     return _as_base(tr_rho_log_rho - tr_rho_log_sigma, base)
 
 
@@ -167,13 +170,16 @@ def _cond_vn_nats(svals: np.ndarray, on_support: np.ndarray, diag: np.ndarray,
     traces[x] its trace. cells is a Hermitian stack whose x-th matrix has
     the nonzero spectrum of omega_x: omega_x itself, or its Gram matrix.
     Only the lower triangles are read. -inf when some omega_x fails the
-    support test (_leaks).
+    support test (_leaks). Once it passes, the cross term runs over every
+    positive eigenvalue of omega_B, the small ones below the support mask
+    included, so the value is H(XB) - H(B) to rounding.
     """
     if _leaks(diag, on_support, traces):
         return -math.inf
     tr_rho_log_rho = float(_xlogx(np.clip(np.linalg.eigvalsh(cells), 0.0, None)).sum())
-    diag = np.clip(diag[:, on_support], 0.0, None)
-    return float(np.sum(diag @ np.log(svals[on_support]))) - tr_rho_log_rho
+    positive = svals > 0.0
+    diag = np.clip(diag[:, positive], 0.0, None)
+    return float(np.sum(diag @ np.log(svals[positive]))) - tr_rho_log_rho
 
 
 def cond_vn_cq(omega: CQState, base: str = "bits") -> EntropyValue:

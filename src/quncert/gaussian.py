@@ -190,14 +190,17 @@ def epr_grid_wavefunction(nu: float, n_points: int = 4096,
     half = 2.0 ** math.ceil(math.log2(width_sigmas * sigma))
     dq = 2.0 * half / n_points
     q = -half + dq * np.arange(n_points)
-    # Hermite functions h_n(q), vacuum variance 1/2: h_0 = pi^{-1/4} e^{-q^2/2}
-    h = np.zeros((n_points, memory_dim))
+    # Hermite functions h_n(q), vacuum variance 1/2: h_0 = pi^{-1/4} e^{-q^2/2},
+    # recursed in the real part of the one complex array returned
+    samples = np.zeros((n_points, memory_dim), dtype=complex)
+    h = samples.real
     h[:, 0] = math.pi ** (-0.25) * np.exp(-q ** 2 / 2.0)
     if memory_dim > 1:
         h[:, 1] = math.sqrt(2.0) * q * h[:, 0]
     for m in range(2, memory_dim):
         h[:, m] = (math.sqrt(2.0 / m) * q * h[:, m - 1]
                    - math.sqrt((m - 1.0) / m) * h[:, m - 2])
-    coeff = (1.0 / math.cosh(r)) * lam ** np.arange(memory_dim)
-    psi = GridWaveFunction(q[0], dq, (h * coeff[None, :]).astype(complex))
-    return psi.normalized()
+    h *= (1.0 / math.cosh(r)) * lam ** np.arange(memory_dim)
+    psi = GridWaveFunction(q[0], dq, samples)
+    samples /= math.sqrt(psi.norm_sq())
+    return psi

@@ -123,21 +123,29 @@ def _gauss_legendre(order: int):
     return xi, w
 
 
-def _nystrom_top(delta_q: float, delta_p: float, order: int):
+def _nystrom_matrix(delta_q: float, delta_p: float, order: int):
+    """Nodes, weights and the symmetrically weighted kernel matrix
+    A_ij = sqrt(w_i w_j) K(x_i, x_j) at one quadrature order."""
     xi, w = _gauss_legendre(order)
     half = delta_q / 2.0
     nodes = half * xi
     weights = half * w
     sw = np.sqrt(weights)
     a = sw[:, None] * _sinc_kernel(nodes[:, None], nodes[None, :], delta_p) * sw[None, :]
+    return nodes, weights, a
+
+
+def _nystrom_top(nodes: np.ndarray, weights: np.ndarray, a: np.ndarray):
+    """Top eigenvalue of A and the eigenfunction at the nodes: unit L2 norm
+    on the interval, positive at the center."""
     vals, vecs = np.linalg.eigh(a)
     lam = float(vals[-1])
     # undo the symmetric weighting, normalize and fix the sign at the center
-    psi = vecs[:, -1] / sw
+    psi = vecs[:, -1] / np.sqrt(weights)
     psi /= math.sqrt(float(np.sum(weights * psi ** 2)))
-    if psi[order // 2] < 0:
+    if psi[len(psi) // 2] < 0:
         psi = -psi
-    return lam, nodes, weights, psi
+    return lam, psi
 
 
 def prolate_overlap(delta_q: float, delta_p: float, n_quad: int = NYSTROM_START,
@@ -146,25 +154,30 @@ def prolate_overlap(delta_q: float, delta_p: float, n_quad: int = NYSTROM_START,
 
     Quadrature order doubles from n_quad until |lambda(n) - lambda(2n)| is
     below 1e-10 or the cap of 2048 is hit (converged flag reports which).
-    Spacings must be positive and finite.
+    Spacings must be positive and finite. The doubling loop takes
+    eigenvalues only (eigvalsh); the eigenvector is computed once, at the
+    final order, and only with_eigenfunction, whose eigenvalue is then the
+    one c reports.
     """
     if not (0.0 < delta_q < math.inf and 0.0 < delta_p < math.inf):
         raise ValueError(f"spacings must be positive and finite, got {delta_q} and {delta_p}")
     if n_quad < 16:
         raise ValueError("n_quad must be at least 16")
     order = n_quad
-    lam, nodes, weights, psi = _nystrom_top(delta_q, delta_p, order)
+    nodes, weights, a = _nystrom_matrix(delta_q, delta_p, order)
+    lam = float(np.linalg.eigvalsh(a)[-1])
     converged = False
     while order < NYSTROM_CAP:
         order *= 2
-        lam2, nodes, weights, psi = _nystrom_top(delta_q, delta_p, order)
-        if abs(lam2 - lam) < NYSTROM_TOL:
-            lam = lam2
-            converged = True
-            break
+        nodes, weights, a = _nystrom_matrix(delta_q, delta_p, order)
+        lam2 = float(np.linalg.eigvalsh(a)[-1])
+        converged = abs(lam2 - lam) < NYSTROM_TOL
         lam = lam2
+        if converged:
+            break
     fn = None
     if with_eigenfunction:
+        lam, psi = _nystrom_top(nodes, weights, a)
         fn = ProlateEigenfunction(delta_q, delta_p, lam, nodes, weights, psi)
     return OverlapResult(float(min(lam, 1.0)), delta_q, delta_p, order, converged, fn)
 

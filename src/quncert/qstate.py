@@ -9,6 +9,7 @@ quadrature / FFT round-off cannot flip positivity checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "fidelity",
     "purify_cq",
     "sqrt_overlap_norm",
+    "sample_outer_sum",
 ]
 
 
@@ -255,7 +257,9 @@ class POVM:
 class GridWaveFunction:
     """Uniformly sampled memory-valued wavefunction psi: grid -> C^d.
 
-    samples[i, j] is the j-th memory component at q_i = q0 + i*dq.
+    samples[i, j] is the j-th memory component at q_i = q0 + i*dq, held
+    C-contiguous (copied only when the input is not), so that its real
+    (N, 2d) view samples.view(float) always exists.
     Normalization: dq * sum_i ||psi(q_i)||^2 = 1.
     """
 
@@ -264,11 +268,13 @@ class GridWaveFunction:
     samples: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
+        s = np.ascontiguousarray(self.samples, dtype=complex)
         if s.ndim == 1:
             s = s[:, None]
-        if self.dq <= 0:
-            raise ValueError("dq must be positive")
+        if not 0.0 < self.dq < math.inf:
+            raise ValueError(f"dq must be positive and finite, got {self.dq}")
+        if not math.isfinite(self.q0):
+            raise ValueError(f"q0 must be finite, got {self.q0}")
         object.__setattr__(self, "samples", s)
 
     @property
@@ -284,20 +290,39 @@ class GridWaveFunction:
         return self.q0 + self.dq * np.arange(self.n_points)
 
     def norm_sq(self) -> float:
-        return float(self.dq * np.sum(np.abs(self.samples) ** 2))
+        return float(self.dq * self.density().sum())
 
     def density(self) -> np.ndarray:
-        """Position probability density ||psi(q_i)||^2 on the grid."""
-        s = self.samples
-        # the squares of the real and imaginary parts, summed without an
-        # (N, d) temporary
-        return np.einsum("ij,ij->i", s.real, s.real) + np.einsum("ij,ij->i", s.imag, s.imag)
+        """Position probability density ||psi(q_i)||^2 on the grid: the row
+        sums of squares of the real view, without an (N, d) temporary."""
+        v = self.samples.view(float)
+        return np.einsum("ij,ij->i", v, v)
 
     def normalized(self) -> "GridWaveFunction":
         return GridWaveFunction(self.q0, self.dq, self.samples / np.sqrt(self.norm_sq()))
 
     def is_valid(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm_sq() - 1.0) <= tol
+
+
+def sample_outer_sum(samples: np.ndarray, dq: float) -> np.ndarray:
+    """dq * S^T conj(S) = dq * sum_i s_i s_i^dagger over the rows s_i of a
+    C-contiguous complex (N, d) array S.
+
+    Formed from the real (N, 2d) view v = [Re s_i1, Im s_i1, ...] by one
+    symmetric product v^T v (numpy runs it as a rank-k update, with no
+    conjugate copy of S): with G = v^T v viewed as (d, 2, d, 2), the real
+    part is G[:, 0, :, 0] + G[:, 1, :, 1] and the imaginary part
+    G[:, 1, :, 0] - G[:, 0, :, 1]. The result is exactly Hermitian.
+    """
+    v = samples.view(float)
+    d = samples.shape[1]
+    g = (v.T @ v).reshape(d, 2, d, 2)
+    out = np.empty((d, d), dtype=complex)
+    out.real = g[:, 0, :, 0] + g[:, 1, :, 1]
+    out.imag = g[:, 1, :, 0] - g[:, 0, :, 1]
+    out *= dq
+    return out
 
 
 def validate(obj) -> dict:

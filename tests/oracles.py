@@ -192,6 +192,17 @@ def epr_gap_decimal(nu, digits=60):
         return float(1 + (nu / 2).ln() - h_b)
 
 
+def momentum_fftshift(q0, dq, samples):
+    """Unitary momentum samples dq/sqrt(2 pi) e^{-i q0 p_k} fftshift(fft(psi))_k
+    on p_k = -pi/dq + 2 pi k/(N dq): the FFT of the samples, its zero
+    frequency rolled to the middle, then the grid phase and scale."""
+    samples = np.asarray(samples, dtype=complex).reshape(len(samples), -1)
+    n = len(samples)
+    p = -math.pi / dq + 2.0 * math.pi / (n * dq) * np.arange(n)
+    shifted = np.fft.fftshift(np.fft.fft(samples, axis=0), axes=0)
+    return dq / math.sqrt(2.0 * math.pi) * np.exp(-1j * q0 * p)[:, None] * shifted
+
+
 def binned_cq_loop(q0, dq, samples, alpha, offset, k_min, k_max):
     """{str(k): dq sum over cell k of psi psi^dagger} for the cells
     (offset + k alpha, offset + (k+1) alpha], k_min <= k <= k_max, of

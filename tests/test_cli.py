@@ -51,6 +51,17 @@ class TestSerialize:
         assert math.isclose(back.dq, psi.dq)
         assert np.allclose(back.samples, psi.samples)
 
+    @pytest.mark.parametrize("field, value", [("q0", math.nan), ("dq", math.nan), ("dq", math.inf)])
+    def test_rejects_non_finite_grid_header(self, tmp_path, field, value):
+        from quncert.discretize import gaussian_wavefunction
+
+        p = tmp_path / "psi.json"
+        save_state(gaussian_wavefunction(n_points=16), p)
+        obj = json.loads(p.read_text())
+        obj[field] = value
+        with pytest.raises(StateFormatError, match=f"bad wavefunction header .*{field}"):
+            loads_state(json.dumps(obj))
+
     def test_rejects_unknown_type(self):
         with pytest.raises(StateFormatError):
             loads_state(json.dumps({"type": "mystery"}))
@@ -401,9 +412,11 @@ class TestCLI:
         (["overlap", "--delta-q", "1", "--delta-p", "inf"], "spacings must be positive and finite"),
         (["ladder", "--n-points", "256", "--alpha0", "nan"], "alpha0 must be positive and finite"),
         (["ladder", "--n-points", "256", "--alpha0", "inf"], "alpha0 must be positive and finite"),
+        (["ladder", "--sigma", "inf", "--n-max", "0"], "sigma must be positive and finite"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
             "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
-            "ladder-cq", "overlap-nan", "overlap-inf", "ladder-alpha0-nan", "ladder-alpha0-inf"])
+            "ladder-cq", "overlap-nan", "overlap-inf", "ladder-alpha0-nan", "ladder-alpha0-inf",
+            "ladder-sigma-inf"])
     def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
         from quncert.discretize import gaussian_wavefunction
 

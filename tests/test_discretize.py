@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,13 +16,13 @@ from quncert.discretize import (
     gaussian_wavefunction,
     momentum_transform,
 )
-from quncert.entropy import SUPPORT_RTOL, cond_vn_cq
+from quncert.entropy import cond_vn_cq
 from quncert.gaussian import epr_grid_wavefunction
 from quncert.minmax import DEFAULT_TOL, decoupling_fidelity, guessing_probability
-from quncert.qstate import NEGLIGIBLE, CQState, GridWaveFunction, kept_cells
+from quncert.qstate import NEGLIGIBLE, CQState, GridWaveFunction, kept_cells, sample_outer_sum
 
 from oracles import (binned_cond_vn_nats, binned_cq, binned_cq_loop, gaussian_h_bits,
-                     gaussian_hmax_bits, gaussian_hmin_bits)
+                     gaussian_hmax_bits, gaussian_hmin_bits, momentum_fftshift)
 
 # the EPR state at r = 1.5 with its 19-level memory, on a small grid
 EPR = epr_grid_wavefunction(1.5, n_points=2048)
@@ -105,6 +106,76 @@ class TestMomentumTransform:
         pos = np.sum(np.abs(psi.samples) ** 2, axis=0) * psi.dq
         mom = np.sum(np.abs(phi.samples) ** 2, axis=0) * phi.dq
         assert np.allclose(pos, mom, atol=1e-10)
+
+
+def _layout(samples, layout):
+    """samples as given ("C"), in Fortran order ("F"), or as a view that
+    takes every other row and column of a larger array ("strided")."""
+    if layout == "F":
+        return np.asfortranarray(samples)
+    if layout == "strided":
+        n, d = samples.shape
+        wide = np.zeros((2 * n, 2 * d), dtype=complex)
+        wide[::2, ::2] = samples
+        return wide[::2, ::2]
+    return samples
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSampleLayouts:
+    """The momentum transform, the density and omega_B on C-ordered,
+    Fortran-ordered and strided samples, against their complex formulas."""
+
+    @staticmethod
+    def _psi(n, layout):
+        samples = _random_wavefunction(np.random.default_rng(n), n, 3, -1.3, 0.05).samples
+        return GridWaveFunction(-1.3, 0.05, _layout(samples, layout)), samples
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 4096])
+    def test_momentum_matches_fftshift_oracle(self, n, layout):
+        psi, samples = self._psi(n, layout)
+        want = momentum_fftshift(psi.q0, psi.dq, samples)
+        assert np.abs(momentum_transform(psi).samples - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 4096])
+    def test_real_view_density_and_marginal(self, n, layout):
+        psi, samples = self._psi(n, layout)
+        assert psi.samples.flags.c_contiguous
+        dens = np.sum(np.abs(samples) ** 2, axis=1)
+        assert np.abs(psi.density() - dens).max() <= 1e-15 * dens.max()
+        omega = sample_outer_sum(psi.samples, psi.dq)
+        want = psi.dq * (samples.T @ samples.conj())
+        assert np.abs(omega - want).max() <= 1e-15
+        assert np.array_equal(omega, omega.conj().T)
+
+
+class TestMemoryPeak:
+    """Traced peaks of the 32768-point momentum path of the 19-level EPR
+    state: the transform writes one (N, d) array."""
+
+    @pytest.fixture(scope="class")
+    def psi(self):
+        return epr_grid_wavefunction(1.5, n_points=32768)
+
+    def test_momentum_transform_writes_its_output_once(self, psi):
+        out, peak = _traced_peak(momentum_transform, psi)
+        assert peak <= 1.1 * out.samples.nbytes
+
+    def test_momentum_vn_ladder(self, psi):
+        tab, peak = _traced_peak(convergence_ladder, psi, "momentum", "vn", 1)
+        assert len(tab.rows) == 2
+        assert peak <= 1.25 * psi.samples.nbytes
 
 
 class TestDiscretizePosition:
@@ -273,12 +344,6 @@ class TestTraceFirstLadder:
     def test_vn_rungs_equal_full_stack(self, which, alpha0, n_max, run_lengths):
         tab = convergence_ladder(EPR, which, "vn", n_max=n_max, alpha0=alpha0, base="nats")
         psi = momentum_transform(EPR) if which == "momentum" else EPR
-        # cond_vn_cq leaves omega_B's eigenvalues at or below SUPPORT_RTOL of
-        # the largest out of its cross term, so it exceeds H(XB) - H(B) by
-        # their entropy (8.1e-10 nats here)
-        marginal = np.linalg.eigvalsh(psi.dq * (psi.samples.T @ psi.samples.conj()))
-        off = marginal[(marginal > 0.0) & (marginal <= SUPPORT_RTOL * marginal.max())]
-        h_off = -float(np.sum(off * np.log(off)))
         for (alpha, value), lengths in zip(tab.rows, run_lengths):
             part = Partition.centered(alpha, psi.grid[0], psi.grid[-1])
             counts = np.bincount(part.cell_index(psi.grid) - part.k_min)
@@ -287,7 +352,7 @@ class TestTraceFirstLadder:
             assert abs(rung - cond_vn_cq(discretize_position(psi, part), base="nats").value) <= 1e-12
             blocks = binned_cond_vn_nats(psi.q0, psi.dq, psi.samples, alpha, part.offset,
                                          part.k_min, part.k_max)
-            assert abs(rung - blocks - h_off) <= 1e-12
+            assert abs(rung - blocks) <= 1e-12
 
     def test_forms_only_kept_cells(self, monkeypatch):
         built, stacked = [], []
@@ -408,6 +473,12 @@ class TestGaussianWavefunction:
         ({"sigma": 0.0}, "sigma"),
         ({"sigma": -1.0}, "sigma"),
         ({"width_sigmas": 0.0}, "width_sigmas"),
+        ({"sigma": math.inf}, "sigma"),
+        ({"sigma": math.nan}, "sigma"),
+        ({"width_sigmas": math.inf}, "width_sigmas"),
+        ({"width_sigmas": math.nan}, "width_sigmas"),
+        ({"center": math.nan}, "center"),
+        ({"center": -math.inf}, "center"),
     ])
     def test_rejects_degenerate_grid(self, kwargs, name):
         with pytest.raises(ValueError, match=name):

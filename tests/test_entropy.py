@@ -187,6 +187,8 @@ class TestCondVNcqBatched:
         cq = CQState((("0", w0), ("1", w1)))
         assert math.isfinite(cond_vn_cq(cq).value)
         assert abs(cond_vn_cq(cq, base="nats").value - self._loop_nats(cq)) < 1e-12
+        # the 9e-11 eigenvalue enters the cross term too: H(XB) - H(B) = 0
+        assert abs(cond_vn_cq(cq, base="nats").value - cond_vn_block_nats(cq.ops)) < 1e-15
 
 
 class TestCondVNcqTrim:

@@ -77,6 +77,21 @@ class TestProlateOverlap:
         assert np.array_equal(cached_probs,
                               fresh.eigenfunction.momentum_cell_probabilities(n_cells=8))
 
+    @pytest.mark.parametrize("delta", [2.0 ** -6, 1.0, 3.0, 5.0])
+    def test_eigenvalue_only_loop_matches_eigh_path(self, monkeypatch, delta):
+        fast = prolate_overlap(delta, delta)
+        with_fn = prolate_overlap(delta, delta, with_eigenfunction=True)
+        # eigh at every order, the eigenvector discarded until the last one
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.linalg.eigh(a)[0])
+        ref = prolate_overlap(delta, delta, with_eigenfunction=True)
+        assert fast.nystrom_order == with_fn.nystrom_order == ref.nystrom_order
+        assert fast.eigenfunction is None
+        assert abs(fast.c - ref.c) <= 1e-15
+        assert with_fn.c == ref.c
+        for name in ("eigenvalue", "nodes", "weights", "values"):
+            assert np.array_equal(getattr(with_fn.eigenfunction, name),
+                                  getattr(ref.eigenfunction, name))
+
 
 class TestEigenfunction:
     RES = prolate_overlap(1.0, 1.0, with_eigenfunction=True)

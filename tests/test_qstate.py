@@ -209,6 +209,16 @@ class TestGridWaveFunction:
         assert math.isclose(psi.norm_sq(), 1.0)
         assert np.allclose(psi.density().sum() * dq, 1.0)
 
+    @pytest.mark.parametrize("dq", [0.0, -0.5, math.nan, math.inf])
+    def test_rejects_dq_off_the_positive_reals(self, dq):
+        with pytest.raises(ValueError, match="dq must be positive and finite"):
+            GridWaveFunction(0.0, dq, np.ones(4, dtype=complex))
+
+    @pytest.mark.parametrize("q0", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_q0(self, q0):
+        with pytest.raises(ValueError, match="q0 must be finite"):
+            GridWaveFunction(q0, 0.5, np.ones(4, dtype=complex))
+
     def test_memory_columns(self):
         samples = np.zeros((4, 2), dtype=complex)
         samples[0, 0] = samples[1, 1] = 1.0
