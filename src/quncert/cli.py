@@ -54,6 +54,8 @@ def _parse_sweep(spec: str):
         lo, hi, n = float(lo), float(hi), int(n)
     except ValueError as exc:
         raise ValueError(f"bad sweep spec {spec!r}: expected log:lo:hi:n") from exc
+    if n < 1:
+        raise ValueError(f"sweep count n must be at least 1, got {n}")
     if kind == "log":
         return np.geomspace(lo, hi, n)
     if kind == "lin":

@@ -71,9 +71,6 @@ class Partition:
         """Index k with q in (offset + k*alpha, offset + (k+1)*alpha]."""
         return np.ceil((np.asarray(q) - self.offset) / self.alpha).astype(int) - 1
 
-    def cell_edges(self, k: int):
-        return self.offset + k * self.alpha, self.offset + (k + 1) * self.alpha
-
     @property
     def n_cells(self) -> int:
         return self.k_max - self.k_min + 1

@@ -11,7 +11,7 @@ Z = diag(1, -1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class GaussianState:
         disp = np.zeros(2 * self.n_modes) if disp is None else np.asarray(disp, dtype=float)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "displacement", disp)
-
-    def is_physical(self, tol: float = SYMPLECTIC_TOL) -> bool:
-        return min(symplectic_eigenvalues(self)) >= 0.5 - tol
 
     def marginal(self, modes) -> "GaussianState":
         idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
@@ -158,6 +155,8 @@ def fig2_table(r_lo: float = 0.0, r_hi: float = 3.0, n: int = 61):
     mean_energy reports the caption formula 1 + 2 sinh(r/2)^2 verbatim; the
     argument convention (r vs r/2) in that formula is ambiguous against the
     standard two-mode squeezed energy and is flagged in the docs."""
+    if n < 1:
+        raise ValueError(f"row count n must be at least 1, got {n}")
     rows = []
     for r in np.linspace(r_lo, r_hi, n):
         nu = math.cosh(2.0 * r)

@@ -133,9 +133,6 @@ class DensityMatrix:
             "trace": (bool(0.0 < tr <= 1.0 + PSD_TOL), tr),
         }
 
-    def is_valid(self) -> bool:
-        return all(ok for ok, _ in self.diagnostics().values())
-
     @classmethod
     def pure(cls, vec: np.ndarray) -> "DensityMatrix":
         v = np.asarray(vec, dtype=complex).ravel()
@@ -221,9 +218,6 @@ class CQState:
             "psd": (bool(min_eig >= -PSD_TOL), float(min_eig)),
         }
 
-    def is_valid(self) -> bool:
-        return all(ok for ok, _ in self.diagnostics().values())
-
 
 @dataclass(frozen=True)
 class POVM:
@@ -248,9 +242,6 @@ class POVM:
             "psd": (bool(min_eig >= -PSD_TOL), float(min_eig)),
             "completeness": (comp_err <= TRACE_TOL, comp_err),
         }
-
-    def is_valid(self) -> bool:
-        return all(ok for ok, _ in self.diagnostics().values())
 
 
 @dataclass(frozen=True)
@@ -333,24 +324,25 @@ def validate(obj) -> dict:
 
 
 def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all tensor factors not listed in `keep`.
+    """Trace out all tensor factors not listed in `keep`, of one n x n matrix
+    or of each matrix of a (..., n, n) stack.
 
-    dims lists the factor dimensions in order; keep is an iterable of factor
-    indices to retain (result ordered as in keep, ascending order expected).
+    dims lists the factor dimensions in order (their product is n); keep is
+    an iterable of factor indices to retain (result ordered as in keep,
+    ascending order expected).
     """
     rho = np.asarray(rho, dtype=complex)
     dims = list(dims)
-    n = len(dims)
-    if int(np.prod(dims)) != rho.shape[0]:
-        raise ValueError(f"product of dims {dims} != matrix dim {rho.shape[0]}")
+    if math.prod(dims) != rho.shape[-1]:
+        raise ValueError(f"product of dims {dims} != matrix dim {rho.shape[-1]}")
     keep = sorted(set(keep))
-    t = rho.reshape(dims + dims)
+    lead = rho.shape[:-2]
+    t = rho.reshape(lead + tuple(dims + dims))
     # contract traced factors pairwise, highest index first to keep axes stable
-    traced = [i for i in range(n) if i not in keep]
-    for i in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
+    for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=len(lead) + i, axis2=(len(lead) + t.ndim) // 2 + i)
+    d_keep = math.prod(dims[i] for i in keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

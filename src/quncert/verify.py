@@ -1,23 +1,25 @@
 """Randomized and constructed-instance checkers for the entropic uncertainty
 relations and the supporting entropy lemmas.
 
-Every checker draws its instances from a seeded generator (one derived seed
-per trial, so reports are reproducible regardless of execution order) and
-records the minimum slack LHS - RHS observed. A violation is slack below
--1e-7, matching the SDP solver tolerance. A trial whose SDP solve stops at
-its iteration cap adds no slack and is counted as unconverged instead; a
-report with an unconverged trial does not pass.
+Every checker is a trial body run by one loop, `_run`. Trial t draws its
+instance from its own generator `_trial_rng(seed, t)`, so a report does not
+depend on execution order, and gives its slacks LHS - RHS. A violation is a
+slack below -1e-7, matching the SDP solver tolerance. A trial whose SDP
+solve stops at its iteration cap adds no slack and is counted as
+unconverged instead; a report with an unconverged trial does not pass. The
+report names the trial that holds the minimum slack, `worst_trial`, so that
+`_trial_rng(seed, worst_trial)` replays it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import entropy, minmax, overlap
-from .qstate import CQState, POVM, herm, partial_trace, psd_sqrt, purify_cq
+from .qstate import CQState, POVM, herm, partial_trace, psd_funcm, psd_sqrt, purify_cq
 
 VIOLATION_TOL = -1e-7
 
@@ -38,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckReport:
-    """min_slack is None when no trial gave a slack (all unconverged)."""
+    """min_slack and worst_trial, the index of the trial that holds it, are
+    None when no trial gave a slack (all unconverged)."""
 
     relation: str
     instances: int
@@ -47,38 +50,46 @@ class CheckReport:
     seed: int
     slacks: tuple = field(default_factory=tuple)
     unconverged: int = 0
+    worst_trial: int | None = None
 
     @property
     def passed(self) -> bool:
         return self.violations == 0 and self.unconverged == 0
 
     def to_json(self) -> dict:
-        return {
-            "relation": self.relation,
-            "instances": self.instances,
-            "min_slack": self.min_slack,
-            "violations": self.violations,
-            "unconverged": self.unconverged,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        """Every field but the per-instance slacks, and passed."""
+        fields = {k: v for k, v in asdict(self).items() if k != "slacks"}
+        return {**fields, "passed": self.passed}
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _trial_rngs(trials: int, seed: int):
-    """The generators of trials 0 .. trials-1; every checker draws from these."""
+def _run(relation: str, trials: int, seed: int, trial) -> CheckReport:
+    """The one trial loop: trial(rng) gives the slacks of one trial, or None
+    when one of its solves stopped at its cap."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    return (_trial_rng(seed, t) for t in range(trials))
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    got = [trial(_trial_rng(seed, t)) for t in range(trials)]
+    # (slack, trial) pairs; the least is the first trial to reach the minimum
+    pairs = [(float(s), t) for t, out in enumerate(got) if out is not None for s in out]
+    slacks = tuple(s for s, _ in pairs)
+    min_slack, worst = min(pairs, default=(None, None))
+    return CheckReport(relation, len(slacks), min_slack, sum(s < VIOLATION_TOL for s in slacks),
+                       seed, slacks, got.count(None), worst)
 
 
-def _check_dims(dims, count: int):
-    """dims, once checked to hold the `count` dimensions a relation needs."""
+def _check_dims(dims, count: int) -> tuple:
+    """dims, once checked to hold the `count` dimensions a relation needs,
+    each at least 1."""
+    dims = tuple(dims)
     if len(dims) != count:
         raise ValueError(f"dims must give {count} dimensions, got {len(dims)}: {list(dims)}")
+    if min(dims) < 1:
+        raise ValueError(f"dims must each be at least 1, got {list(dims)}")
     return dims
 
 
@@ -98,15 +109,13 @@ def random_density(dim: int, rng: np.random.Generator, rank: int = None) -> np.n
 
 
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> POVM:
-    """Normalized random PSD set: E_x = S^{-1/2} G_x S^{-1/2}, S = sum G_x."""
-    gs = []
-    for _ in range(n_outcomes):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        gs.append(g @ g.conj().T)
-    total = herm(sum(gs))
-    vals, vecs = np.linalg.eigh(total)
-    inv_sqrt = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    return POVM(tuple(herm(inv_sqrt @ g @ inv_sqrt) for g in gs))
+    """Normalized random PSD set: E_x = S^{-1/2} G_x S^{-1/2}, S = sum G_x,
+    with G_x = g_x g_x^dagger drawn outcome by outcome."""
+    g = np.array([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                  for _ in range(n_outcomes)])
+    gs = g @ np.swapaxes(g.conj(), 1, 2)
+    inv_sqrt = psd_funcm(gs.sum(0), lambda vals: 1.0 / np.sqrt(vals))
+    return POVM(herm(inv_sqrt @ gs @ inv_sqrt))
 
 
 def mub_pair(dim: int):
@@ -119,25 +128,28 @@ def mub_pair(dim: int):
 
 
 def measure_to_cq(rho: np.ndarray, dims, povm: POVM, keep: int) -> CQState:
-    """Measure the first tensor factor with the POVM and keep one other
-    factor as the quantum memory; returns the post-measurement cq state."""
-    outcomes = []
-    for x, e in enumerate(povm.elements):
-        big = np.kron(e, np.eye(int(np.prod(dims[1:])))).reshape(rho.shape)
-        outcomes.append((str(x), partial_trace(big @ rho, dims, [keep])))
-    return CQState(outcomes)
+    """Measure the first tensor factor of rho with the POVM and keep factor
+    `keep` (1 .. len(dims) - 1) as the quantum memory.
+
+    The operators Tr_A[(E_x (x) 1) rho] of all outcomes come from one
+    contraction over the POVM stack, and one stacked partial trace leaves
+    the memory factor of each; the cq state adopts that stack.
+    """
+    dims = list(dims)
+    if not 1 <= keep < len(dims):
+        raise ValueError(f"keep must name a memory factor in 1..{len(dims) - 1}, got {keep}")
+    rest = math.prod(dims[1:])
+    ops = np.einsum("xba,aibj->xij", povm.elements,
+                    np.reshape(rho, (dims[0], rest, dims[0], rest)))
+    return CQState.from_stack(range(len(ops)), partial_trace(ops, dims[1:], [keep - 1]))
 
 
-def _quantum_cond_vn(rho: np.ndarray, dims, sys_a, sys_b, base="bits") -> float:
-    """H(A|B) = H(AB) - H(B) on the listed tensor factors."""
-    rho_ab = partial_trace(rho, dims, sorted(set(sys_a) | set(sys_b)))
-    dims_ab = [dims[i] for i in sorted(set(sys_a) | set(sys_b))]
+def _quantum_cond_vn(rho: np.ndarray, dims, sys_a, sys_b) -> float:
+    """H(A|B) = H(AB) - H(B) in bits, on the listed tensor factors."""
     kept = sorted(set(sys_a) | set(sys_b))
-    b_local = [kept.index(i) for i in sys_b]
-    rho_b = partial_trace(rho_ab, dims_ab, b_local)
-    h_ab = entropy.von_neumann(rho_ab, base).value
-    h_b = entropy.von_neumann(rho_b, base).value
-    return h_ab - h_b
+    rho_ab = partial_trace(rho, dims, kept)
+    rho_b = partial_trace(rho_ab, [dims[i] for i in kept], [kept.index(i) for i in sys_b])
+    return entropy.von_neumann(rho_ab).value - entropy.von_neumann(rho_b).value
 
 
 def _povm_pair(d_a: int, rng: np.random.Generator, use_mub: bool, n_outcomes: int = None):
@@ -145,15 +157,7 @@ def _povm_pair(d_a: int, rng: np.random.Generator, use_mub: bool, n_outcomes: in
     if use_mub:
         return mub_pair(d_a)
     m = n_outcomes or d_a
-    e = random_povm(d_a, m, rng)
-    return e, random_povm(d_a, m, rng)
-
-
-def _report(relation, slacks, seed, unconverged: int = 0) -> CheckReport:
-    slacks = tuple(float(s) for s in slacks)
-    violations = sum(1 for s in slacks if s < VIOLATION_TOL)
-    return CheckReport(relation, len(slacks), min(slacks, default=None), violations, seed,
-                       slacks, unconverged)
+    return random_povm(d_a, m, rng), random_povm(d_a, m, rng)
 
 
 def _bits(nats: float) -> float:
@@ -161,136 +165,121 @@ def _bits(nats: float) -> float:
     return entropy.EntropyValue(nats, "nats").in_base("bits").value
 
 
+def _tripartite(relation: str, dims: tuple, trials: int, seed: int, use_mub: bool,
+                entropies) -> CheckReport:
+    """H(X|B) + H(Y|C) >= -log2 c(E, F) on Haar-random pure states of ABC,
+    X and Y the outcomes of E and F on A. entropies(cq_xb, cq_yc) gives the
+    left-hand side in bits, or None when one of its solves was capped."""
+    def trial(rng):
+        psi = haar_state(math.prod(dims), rng)
+        rho = np.outer(psi, psi.conj())
+        e, f = _povm_pair(dims[0], rng, use_mub)
+        lhs = entropies(measure_to_cq(rho, dims, e, keep=1), measure_to_cq(rho, dims, f, keep=2))
+        return None if lhs is None else [lhs + math.log2(overlap.povm_overlap(e, f))]
+
+    return _run(relation, trials, seed, trial)
+
+
 def check_minmax_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
                             tol: float = minmax.DEFAULT_TOL, use_mub: bool = True) -> CheckReport:
-    """H_max(X|B) + H_min(Y|C) >= -log2 c(E, F) on Haar-random tripartite
-    pure states with MUB or random POVM pairs on A. H_max = log F_dec and
-    H_min = -log P_guess each come from a certified solve."""
-    d_a, d_b, d_c = _check_dims(dims, 3)
-    if d_a * d_b * d_c > 64:
+    """H_max(X|B) + H_min(Y|C) >= -log2 c(E, F) with MUB or random POVM pairs
+    on A. H_max = log F_dec and H_min = -log P_guess each come from a
+    certified solve."""
+    dims = _check_dims(dims, 3)
+    if math.prod(dims) > 64:
         raise ValueError("total dimension above desk scale")
-    slacks, unconverged = [], 0
-    for rng in _trial_rngs(trials, seed):
-        psi = haar_state(d_a * d_b * d_c, rng)
-        rho = np.outer(psi, psi.conj())
-        e, f = _povm_pair(d_a, rng, use_mub)
-        c = overlap.povm_overlap(e, f)
-        fdec = minmax.decoupling_fidelity(measure_to_cq(rho, list(dims), e, keep=1), tol)
-        pguess = minmax.guessing_probability(measure_to_cq(rho, list(dims), f, keep=2), tol)
-        if not (fdec.converged and pguess.converged):
-            unconverged += 1
-            continue
-        lhs = _bits(math.log(fdec.value)) + _bits(-math.log(pguess.value))
-        slacks.append(lhs + math.log2(c))
-    return _report("minmax_tripartite", slacks, seed, unconverged)
+
+    def hmax_hmin(cq_xb, cq_yc):
+        fdec = minmax.decoupling_fidelity(cq_xb, tol)
+        pguess = minmax.guessing_probability(cq_yc, tol)
+        if fdec.converged and pguess.converged:
+            return _bits(math.log(fdec.value)) + _bits(-math.log(pguess.value))
+        return None
+
+    return _tripartite("minmax_tripartite", dims, trials, seed, use_mub, hmax_hmin)
 
 
 def check_vn_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
                         use_mub: bool = True) -> CheckReport:
     """H(X|B) + H(Y|C) >= -log2 c(E, F), conditional von Neumann version."""
-    d_a, d_b, d_c = _check_dims(dims, 3)
-    slacks = []
-    for rng in _trial_rngs(trials, seed):
-        psi = haar_state(d_a * d_b * d_c, rng)
-        rho = np.outer(psi, psi.conj())
-        e, f = _povm_pair(d_a, rng, use_mub)
-        c = overlap.povm_overlap(e, f)
-        lhs = (entropy.cond_vn_cq(measure_to_cq(rho, list(dims), e, keep=1)).value
-               + entropy.cond_vn_cq(measure_to_cq(rho, list(dims), f, keep=2)).value)
-        slacks.append(lhs + math.log2(c))
-    return _report("vn_tripartite", slacks, seed)
-
-
-def _stinespring_isometry(povm: POVM) -> np.ndarray:
-    """V |psi> = sum_x sqrt(E_x)|psi> (x) |x>_X |x>_X'."""
-    m, d = povm.elements.shape[:2]
-    v = np.zeros((d, m, m, d), dtype=complex)
-    x = np.arange(m)
-    v[:, x, x, :] = np.swapaxes(psd_sqrt(povm.elements), 0, 1)
-    return v.reshape(d * m * m, d)
+    return _tripartite("vn_tripartite", _check_dims(dims, 3), trials, seed, use_mub,
+                       lambda xb, yc: entropy.cond_vn_cq(xb).value + entropy.cond_vn_cq(yc).value)
 
 
 def _dilated_cond_entropy(rho_ab: np.ndarray, d_a: int, d_b: int, povm: POVM) -> float:
-    """H(A|XB) after the dilated measurement (X' traced out), in bits."""
-    m = len(povm.elements)
-    v = _stinespring_isometry(povm)
-    big = np.kron(v, np.eye(d_b))
-    rho_axxb = big @ rho_ab @ big.conj().T  # factors (A, X, X', B)
-    rho_axb = partial_trace(rho_axxb, [d_a, m, m, d_b], keep=[0, 1, 3])
-    return _quantum_cond_vn(rho_axb, [d_a, m, d_b], sys_a=[0], sys_b=[1, 2])
+    """H(A|XB) in bits after the dilated measurement V = sum_x sqrt(E_x) (x)
+    |x>_X |x>_X' with X' traced out, which leaves the X-diagonal state
+    rho_AXB = sum_x (sqrt(E_x) (x) 1) rho_AB (sqrt(E_x) (x) 1) (x) |x><x|_X."""
+    s = psd_sqrt(povm.elements)
+    m, x = len(s), np.arange(len(s))
+    rho_axb = np.zeros((d_a, m, d_b, d_a, m, d_b), dtype=complex)
+    rho_axb[:, x, :, :, x, :] = np.einsum("xab,bicj,xcd->xaidj", s,
+                                          np.reshape(rho_ab, (d_a, d_b, d_a, d_b)), s)
+    return _quantum_cond_vn(rho_axb.reshape(d_a * m * d_b, -1), [d_a, m, d_b],
+                            sys_a=[0], sys_b=[1, 2])
 
 
-def check_bipartite(dims=(2, 2), trials: int = 50, seed: int = 0,
-                    variant: str = "frank_lieb", n_outcomes: int = None,
-                    use_mub: bool = True) -> CheckReport:
-    """Bipartite uncertainty bounds on random rho_AB with measurement pairs.
+def _bipartite_bounds(rho: np.ndarray, d_a: int, d_b: int, e: POVM, f: POVM) -> dict:
+    """Both bipartite bounds for rho_AB with E and F measured on A, in bits:
 
-    frank_lieb: H(X|B) + H(Y|B) >= log2(1/c1) + H(A|B).
-    dilation:   H(X|B) + H(Y|B) >= -log2 c + H(A|B)
-                                   - min{H(A|XB), H(A|YB)} after dilation.
+    lhs            = H(X|B) + H(Y|B);
+    frank_lieb_rhs = log2(1/c1) + H(A|B);
+    dilation_rhs   = -log2 c + H(A|B) - min{H(A|XB), H(A|YB)} after dilation.
     """
-    d_a, d_b = _check_dims(dims, 2)
-    if d_a * d_b > 16:
-        raise ValueError("bipartite checker limited to total dimension 16")
-    slacks = []
-    for rng in _trial_rngs(trials, seed):
-        rho = random_density(d_a * d_b, rng)
-        e, f = _povm_pair(d_a, rng, use_mub, n_outcomes)
-        lhs = (entropy.cond_vn_cq(measure_to_cq(rho, [d_a, d_b], e, keep=1)).value
-               + entropy.cond_vn_cq(measure_to_cq(rho, [d_a, d_b], f, keep=1)).value)
-        h_a_b = _quantum_cond_vn(rho, [d_a, d_b], sys_a=[0], sys_b=[1])
-        if variant == "frank_lieb":
-            rhs = -math.log2(overlap.frank_lieb_overlap(e, f)) + h_a_b
-        elif variant == "dilation":
-            c = overlap.povm_overlap(e, f)
-            penalty = min(_dilated_cond_entropy(rho, d_a, d_b, f),
-                          _dilated_cond_entropy(rho, d_a, d_b, e))
-            rhs = -math.log2(c) + h_a_b - penalty
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-        slacks.append(lhs - rhs)
-    return _report(f"bipartite_{variant}", slacks, seed)
-
-
-def gedankenexperiment(measured: int = 1):
-    """Two qubits A1, A2: A1 maximally entangled with B, A2 maximally mixed.
-
-    measured selects which qubit the MUB pair acts on (1 or 2). Returns a
-    dict with the entropic quantities and both bipartite bounds."""
-    bell = np.zeros(4)
-    bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
-    rho_a1b = np.outer(bell, bell)
-    # rho on (A1, B) (x) A2, then reorder factors to (A1, A2, B)
-    rho_a1b_a2 = np.kron(rho_a1b, np.eye(2) / 2.0)  # (A1, B, A2)
-    t = rho_a1b_a2.reshape(2, 2, 2, 2, 2, 2).transpose(0, 2, 1, 3, 5, 4)
-    rho = t.reshape(8, 8)  # (A1, A2, B)
-    z, x = mub_pair(2)
-    eye2 = np.eye(2)
-    if measured == 1:
-        e = POVM(tuple(np.kron(p, eye2) for p in z.elements))
-        f = POVM(tuple(np.kron(p, eye2) for p in x.elements))
-    elif measured == 2:
-        e = POVM(tuple(np.kron(eye2, p) for p in z.elements))
-        f = POVM(tuple(np.kron(eye2, p) for p in x.elements))
-    else:
-        raise ValueError("measured must be 1 or 2")
-    # regroup (A1, A2) as a single 4-dim system A
-    dims = [4, 2]
-    h_xb = entropy.cond_vn_cq(measure_to_cq(rho, dims, e, keep=1)).value
-    h_yb = entropy.cond_vn_cq(measure_to_cq(rho, dims, f, keep=1)).value
+    dims = [d_a, d_b]
     h_a_b = _quantum_cond_vn(rho, dims, sys_a=[0], sys_b=[1])
     c = overlap.povm_overlap(e, f)
     c1 = overlap.frank_lieb_overlap(e, f)
-    penalty = min(_dilated_cond_entropy(rho, 4, 2, f),
-                  _dilated_cond_entropy(rho, 4, 2, e))
+    penalty = min(_dilated_cond_entropy(rho, d_a, d_b, f),
+                  _dilated_cond_entropy(rho, d_a, d_b, e))
     return {
-        "lhs": h_xb + h_yb,
+        "lhs": (entropy.cond_vn_cq(measure_to_cq(rho, dims, e, keep=1)).value
+                + entropy.cond_vn_cq(measure_to_cq(rho, dims, f, keep=1)).value),
         "H(A|B)": h_a_b,
         "c": c,
         "c1": c1,
         "frank_lieb_rhs": -math.log2(c1) + h_a_b,
         "dilation_rhs": -math.log2(c) + h_a_b - penalty,
     }
+
+
+def check_bipartite(dims=(2, 2), trials: int = 50, seed: int = 0,
+                    variant: str = "frank_lieb", n_outcomes: int = None,
+                    use_mub: bool = True) -> CheckReport:
+    """Bipartite uncertainty bound `variant`, "frank_lieb" or "dilation"
+    (see _bipartite_bounds), on random rho_AB with measurement pairs."""
+    d_a, d_b = _check_dims(dims, 2)
+    if d_a * d_b > 16:
+        raise ValueError("bipartite checker limited to total dimension 16")
+    if variant not in ("frank_lieb", "dilation"):
+        raise ValueError(f"unknown variant {variant!r}; choose frank_lieb or dilation")
+
+    def trial(rng):
+        rho = random_density(d_a * d_b, rng)
+        bounds = _bipartite_bounds(rho, d_a, d_b, *_povm_pair(d_a, rng, use_mub, n_outcomes))
+        return [bounds["lhs"] - bounds[f"{variant}_rhs"]]
+
+    return _run(f"bipartite_{variant}", trials, seed, trial)
+
+
+def gedankenexperiment(measured: int = 1):
+    """Two qubits A1, A2: A1 maximally entangled with B, A2 maximally mixed.
+
+    measured selects which qubit the MUB pair acts on (1 or 2). Returns
+    _bipartite_bounds for A = (A1, A2): the entropic quantities and both
+    bipartite bounds."""
+    if measured not in (1, 2):
+        raise ValueError("measured must be 1 or 2")
+    bell = np.eye(2).reshape(4) / math.sqrt(2.0)
+    # |Phi+><Phi+| on (A1, B) (x) I/2 on A2, factors reordered to (A1, A2, B)
+    rho = np.kron(np.outer(bell, bell), np.eye(2) / 2.0).reshape([2] * 6)
+    rho = rho.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
+    eye2 = np.eye(2)
+    # each basis projector on the measured qubit, the identity on the other
+    e, f = (POVM(tuple(np.kron(p, eye2) if measured == 1 else np.kron(eye2, p)
+                       for p in basis.elements)) for basis in mub_pair(2))
+    # regroup (A1, A2) as a single 4-dim system A
+    return _bipartite_bounds(rho, 4, 2, e, f)
 
 
 def check_operator_lemmas(trials: int = 50, seed: int = 0,
@@ -302,64 +291,57 @@ def check_operator_lemmas(trials: int = 50, seed: int = 0,
     trial. The min/max duality sets decoupling_fidelity's ascent against
     the interior-point 2^{-H_min(X|C)} of the purified state. A trial with
     a capped H_min or H_max solve adds none of its slacks."""
-    slacks, unconverged = [], 0
-    for rng in _trial_rngs(trials, seed):
-        trial = []
-        d = 4
-        rho = random_density(d, rng)
-        gamma = random_density(d, rng)
-        pert = random_density(d, rng) * rng.uniform(0.1, 1.0)
-        sigma = gamma + pert  # sigma >= gamma
-        # monotonicity in the second argument, relative and max-relative
-        trial.append(entropy.relative_entropy(rho, gamma).value
-                     - entropy.relative_entropy(rho, sigma).value)
-        trial.append(entropy.max_relative_entropy(rho, gamma).value
-                     - entropy.max_relative_entropy(rho, sigma).value)
-        # scaling identities (exact)
-        cscale = rng.uniform(0.05, 2.0)
-        lhs = entropy.relative_entropy(rho, cscale * gamma, base="nats").value
-        rhs = entropy.relative_entropy(rho, gamma, base="nats").value + math.log(1.0 / cscale)
+    return _run("operator_lemmas", trials, seed, lambda rng: _lemma_slacks(rng, tol))
+
+
+def _lemma_slacks(rng: np.random.Generator, tol: float):
+    """The eleven slacks of one check_operator_lemmas trial, or None when
+    one of its H_min or H_max solves was capped."""
+    trial = []
+    rho, gamma = random_density(4, rng), random_density(4, rng)
+    sigma = gamma + random_density(4, rng) * rng.uniform(0.1, 1.0)  # sigma >= gamma
+    divergences = (entropy.relative_entropy, entropy.max_relative_entropy)
+    # monotonicity in the second argument, relative and max-relative
+    for div in divergences:
+        trial.append(div(rho, gamma).value - div(rho, sigma).value)
+    # scaling identities (exact)
+    cscale = rng.uniform(0.05, 2.0)
+    for div in divergences:
+        lhs = div(rho, cscale * gamma, base="nats").value
+        rhs = div(rho, gamma, base="nats").value + math.log(1.0 / cscale)
         trial.append(1e-10 - abs(lhs - rhs))
-        lhs = entropy.max_relative_entropy(rho, cscale * gamma, base="nats").value
-        rhs = entropy.max_relative_entropy(rho, gamma, base="nats").value + math.log(1.0 / cscale)
-        trial.append(1e-10 - abs(lhs - rhs))
-        # D_max >= D
-        trial.append(entropy.max_relative_entropy(rho, gamma).value
-                     - entropy.relative_entropy(rho, gamma).value)
-        # chain rule D(w_AB || s_A (x) s_B) = D(w_A||s_A) + D(w_AB||w_A (x) s_B)
-        s_a = random_density(2, rng)
-        s_b = random_density(2, rng)
-        w_a = partial_trace(rho, [2, 2], [0])
-        lhs = entropy.relative_entropy(rho, np.kron(s_a, s_b), base="nats").value
-        rhs = (entropy.relative_entropy(w_a, s_a, base="nats").value
-               + entropy.relative_entropy(rho, np.kron(w_a, s_b), base="nats").value)
-        trial.append(1e-9 - abs(lhs - rhs))
-        # D_max monotone under a random unital channel (Kraus from Haar unitaries)
-        kraus = _random_unital_kraus(2, rng)
-        chan = lambda m: herm(sum(k @ m @ k.conj().T for k in kraus))
-        rho2 = random_density(2, rng)
-        gam2 = random_density(2, rng)
-        trial.append(entropy.max_relative_entropy(rho2, gam2).value
-                     - entropy.max_relative_entropy(chan(rho2), chan(gam2)).value)
-        # data processing: discarding a memory factor cannot lower H_min/H_max
-        cq_bc = _random_cq(3, 4, rng)
-        cq_b = CQState(tuple((lbl, partial_trace(op, [2, 2], [0]))
-                             for lbl, op in cq_bc.outcomes))
-        p_b, p_bc = (minmax.guessing_probability(cq, tol) for cq in (cq_b, cq_bc))
-        f_b, f_bc = (minmax.decoupling_fidelity(cq, tol) for cq in (cq_b, cq_bc))
-        trial.append(_bits(-math.log(p_b.value)) - _bits(-math.log(p_bc.value)) + 2 * tol)
-        trial.append(_bits(math.log(f_b.value)) - _bits(math.log(f_bc.value)) + 2 * tol)
-        # min/max duality H_max(X|B) = -H_min(X|C), C = X'B' purifying cq_b:
-        # the unitary ascent against the interior-point core
-        c_xc = _purified_min_entropy_value(cq_b, tol)
-        trial.append(2 * tol - abs(_bits(math.log(f_b.value)) - _bits(math.log(c_xc.value))))
-        # von Neumann duality H(A|C) = -H(A|B) for a purified two-qubit state
-        trial.append(1e-9 - abs(_vn_duality_defect(rho)))
-        if all(res.converged for res in (p_b, p_bc, f_b, f_bc, c_xc)):
-            slacks.extend(trial)
-        else:
-            unconverged += 1
-    return _report("operator_lemmas", slacks, seed, unconverged)
+    # D_max >= D
+    trial.append(entropy.max_relative_entropy(rho, gamma).value
+                 - entropy.relative_entropy(rho, gamma).value)
+    # chain rule D(w_AB || s_A (x) s_B) = D(w_A||s_A) + D(w_AB||w_A (x) s_B)
+    s_a, s_b = random_density(2, rng), random_density(2, rng)
+    w_a = partial_trace(rho, [2, 2], [0])
+    lhs = entropy.relative_entropy(rho, np.kron(s_a, s_b), base="nats").value
+    rhs = (entropy.relative_entropy(w_a, s_a, base="nats").value
+           + entropy.relative_entropy(rho, np.kron(w_a, s_b), base="nats").value)
+    trial.append(1e-9 - abs(lhs - rhs))
+    # D_max monotone under a random unital channel (Kraus from Haar unitaries)
+    kraus = _random_unital_kraus(2, rng)
+    chan = lambda m: herm(sum(k @ m @ k.conj().T for k in kraus))
+    rho2, gam2 = random_density(2, rng), random_density(2, rng)
+    trial.append(entropy.max_relative_entropy(rho2, gam2).value
+                 - entropy.max_relative_entropy(chan(rho2), chan(gam2)).value)
+    # data processing: discarding a memory factor cannot lower H_min/H_max
+    cq_bc = _random_cq(3, 4, rng)
+    cq_b = CQState.from_stack(cq_bc.labels, partial_trace(cq_bc.ops, [2, 2], [0]))
+    p_b, p_bc = (minmax.guessing_probability(cq, tol) for cq in (cq_b, cq_bc))
+    f_b, f_bc = (minmax.decoupling_fidelity(cq, tol) for cq in (cq_b, cq_bc))
+    trial.append(_bits(-math.log(p_b.value)) - _bits(-math.log(p_bc.value)) + 2 * tol)
+    trial.append(_bits(math.log(f_b.value)) - _bits(math.log(f_bc.value)) + 2 * tol)
+    # min/max duality H_max(X|B) = -H_min(X|C), C = X'B' purifying cq_b:
+    # the unitary ascent against the interior-point core
+    c_xc = _purified_min_entropy_value(cq_b, tol)
+    trial.append(2 * tol - abs(_bits(math.log(f_b.value)) - _bits(math.log(c_xc.value))))
+    # von Neumann duality H(A|C) = -H(A|B) for a purified two-qubit state
+    trial.append(1e-9 - abs(_vn_duality_defect(rho)))
+    if all(res.converged for res in (p_b, p_bc, f_b, f_bc, c_xc)):
+        return trial
+    return None
 
 
 def _random_unital_kraus(dim: int, rng: np.random.Generator, n: int = 3):
@@ -367,10 +349,8 @@ def _random_unital_kraus(dim: int, rng: np.random.Generator, n: int = 3):
     p = rng.dirichlet(np.ones(n))
     kraus = []
     for i in range(n):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        kraus.append(math.sqrt(p[i]) * q)
+        q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        kraus.append(math.sqrt(p[i]) * (q * (np.diag(r) / np.abs(np.diag(r)))))
     return kraus
 
 
@@ -389,13 +369,11 @@ def _purified_min_entropy_value(omega: CQState, tol: float) -> minmax.SDPResult:
     return minmax.cond_min_entropy_value(rho_xc, m, m * d, tol)
 
 
-def _vn_duality_defect(rho_ab: np.ndarray, d_a: int = 2, d_b: int = 2) -> float:
-    """|H(A|C) + H(A|B)| for the purification of rho_AB; zero by duality."""
+def _vn_duality_defect(rho_ab: np.ndarray) -> float:
+    """H(A|C) + H(A|B) for the purification of a two-qubit rho_AB; zero by
+    duality."""
     vals, vecs = np.linalg.eigh(herm(rho_ab))
-    vals = np.clip(vals, 0.0, None)
-    d = d_a * d_b
-    psi = (vecs * np.sqrt(vals)).reshape(-1)  # |psi>_(AB)C with C = dim d
+    psi = (vecs * np.sqrt(np.clip(vals, 0.0, None))).reshape(-1)  # |psi>_(AB)C, C of dim 4
     rho = np.outer(psi, psi.conj())
-    h_a_b = _quantum_cond_vn(rho, [d_a, d_b, d], sys_a=[0], sys_b=[1])
-    h_a_c = _quantum_cond_vn(rho, [d_a, d_b, d], sys_a=[0], sys_b=[2])
-    return h_a_c + h_a_b
+    return (_quantum_cond_vn(rho, [2, 2, 4], sys_a=[0], sys_b=[2])
+            + _quantum_cond_vn(rho, [2, 2, 4], sys_a=[0], sys_b=[1]))

@@ -35,6 +35,23 @@ def cond_vn_block_nats(ops):
     return (eig_entropy_bits(block) - eig_entropy_bits(ops.sum(0))) * math.log(2.0)
 
 
+def dilated_cond_entropy_bits(rho_ab, d_a, d_b, elements):
+    """H(A|XB) after the Stinespring dilation V = sum_x sqrt(E_x) (x) |x>_X |x>_X'
+    of a measurement on A: V (x) 1_B applied to rho_AB as one dense matrix,
+    X' traced out by index contraction, H(AXB) - H(XB) from spectra."""
+    m = len(elements)
+    v = np.zeros((d_a, m, m, d_a), dtype=complex)
+    for x, e in enumerate(elements):
+        vals, vecs = np.linalg.eigh(e)
+        v[:, x, x, :] = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    big = np.kron(v.reshape(d_a * m * m, d_a), np.eye(d_b))
+    full = (big @ rho_ab @ big.conj().T).reshape((d_a, m, m, d_b) * 2)
+    rho_axb = np.einsum("axkbcykd->axbcyd", full)
+    rho_xb = np.einsum("axbayd->xbyd", rho_axb)
+    n = d_a * m * d_b
+    return eig_entropy_bits(rho_axb.reshape(n, n)) - eig_entropy_bits(rho_xb.reshape(n // d_a, -1))
+
+
 def fidelity_sqrtm(rho, sigma):
     """Uhlmann fidelity via scipy's general matrix square root."""
     import scipy.linalg

@@ -413,10 +413,19 @@ class TestCLI:
         (["ladder", "--n-points", "256", "--alpha0", "nan"], "alpha0 must be positive and finite"),
         (["ladder", "--n-points", "256", "--alpha0", "inf"], "alpha0 must be positive and finite"),
         (["ladder", "--sigma", "inf", "--n-max", "0"], "sigma must be positive and finite"),
+        (["verify", "--relation", "vn-tripartite", "--dims", "0", "2", "2"],
+         "dims must each be at least 1, got [0, 2, 2]"),
+        (["verify", "--relation", "frank-lieb", "--dims", "2", "-1"],
+         "dims must each be at least 1, got [2, -1]"),
+        (["verify", "--relation", "vn-tripartite", "--seed", "-1"],
+         "seed must be non-negative, got -1"),
+        (["overlap", "--sweep", "lin:1:2:0"], "sweep count n must be at least 1, got 0"),
+        (["epr-gap", "--n", "0"], "row count n must be at least 1, got 0"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
             "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
             "ladder-cq", "overlap-nan", "overlap-inf", "ladder-alpha0-nan", "ladder-alpha0-inf",
-            "ladder-sigma-inf"])
+            "ladder-sigma-inf", "verify-dims-0", "verify-dims-negative", "verify-seed-negative",
+            "sweep-count-0", "epr-gap-n-0"])
     def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
         from quncert.discretize import gaussian_wavefunction
 

@@ -245,6 +245,18 @@ class TestPartialTrace:
         rho = np.kron(np.kron(a, b), c)
         assert np.allclose(partial_trace(rho, (2, 2, 3), [0, 2]), np.kron(a, c))
 
+    def test_stack_traces_each_matrix(self):
+        # a (2, 3, n, n) stack gives each matrix's partial trace, bit for bit
+        stack = np.array([[random_density(12) for _ in range(3)] for _ in range(2)])
+        for keep in ([0], [1, 2], [0, 2], [0, 1, 2]):
+            red = partial_trace(stack, (2, 3, 2), keep)
+            want = [[partial_trace(m, (2, 3, 2), keep) for m in row] for row in stack]
+            assert np.array_equal(red, np.array(want))
+
+    def test_stack_dims_checked_against_matrix_size(self):
+        with pytest.raises(ValueError, match="product of dims"):
+            partial_trace(np.zeros((3, 4, 4)), (2, 3), [0])
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_trace_preserved(self, seed):

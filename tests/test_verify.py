@@ -16,7 +16,10 @@ from quncert.verify import (
     random_povm,
     _trial_rng,
 )
-from quncert.qstate import validate
+from quncert import verify
+from quncert.qstate import partial_trace, validate
+
+from oracles import dilated_cond_entropy_bits
 
 
 class TestRandomEnsembles:
@@ -68,6 +71,92 @@ class TestMeasureToCQ:
         cq = measure_to_cq(np.kron(rho_a, rho_b), (2, 2), e, keep=1)
         for (_, om), p in zip(cq.outcomes, cq.probs):
             assert np.allclose(om / p, rho_b, atol=1e-10)
+
+    @pytest.mark.parametrize("keep", [1, 2])
+    def test_matches_per_outcome_kron(self, keep):
+        # Tr_A[(E_x (x) 1) rho] with the other memory factor traced out,
+        # formed outcome by outcome from the dense operator
+        rng = np.random.default_rng(5)
+        rho = random_density(12, rng)
+        povm = random_povm(3, 4, rng)
+        cq = measure_to_cq(rho, (3, 2, 2), povm, keep=keep)
+        assert cq.labels == ["0", "1", "2", "3"]
+        for op, e in zip(cq.ops, povm.elements):
+            want = partial_trace(np.kron(e, np.eye(4)) @ rho, (3, 2, 2), [keep])
+            assert np.allclose(op, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("dims, keep", [((2, 2, 2), 0), ((2, 2, 2), 3),
+                                            ((2, 2), 2), ((2, 2), -1)])
+    def test_rejects_keep_outside_memory(self, dims, keep):
+        e, _ = mub_pair(2)
+        rho = np.eye(int(np.prod(dims))) / np.prod(dims)
+        with pytest.raises(ValueError, match=f"keep must name a memory factor in 1..{len(dims) - 1}"):
+            measure_to_cq(rho, dims, e, keep=keep)
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("check, dims", [
+        (check_minmax_tripartite, (0, 2, 2)),
+        (check_vn_tripartite, (2, -1, 2)),
+        (check_bipartite, (2, 0)),
+    ])
+    def test_rejects_dims_below_one(self, check, dims):
+        with pytest.raises(ValueError, match="dims must each be at least 1"):
+            check(dims=dims, trials=1)
+
+    def test_arity_checked_before_desk_scale(self):
+        with pytest.raises(ValueError, match="dims must give 3 dimensions"):
+            check_minmax_tripartite(dims=(9, 9, 9, 9), trials=1)
+        with pytest.raises(ValueError, match="desk scale"):
+            check_minmax_tripartite(dims=(9, 9, 9), trials=1)
+
+    @pytest.mark.parametrize("check", [check_minmax_tripartite, check_vn_tripartite,
+                                       check_bipartite, check_operator_lemmas])
+    def test_rejects_negative_seed(self, check):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            check(trials=1, seed=-1)
+
+    def test_unknown_variant_rejected_before_any_trial(self, monkeypatch):
+        def no_trial(seed, t):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(verify, "_trial_rng", no_trial)
+        with pytest.raises(ValueError, match="unknown variant 'nope'"):
+            check_bipartite(trials=1, variant="nope")
+
+
+def _replay(monkeypatch, check, rep, **kwargs):
+    """check run for one trial that draws from _trial_rng(seed, worst_trial)."""
+    trial_rng = verify._trial_rng
+    monkeypatch.setattr(verify, "_trial_rng", lambda seed, t: trial_rng(seed, rep.worst_trial))
+    return check(trials=1, seed=rep.seed, **kwargs)
+
+
+class TestWorstTrial:
+    @pytest.mark.parametrize("check, kwargs", [
+        (check_minmax_tripartite, {"dims": (3, 2, 2), "use_mub": False}),
+        (check_vn_tripartite, {"use_mub": False}),
+        (check_bipartite, {"variant": "dilation"}),
+    ], ids=["minmax-tripartite", "vn-tripartite", "dilation"])
+    def test_replays_min_slack(self, monkeypatch, check, kwargs):
+        rep = check(trials=8, seed=3, **kwargs)
+        assert rep.slacks[rep.worst_trial] == rep.min_slack == min(rep.slacks)
+        assert rep.to_json()["worst_trial"] == rep.worst_trial
+        assert _replay(monkeypatch, check, rep, **kwargs).min_slack == rep.min_slack
+
+    def test_operator_lemmas_replay_all_eleven(self, monkeypatch):
+        rep = check_operator_lemmas(trials=6, seed=2)
+        w = rep.worst_trial
+        assert rep.min_slack == min(rep.slacks[11 * w:11 * w + 11])
+        again = _replay(monkeypatch, check_operator_lemmas, rep)
+        assert again.slacks == rep.slacks[11 * w:11 * w + 11]
+        assert again.min_slack == rep.min_slack
+
+    def test_first_minimum_wins(self):
+        # trials 1 and 2 tie at the minimum; the report names trial 1
+        slacks = iter([[0.5], [0.25], [0.25], [1.0]])
+        rep = verify._run("tie", 4, 0, lambda rng: next(slacks))
+        assert (rep.min_slack, rep.worst_trial) == (0.25, 1)
 
 
 class TestInequalitySuites:
@@ -165,7 +254,19 @@ class TestUnconvergedSolves:
         monkeypatch.setattr(minmax, "IPM_MAX_ITER", 1)
         rep = check_minmax_tripartite(dims=(3, 3, 3), trials=3, seed=1)
         assert (rep.unconverged, rep.instances, rep.min_slack) == (3, 0, None)
+        assert rep.worst_trial is None and rep.to_json()["worst_trial"] is None
         assert not rep.passed
+
+    def test_worst_trial_counts_capped_trials(self, monkeypatch):
+        # capped trials add no slack but keep their index, so the worst
+        # trial still replays under the same cap
+        from quncert import minmax
+
+        monkeypatch.setattr(minmax, "IPM_MAX_ITER", 6)
+        rep = check_minmax_tripartite(dims=(3, 3, 3), trials=20, seed=1)
+        assert 0 < rep.unconverged and rep.worst_trial >= rep.instances > 0
+        assert _replay(monkeypatch, check_minmax_tripartite, rep,
+                       dims=(3, 3, 3)).min_slack == rep.min_slack
 
     def test_uncapped_reports_zero(self):
         for rep in (check_minmax_tripartite(dims=(3, 3, 3), trials=5, seed=1),
@@ -173,6 +274,17 @@ class TestUnconvergedSolves:
             assert rep.unconverged == 0
             assert rep.to_json()["unconverged"] == 0
             assert rep.passed
+
+
+class TestDilation:
+    @pytest.mark.parametrize("d_a, d_b, n_outcomes", [(2, 2, 2), (3, 2, 4), (2, 3, 3)])
+    def test_dilated_entropy_matches_dense_isometry(self, d_a, d_b, n_outcomes):
+        rng = np.random.default_rng(d_a * 10 + n_outcomes)
+        rho = random_density(d_a * d_b, rng)
+        for povm in (random_povm(d_a, n_outcomes, rng), mub_pair(d_a)[1]):
+            got = verify._dilated_cond_entropy(rho, d_a, d_b, povm)
+            want = dilated_cond_entropy_bits(rho, d_a, d_b, povm.elements)
+            assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12)
 
 
 class TestGedankenexperiment:
