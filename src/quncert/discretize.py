@@ -16,7 +16,8 @@ once per ladder from all samples, and each rung takes its entropy from the
 kept cells' samples (their diagonals in omega_B's eigenbasis, and the
 spectra of their Gram matrices when a cell holds fewer samples than the
 memory has levels). A min or max ladder forms the operators of the cells
-its entropy keeps and merges the rest into one outcome.
+its entropy keeps and hands them, with the traces of the others, to the
+solvers' skip-and-charge core (minmax._charged_solve).
 """
 
 from __future__ import annotations
@@ -197,20 +198,6 @@ def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
     return CQState.from_stack([str(k) for k in labels[live]], _cell_stack(psi, starts, live))
 
 
-def _merged_state(psi: GridWaveFunction, starts: np.ndarray, labels: np.ndarray,
-                  keep: np.ndarray) -> CQState:
-    """The cq state of the cells kept, plus, when some are not, one outcome
-    "merged" holding all the others: dq * S^T conj(S) over their samples. The
-    memory marginal is that of every cell."""
-    ops = _cell_stack(psi, starts, np.flatnonzero(keep))
-    labels = [str(k) for k in labels[keep]]
-    if not keep.all():
-        rest = psi.samples[np.repeat(~keep, np.diff(starts, append=psi.n_points))]
-        ops = np.concatenate([ops, sample_outer_sum(rest, psi.dq)[None]])
-        labels.append("merged")
-    return CQState.from_stack(labels, ops)
-
-
 def _classical_regularized(probs: np.ndarray, alpha: float, kind: str) -> float:
     """H(X_alpha) + log(alpha) in nats for trivial memory and positive probs."""
     if kind == "vn":
@@ -222,20 +209,10 @@ def _classical_regularized(probs: np.ndarray, alpha: float, kind: str) -> float:
     return h + math.log(alpha)
 
 
-def _memory_regularized(cq: CQState, alpha: float, kind: str, tol: float):
-    """(H(X_alpha|B) + log(alpha) in nats, whether its SDP converged) for
-    kind min or max."""
-    # H_min = -log P_guess and H_max = log F_dec
-    sign, solve = ((-1.0, minmax.guessing_probability) if kind == "min"
-                   else (1.0, minmax.decoupling_fidelity))
-    res = solve(cq, tol)
-    return sign * math.log(res.value) + math.log(alpha), res.converged
-
-
 def _vn_cells(psi: GridWaveFunction, memory, starts: np.ndarray,
               traces: np.ndarray, keep: np.ndarray) -> float:
     """H(X|B) in nats of the kept cells, from their samples: no cell
-    operator and no merged outcome is formed.
+    operator is formed.
 
     memory is entropy._spectrum of omega_B = dq * S^T conj(S) over all
     samples: clipped spectrum, eigenvectors V and support mask. The cross
@@ -272,20 +249,16 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     the cell traces. With a memory, the functional's own skip rule
     (qstate.kept_cells) picks the cells that enter. A vn rung then takes
     H(X|B) from the kept cells' samples against omega_B of all samples,
-    formed once per ladder (_vn_cells): it forms no cell operator and no
-    merged outcome, and applies the very rule cond_vn_cq applies to the
-    full binned state, so it equals cond_vn_cq(discretize_position(psi,
-    part)) up to rounding (within 1e-14 nats on the 19-level EPR state).
-    A min or max rung forms the kept cells' operators and merges the rest
-    into one outcome, so the memory marginal stays exact. Merging
-    coarse-grains X, which moves the functional by at most
-    qstate.NEGLIGIBLE on the scale of its skip rule (P_guess, sqrt(F_dec)),
-    and the functional's own skip moves it by at most NEGLIGIBLE more; the
-    rung is a certified solve on top of that, good to its gap: on the
-    merged state the functional's skip may leave out a few more cells than
-    on the full stack, so the two solves need not stop at the same point.
-    Each rung logs one DEBUG record to the "quncert" logger: alpha, cells,
-    cells kept, the trace of the cells not formed ("merged trace") and
+    formed once per ladder (_vn_cells): it forms no cell operator, and
+    applies the very rule cond_vn_cq applies to the full binned state, so
+    it equals cond_vn_cq(discretize_position(psi, part)) up to rounding
+    (within 1e-14 nats on the 19-level EPR state). A min or max rung forms
+    only the kept cells' operators and passes them, with the traces of the
+    skipped cells, to minmax._charged_solve, the core that
+    guessing_probability and decoupling_fidelity run on the full binned
+    state: it is that solve of discretize_position's state, bit for bit
+    on the 19-level EPR state. Each rung logs one DEBUG record to the "quncert" logger: alpha, cells, cells
+    kept, the total trace of the cells not formed ("skipped trace") and
     seconds.
 
     On the 19-level EPR memory (one BLAS thread, 2-core x86-64 host) the
@@ -324,17 +297,21 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
         else:
             keep = kept_cells(traces, kind)
             if kind == "vn":
-                val = _vn_cells(psi, memory, starts, traces, keep) + math.log(alpha)
-                converged = True
+                val, converged = _vn_cells(psi, memory, starts, traces, keep), True
             else:
-                val, converged = _memory_regularized(_merged_state(psi, starts, labels, keep),
-                                                     alpha, kind, tol)
+                kept = CQState.from_stack(labels[keep],
+                                          _cell_stack(psi, starts, np.flatnonzero(keep)))
+                res = minmax._charged_solve(kind, kept.ops, traces[~keep], tol)
+                # H_min = -log P_guess and H_max = log F_dec
+                val = (-1.0 if kind == "min" else 1.0) * math.log(res.value)
+                converged = res.converged
+            val += math.log(alpha)
         if base == "bits":
             val /= ln2
         rows.append((alpha, val))
         if not converged:
             unconverged.append(alpha)
-        log.debug("%s %s rung alpha=%g: %d cells, %d kept, merged trace %.3g, %.4f s",
+        log.debug("%s %s rung alpha=%g: %d cells, %d kept, skipped trace %.3g, %.4f s",
                   which, kind, alpha, len(traces), int(keep.sum()),
                   float(traces[~keep].sum()), time.perf_counter() - began)
     return ConvergenceTable(kind, which, base, tuple(rows), tuple(unconverged))

@@ -39,7 +39,7 @@ their values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -268,24 +268,22 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     sigma >= omega_x has tr sigma = value + gap, an upper bound.
 
     Outcomes of negligible trace are skipped (qstate.kept_cells, bound t_y
-    per cell, qstate.NEGLIGIBLE = 1e-15 in all) and solved for as if absent;
+    per cell, qstate.NEGLIGIBLE = 1e-15 in all) and charged by _charged_solve;
     the outcome count that picks the solver is that of the outcomes kept. A
     skipped outcome gets E_y = 0, so the POVM keeps one element per label
     and the value is still sum_x tr[omega_x E_x]. The certificate is
-    sigma + sum_y omega_y over the skipped y, which dominates every omega_x,
-    and the gap grows by their total trace.
+    sigma + sum_y omega_y over the skipped y, which dominates every omega_x.
     """
     _check_tol(tol)
-    ops = omega.ops
-    keep = kept_cells(omega.probs, "min")
+    ops, t = omega.ops, omega.probs
+    keep = kept_cells(t, "min")
+    res = _charged_solve("min", ops if keep.all() else ops[keep], t[~keep], tol)
     if keep.all():
-        return _guess(ops, tol)
-    res = _guess(ops[keep], tol)
-    skipped = ops[~keep].sum(0)
+        return res
     elements = np.zeros(ops.shape, dtype=complex)
     elements[keep] = res.primal_povm.elements
-    return _certified(res.value, res.gap + float(np.real(np.trace(skipped))), res.iterations,
-                      tol, POVM(elements), res.dual_certificate + skipped)
+    return replace(res, primal_povm=POVM(elements),
+                   dual_certificate=res.dual_certificate + ops[~keep].sum(0))
 
 
 def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
@@ -465,6 +463,41 @@ def _fdec_ascent(ops: np.ndarray, tol: float) -> SDPResult:
     return _certified(upper, upper - lower, sweeps, tol)
 
 
+def _charged_solve(kind: str, ops: np.ndarray, skipped: np.ndarray, tol: float) -> SDPResult:
+    """P_guess (kind "min") or F_dec (kind "max") of a cq state given as the
+    (m, d, d) stack ops of the cells its functional keeps
+    (qstate.kept_cells) and the traces t_y of the cells it skips: solved as
+    if the skipped cells were absent, and charged for them in the
+    certificate with S = sum_y t_y and T = sum_y sqrt(t_y).
+
+    P_guess: the gap grows by S, since sigma + sum_y omega_y dominates every
+    omega_x; the POVM and sigma are those of the kept cells.
+
+    F_dec: the kept solve's upper bound U gives sqrt(F_dec) <= sqrt(U) + T,
+    from the dual Y_y proportional to omega_y / sqrt(t_y); its lower bound
+    L, the primal value of X_xy = U_x^H U_y, with 1_d blocks padded in for
+    the skipped cells, gives F_dec >= L + S. The value is the upper bound
+    (sqrt(U) + T)^2 and the gap its distance to L + S. Both bounds are
+    clamped to (sum_x sqrt(t_x))^2 over all cells, since
+    H_max(X|B) <= H_max(X); a one-outcome state thus gives F_dec = tr omega
+    exactly, not that plus the ascent's rounding.
+    """
+    if kind == "min":
+        res = _guess(ops, tol)
+        return _certified(res.value, res.gap + float(skipped.sum()), res.iterations, tol,
+                          res.primal_povm, res.dual_certificate)
+    res = _fdec_ascent(ops, tol)
+    upper, lower = res.value, res.value - res.gap
+    root = float(np.sqrt(skipped).sum())
+    if len(skipped):
+        upper = (math.sqrt(upper) + root) ** 2
+        lower += float(skipped.sum())
+    kept = np.clip(np.trace(ops, axis1=1, axis2=2).real, 0.0, None)
+    ceiling = (float(np.sqrt(kept).sum()) + root) ** 2
+    upper, lower = min(upper, ceiling), min(lower, ceiling)
+    return _certified(upper, upper - lower, res.iterations, tol)
+
+
 def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     """F_dec(X|B) = sup_sigma (sum_x sqrt(F(omega_B^x, sigma)))^2.
 
@@ -476,30 +509,13 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     ascent's lower bound, and iterations the number of sweeps.
 
     Cells of negligible trace are skipped (qstate.kept_cells, bound
-    sqrt(t_y) per cell, qstate.NEGLIGIBLE = 1e-15 in all) and accounted with
-    T = sum_y sqrt(t_y) and S = sum_y t_y over them. The kept solve's upper
-    bound U gives sqrt(F_dec) <= sqrt(U) + T, from the dual Y_y proportional
-    to omega_y / sqrt(t_y); its lower bound L, the primal value of
-    X_xy = U_x^H U_y, with 1_d blocks padded in for the skipped cells, gives
-    F_dec >= L + S. The value is then the upper
-    bound (sqrt(U) + T)^2 and the gap its distance to L + S.
-
-    Both bounds are clamped to (sum_x sqrt(t_x))^2 over all cells, since
-    H_max(X|B) <= H_max(X); a one-outcome state thus gives F_dec = tr omega
-    exactly, not that plus the ascent's rounding.
+    sqrt(t_y) per cell, qstate.NEGLIGIBLE = 1e-15 in all) and charged by
+    _charged_solve, which moves sqrt(F_dec)'s bounds by at most NEGLIGIBLE.
     """
     _check_tol(tol)
     ops, t = omega.ops, omega.probs
     keep = kept_cells(t, "max")
-    res = _fdec_ascent(ops if keep.all() else ops[keep], tol)
-    upper, lower = res.value, res.value - res.gap
-    if not keep.all():
-        skipped = t[~keep]
-        upper = (math.sqrt(upper) + float(np.sqrt(skipped).sum())) ** 2
-        lower += float(skipped.sum())
-    ceiling = float(np.sqrt(np.clip(t, 0.0, None)).sum()) ** 2
-    upper, lower = min(upper, ceiling), min(lower, ceiling)
-    return _certified(upper, upper - lower, res.iterations, tol)
+    return _charged_solve("max", ops if keep.all() else ops[keep], t[~keep], tol)
 
 
 def h_max_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qstate import POVM, sqrt_overlap_norm, herm
+from .qstate import POVM, PSD_TOL, herm, psd_sqrt
 
 NYSTROM_START = 64
 NYSTROM_CAP = 2048
@@ -191,10 +191,16 @@ def prolate_top_eigenfunction(delta_q: float, delta_p: float,
 
 
 def povm_overlap(e: POVM, f: POVM) -> float:
-    """c(E, F) = max_{x,y} ||sqrt(E_x) sqrt(F_y)||^2."""
+    """c(E, F) = max_{x,y} lambda_max(sqrt(E_x) F_y sqrt(E_x)), from one
+    batched square root of E and one batched eigvalsh over all pairs."""
     if e.dim != f.dim:
         raise ValueError("dimension mismatch")
-    return max(sqrt_overlap_norm(ex, fy) for ex in e.elements for fy in f.elements)
+    for name, els in (("E", e.elements), ("F", f.elements)):
+        if np.linalg.eigvalsh(herm(els)).min() < -PSD_TOL:
+            raise ValueError(f"{name} is not positive semidefinite")
+    se = psd_sqrt(e.elements)[:, None]
+    vals = np.linalg.eigvalsh(herm(se @ f.elements @ se))
+    return float(max(vals[..., -1].max(), 0.0))
 
 
 def frank_lieb_overlap(e: POVM, f: POVM) -> float:

@@ -139,10 +139,6 @@ class DensityMatrix:
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class CQState:

@@ -18,7 +18,7 @@ from quncert.discretize import (
 )
 from quncert.entropy import cond_vn_cq
 from quncert.gaussian import epr_grid_wavefunction
-from quncert.minmax import DEFAULT_TOL, decoupling_fidelity, guessing_probability
+from quncert.minmax import decoupling_fidelity, guessing_probability
 from quncert.qstate import NEGLIGIBLE, CQState, GridWaveFunction, kept_cells, sample_outer_sum
 
 from oracles import (binned_cond_vn_nats, binned_cq, binned_cq_loop, gaussian_h_bits,
@@ -315,24 +315,26 @@ class TestTraceFirstLadder:
     """Ladder rungs against discretize_position and the functional on the
     full binned stack, on the 19-level EPR state."""
 
-    @pytest.mark.parametrize("which", ["position", "momentum"])
+    @pytest.mark.parametrize("which, alpha0", [
+        pytest.param("position", 4.0, id="position"),
+        pytest.param("momentum", 4.0, id="momentum"),
+        pytest.param("momentum", 1.0, id="momentum-alpha0-1"),
+    ])
     @pytest.mark.parametrize("kind", ["vn", "min", "max"])
-    def test_rungs_match_full_stack(self, which, kind):
-        tab = convergence_ladder(EPR, which, kind, n_max=1, alpha0=4.0, base="nats")
+    def test_rungs_match_full_stack(self, which, alpha0, kind):
+        tab = convergence_ladder(EPR, which, kind, n_max=1, alpha0=alpha0, base="nats")
         psi = momentum_transform(EPR) if which == "momentum" else EPR
         for alpha, value in tab.rows:
             cq = discretize_position(psi, Partition.centered(alpha, psi.grid[0], psi.grid[-1]))
-            slack = 2.0 * NEGLIGIBLE + 1e-12
             if kind == "vn":
-                full, converged = cond_vn_cq(cq, base="nats").value, True
-            else:
-                res = (guessing_probability if kind == "min" else decoupling_fidelity)(cq)
-                full = (-1.0 if kind == "min" else 1.0) * math.log(res.value)
-                converged = res.converged
-                # two certified solves of nearly the same state agree to their gaps
-                slack += (res.gap + DEFAULT_TOL) / res.value
-            assert abs(value - (full + math.log(alpha))) <= slack
-            assert (alpha in tab.unconverged) == (not converged)
+                full = cond_vn_cq(cq, base="nats").value
+                assert abs(value - (full + math.log(alpha))) <= 2.0 * NEGLIGIBLE + 1e-12
+                continue
+            # the rung is the very solve of the full binned state
+            res = (guessing_probability if kind == "min" else decoupling_fidelity)(cq)
+            full = (-1.0 if kind == "min" else 1.0) * math.log(res.value)
+            assert value == full + math.log(alpha)
+            assert (alpha in tab.unconverged) == (not res.converged)
         assert tab.converged
 
     @pytest.mark.parametrize("which, alpha0, n_max, run_lengths", [
@@ -371,14 +373,15 @@ class TestTraceFirstLadder:
         # a vn rung with a memory forms no operator stack
         convergence_ladder(EPR, "momentum", "vn", n_max=0)
         assert built == [] and stacked == []
-        # a min rung forms the kept cells and one merged outcome
+        # a min or max rung forms the kept cells only
         phi = momentum_transform(EPR)
         full = discretize_position(phi, Partition.centered(2.0, phi.grid[0], phi.grid[-1]))
-        kept = int(kept_cells(full.probs, "min").sum())
-        assert kept + 1 < len(full.labels)
-        built.clear()
-        convergence_ladder(EPR, "momentum", "min", n_max=0, alpha0=2.0)
-        assert built == [kept + 1]
+        for kind in ("min", "max"):
+            kept = int(kept_cells(full.probs, kind).sum())
+            assert kept < len(full.labels)
+            built.clear()
+            convergence_ladder(EPR, "momentum", kind, n_max=0, alpha0=2.0)
+            assert built == [kept]
         # trivial memory takes the cell traces and forms no operator
         built.clear()
         convergence_ladder(gaussian_wavefunction(1.0, n_points=1024), "position", "vn", n_max=2)
@@ -390,7 +393,7 @@ class TestTraceFirstLadder:
         records = [r for r in caplog.records if r.name == "quncert"]
         assert len(records) == len(tab.rows)
         pattern = (r"momentum vn rung alpha=(\S+): (\d+) cells, (\d+) kept, "
-                   r"merged trace (\S+), (\S+) s")
+                   r"skipped trace (\S+), (\S+) s")
         for rec, alpha in zip(records, tab.alphas):
             assert rec.levelno == logging.DEBUG
             got = re.fullmatch(pattern, rec.getMessage())

@@ -11,7 +11,7 @@ from quncert.overlap import (
     prolate_overlap,
     prolate_top_eigenfunction,
 )
-from quncert.qstate import POVM
+from quncert.qstate import POVM, sqrt_overlap_norm
 from quncert.verify import mub_pair, random_povm
 
 from oracles import prolate_lambda0
@@ -149,6 +149,19 @@ class TestFiniteOverlaps:
         # c1 = max tr[E_x F_y] = 1/d for projective MUBs
         e0, e1 = mub_pair(4)
         assert math.isclose(frank_lieb_overlap(e0, e1), 0.25, abs_tol=1e-10)
+
+    @pytest.mark.parametrize("seed, d, m_e, m_f", [(0, 4, 4, 4), (1, 3, 2, 5), (2, 2, 3, 1)])
+    def test_batched_overlap_matches_pairwise(self, seed, d, m_e, m_f):
+        rng = np.random.default_rng(seed)
+        e, f = random_povm(d, m_e, rng), random_povm(d, m_f, rng)
+        pairwise = max(sqrt_overlap_norm(ex, fy) for ex in e.elements for fy in f.elements)
+        assert abs(povm_overlap(e, f) - pairwise) <= 1e-12
+        # one element off the PSD cone in either POVM is still rejected
+        bad = POVM(np.concatenate([e.elements, np.diag([-0.2] + [0.0] * (d - 1))[None]]))
+        with pytest.raises(ValueError, match="E is not positive semidefinite"):
+            povm_overlap(bad, f)
+        with pytest.raises(ValueError, match="F is not positive semidefinite"):
+            povm_overlap(e, bad)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)

@@ -68,10 +68,6 @@ class TestDensityMatrix:
         assert np.allclose(rho.mat, np.outer(v, v.conj()))
         assert validate(rho)["pass"]
 
-    def test_maximally_mixed(self):
-        rho = DensityMatrix.maximally_mixed(4)
-        assert np.allclose(rho.mat, np.eye(4) / 4.0)
-
     def test_validate_catches_nonhermitian(self):
         bad = np.array([[0.5, 0.3], [0.0, 0.5]])
         assert not validate(DensityMatrix(bad))["pass"]
