@@ -247,26 +247,30 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
 
     Each rung bins trace first (_cells). Trivial memory takes the entropy of
     the cell traces. With a memory, the functional's own skip rule
-    (qstate.kept_cells) picks the cells that enter. A vn rung then takes
-    H(X|B) from the kept cells' samples against omega_B of all samples,
-    formed once per ladder (_vn_cells): it forms no cell operator, and
-    applies the very rule cond_vn_cq applies to the full binned state, so
-    it equals cond_vn_cq(discretize_position(psi, part)) up to rounding
+    (qstate.kept_cells at tol: a budget of 1e-15 nats for vn, and tol/10 of
+    the certificate's gap for min and max) picks the cells that enter. A vn
+    rung then takes H(X|B) from the kept cells' samples against omega_B of
+    all samples, formed once per ladder (_vn_cells): it forms no cell
+    operator, and applies the very rule cond_vn_cq applies to the full
+    binned state, so it equals cond_vn_cq(discretize_position(psi, part))
+    up to rounding
     (within 1e-14 nats on the 19-level EPR state). A min or max rung forms
     only the kept cells' operators and passes them, with the traces of the
     skipped cells, to minmax._charged_solve, the core that
     guessing_probability and decoupling_fidelity run on the full binned
     state: it is that solve of discretize_position's state, bit for bit
-    on the 19-level EPR state. Each rung logs one DEBUG record to the "quncert" logger: alpha, cells, cells
-    kept, the total trace of the cells not formed ("skipped trace") and
-    seconds.
+    on the 19-level EPR state. Each rung logs one DEBUG record to the
+    "quncert" logger: alpha, cells, cells kept, the total trace of the
+    cells not formed ("skipped trace") and seconds.
 
     On the 19-level EPR memory (one BLAS thread, 2-core x86-64 host) the
     position vn ladder alpha = 1 .. 2^-6 on 4096 points takes about 20 ms,
     and the momentum ladder alpha = 1, 1/2 on 32768 points about 27 ms, of
     which the in-place FFT (momentum_transform) is about 16 ms and omega_B
     (qstate.sample_outer_sum) about 3 ms; the momentum ladder's traced
-    peak is below 1.25 times one (N, d) complex array.
+    peak is below 1.25 times one (N, d) complex array. The max ladder on
+    the same grid keeps 15 of 6,435 and 31 of 12,869 cells and takes about
+    0.15 s.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
@@ -295,7 +299,7 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
             keep = traces > 0.0
             val, converged = _classical_regularized(traces[keep], alpha, kind), True
         else:
-            keep = kept_cells(traces, kind)
+            keep = kept_cells(traces, kind, tol)
             if kind == "vn":
                 val, converged = _vn_cells(psi, memory, starts, traces, keep), True
             else:

@@ -267,16 +267,17 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     complete to rounding, so it is a lower bound; the dual certificate
     sigma >= omega_x has tr sigma = value + gap, an upper bound.
 
-    Outcomes of negligible trace are skipped (qstate.kept_cells, bound t_y
-    per cell, qstate.NEGLIGIBLE = 1e-15 in all) and charged by _charged_solve;
-    the outcome count that picks the solver is that of the outcomes kept. A
+    The smallest outcomes are skipped while their traces sum to at most
+    tol/10 (qstate.kept_cells at tol, bound t_y per cell) and charged by
+    _charged_solve, which solves the kept ones to the rest of tol; the
+    outcome count that picks the solver is that of the outcomes kept. A
     skipped outcome gets E_y = 0, so the POVM keeps one element per label
     and the value is still sum_x tr[omega_x E_x]. The certificate is
     sigma + sum_y omega_y over the skipped y, which dominates every omega_x.
     """
     _check_tol(tol)
     ops, t = omega.ops, omega.probs
-    keep = kept_cells(t, "min")
+    keep = kept_cells(t, "min", tol)
     res = _charged_solve("min", ops if keep.all() else ops[keep], t[~keep], tol)
     if keep.all():
         return res
@@ -466,8 +467,8 @@ def _fdec_ascent(ops: np.ndarray, tol: float) -> SDPResult:
 def _charged_solve(kind: str, ops: np.ndarray, skipped: np.ndarray, tol: float) -> SDPResult:
     """P_guess (kind "min") or F_dec (kind "max") of a cq state given as the
     (m, d, d) stack ops of the cells its functional keeps
-    (qstate.kept_cells) and the traces t_y of the cells it skips: solved as
-    if the skipped cells were absent, and charged for them in the
+    (qstate.kept_cells at tol) and the traces t_y of the cells it skips:
+    solved as if the skipped cells were absent, and charged for them in the
     certificate with S = sum_y t_y and T = sum_y sqrt(t_y).
 
     P_guess: the gap grows by S, since sigma + sum_y omega_y dominates every
@@ -477,23 +478,29 @@ def _charged_solve(kind: str, ops: np.ndarray, skipped: np.ndarray, tol: float) 
     from the dual Y_y proportional to omega_y / sqrt(t_y); its lower bound
     L, the primal value of X_xy = U_x^H U_y, with 1_d blocks padded in for
     the skipped cells, gives F_dec >= L + S. The value is the upper bound
-    (sqrt(U) + T)^2 and the gap its distance to L + S. Both bounds are
-    clamped to (sum_x sqrt(t_x))^2 over all cells, since
-    H_max(X|B) <= H_max(X); a one-outcome state thus gives F_dec = tr omega
-    exactly, not that plus the ascent's rounding.
+    (sqrt(U) + T)^2 and the gap its distance to L + S, which exceeds the
+    kept solve's gap by at most 2RT + T^2, R = sum_x sqrt(t_x) over all
+    cells. Both bounds are clamped to R^2, since H_max(X|B) <= H_max(X); a
+    one-outcome state thus gives F_dec = tr omega exactly, not that plus
+    the ascent's rounding.
+
+    The kept cells are solved to tol less that charge (S, or 2RT + T^2), so
+    converged still means that the charged gap is at most tol.
     """
     if kind == "min":
-        res = _guess(ops, tol)
-        return _certified(res.value, res.gap + float(skipped.sum()), res.iterations, tol,
+        charge = float(skipped.sum())
+        res = _guess(ops, tol - charge)
+        return _certified(res.value, res.gap + charge, res.iterations, tol,
                           res.primal_povm, res.dual_certificate)
-    res = _fdec_ascent(ops, tol)
-    upper, lower = res.value, res.value - res.gap
+    kept = np.clip(np.trace(ops, axis1=1, axis2=2).real, 0.0, None)
     root = float(np.sqrt(skipped).sum())
+    total = float(np.sqrt(kept).sum()) + root
+    res = _fdec_ascent(ops, tol - (2.0 * total + root) * root)
+    upper, lower = res.value, res.value - res.gap
     if len(skipped):
         upper = (math.sqrt(upper) + root) ** 2
         lower += float(skipped.sum())
-    kept = np.clip(np.trace(ops, axis1=1, axis2=2).real, 0.0, None)
-    ceiling = (float(np.sqrt(kept).sum()) + root) ** 2
+    ceiling = total ** 2
     upper, lower = min(upper, ceiling), min(lower, ceiling)
     return _certified(upper, upper - lower, res.iterations, tol)
 
@@ -508,13 +515,14 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     2^{-H_min(X|C)}). The value is the dual upper bound, value - gap the
     ascent's lower bound, and iterations the number of sweeps.
 
-    Cells of negligible trace are skipped (qstate.kept_cells, bound
-    sqrt(t_y) per cell, qstate.NEGLIGIBLE = 1e-15 in all) and charged by
-    _charged_solve, which moves sqrt(F_dec)'s bounds by at most NEGLIGIBLE.
+    The smallest cells are skipped while T = sum_y sqrt(t_y) keeps
+    2RT + T^2, R = sum_x sqrt(t_x), at most tol/10 (qstate.kept_cells at
+    tol, bound sqrt(t_y) per cell), and charged by _charged_solve, which
+    solves the kept ones to the rest of tol.
     """
     _check_tol(tol)
     ops, t = omega.ops, omega.probs
-    keep = kept_cells(t, "max")
+    keep = kept_cells(t, "max", tol)
     return _charged_solve("max", ops if keep.all() else ops[keep], t[~keep], tol)
 
 

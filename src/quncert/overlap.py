@@ -9,7 +9,8 @@ The eigenproblem is solved by Nystrom discretization on Gauss-Legendre
 nodes with the symmetric weighting A_ij = sqrt(w_i w_j) K(x_i, x_j),
 doubling the quadrature order until the top eigenvalue is stable to 1e-10.
 The top eigenfunction is the (truncated) 0th prolate spheroidal wave
-function; the special function itself is never evaluated.
+function, which is even, so only A's even block over the positive nodes is
+decomposed; the special function itself is never evaluated.
 """
 
 from __future__ import annotations
@@ -123,61 +124,74 @@ def _gauss_legendre(order: int):
     return xi, w
 
 
-def _nystrom_matrix(delta_q: float, delta_p: float, order: int):
-    """Nodes, weights and the symmetrically weighted kernel matrix
-    A_ij = sqrt(w_i w_j) K(x_i, x_j) at one quadrature order."""
+def _nodes(delta_q: float, order: int):
+    """Gauss-Legendre nodes and weights of one order on the interval."""
     xi, w = _gauss_legendre(order)
     half = delta_q / 2.0
-    nodes = half * xi
-    weights = half * w
-    sw = np.sqrt(weights)
-    a = sw[:, None] * _sinc_kernel(nodes[:, None], nodes[None, :], delta_p) * sw[None, :]
-    return nodes, weights, a
+    return half * xi, half * w
 
 
-def _nystrom_top(nodes: np.ndarray, weights: np.ndarray, a: np.ndarray):
-    """Top eigenvalue of A and the eigenfunction at the nodes: unit L2 norm
-    on the interval, positive at the center."""
-    vals, vecs = np.linalg.eigh(a)
+def _even_block(delta_q: float, delta_p: float, order: int) -> np.ndarray:
+    """The Nystrom matrix A_ij = sqrt(w_i w_j) K(x_i, x_j) of one even order
+    restricted to even vectors: B_ij = sqrt(w_i w_j) [K(x_i, x_j) +
+    K(x_i, -x_j)] over the order/2 positive nodes. The rule is symmetric
+    (x_{n-1-i} = -x_i, equal weights), so A maps mirror-symmetric vectors
+    to mirror-symmetric vectors as B maps their positive halves."""
+    nodes, weights = _nodes(delta_q, order)
+    x, sw = nodes[order // 2:], np.sqrt(weights[order // 2:])
+    k = (_sinc_kernel(x[:, None], x[None, :], delta_p)
+         + _sinc_kernel(x[:, None], -x[None, :], delta_p))
+    return sw[:, None] * k * sw[None, :]
+
+
+def _nystrom_top(delta_q: float, order: int, block: np.ndarray):
+    """Top eigenvalue of the even block and the eigenfunction at all nodes
+    of the order: its eigenvector mirrored onto the negative nodes, unit L2
+    norm on the interval, positive at the center."""
+    vals, vecs = np.linalg.eigh(block)
     lam = float(vals[-1])
-    # undo the symmetric weighting, normalize and fix the sign at the center
-    psi = vecs[:, -1] / np.sqrt(weights)
+    nodes, weights = _nodes(delta_q, order)
+    # mirror, undo the symmetric weighting, normalize and fix the sign
+    psi = np.concatenate([vecs[::-1, -1], vecs[:, -1]]) / np.sqrt(weights)
     psi /= math.sqrt(float(np.sum(weights * psi ** 2)))
     if psi[len(psi) // 2] < 0:
         psi = -psi
-    return lam, psi
+    return lam, nodes, weights, psi
 
 
 def prolate_overlap(delta_q: float, delta_p: float, n_quad: int = NYSTROM_START,
                     with_eigenfunction: bool = False) -> OverlapResult:
     """Largest eigenvalue of the time-frequency limiting operator.
 
-    Quadrature order doubles from n_quad until |lambda(n) - lambda(2n)| is
-    below 1e-10 or the cap of 2048 is hit (converged flag reports which).
-    Spacings must be positive and finite. The doubling loop takes
-    eigenvalues only (eigvalsh); the eigenvector is computed once, at the
-    final order, and only with_eigenfunction, whose eigenvalue is then the
-    one c reports.
+    Quadrature order (the full Gauss-Legendre order, even) doubles from
+    n_quad until |lambda(n) - lambda(2n)| is below 1e-10 or the cap of 2048
+    is hit (converged flag reports which). Spacings must be positive and
+    finite. The top eigenfunction is even, so each order takes the top
+    eigenvalue of the half-size even block (_even_block) rather than of the
+    full Nystrom matrix; that also keeps it apart from the odd lambda_1,
+    which nears it as c -> 1. The doubling loop takes eigenvalues only
+    (eigvalsh); the eigenvector is computed once, at the final order, and
+    only with_eigenfunction, whose eigenvalue is then the one c reports.
     """
     if not (0.0 < delta_q < math.inf and 0.0 < delta_p < math.inf):
         raise ValueError(f"spacings must be positive and finite, got {delta_q} and {delta_p}")
-    if n_quad < 16:
-        raise ValueError("n_quad must be at least 16")
+    if n_quad < 16 or n_quad % 2:
+        raise ValueError(f"n_quad must be even and at least 16, got {n_quad}")
     order = n_quad
-    nodes, weights, a = _nystrom_matrix(delta_q, delta_p, order)
-    lam = float(np.linalg.eigvalsh(a)[-1])
+    block = _even_block(delta_q, delta_p, order)
+    lam = float(np.linalg.eigvalsh(block)[-1])
     converged = False
     while order < NYSTROM_CAP:
         order *= 2
-        nodes, weights, a = _nystrom_matrix(delta_q, delta_p, order)
-        lam2 = float(np.linalg.eigvalsh(a)[-1])
+        block = _even_block(delta_q, delta_p, order)
+        lam2 = float(np.linalg.eigvalsh(block)[-1])
         converged = abs(lam2 - lam) < NYSTROM_TOL
         lam = lam2
         if converged:
             break
     fn = None
     if with_eigenfunction:
-        lam, psi = _nystrom_top(nodes, weights, a)
+        lam, nodes, weights, psi = _nystrom_top(delta_q, order, block)
         fn = ProlateEigenfunction(delta_q, delta_p, lam, nodes, weights, psi)
     return OverlapResult(float(min(lam, 1.0)), delta_q, delta_p, order, converged, fn)
 

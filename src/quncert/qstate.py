@@ -72,8 +72,8 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
-# the most a cell of trace t (0 <= t <= NEGLIGIBLE) can contribute to each cq
-# functional, on its own scale: nats of H(X|B), P_guess and sqrt(F_dec)
+# the most a small cell of trace t can contribute to each cq functional, on
+# its own scale: nats of H(X|B), P_guess and sqrt(F_dec)
 _CELL_BOUNDS = {
     "vn": lambda t: -t * np.log(np.where(t > 0.0, t, 1.0)),
     "min": lambda t: t,
@@ -81,22 +81,44 @@ _CELL_BOUNDS = {
 }
 
 
-def kept_cells(traces: np.ndarray, kind: str) -> np.ndarray:
+def _skip_budget(traces: np.ndarray, kind: str, tol: float | None) -> float:
+    """The most the skipped cells' bounds may sum to.
+
+    NEGLIGIBLE for vn, whose values are exact to rounding, and for every
+    kind without a tol. A certified min or max solve at tol spends tol/10
+    of its gap on the skipped cells: P_guess is charged S = sum t, so
+    S <= tol/10; sqrt(F_dec) is charged T = sum sqrt(t), which moves the
+    bound (sqrt(U) + T)^2 at most 2RT + T^2 above U <= R^2, R = sum_x
+    sqrt(t_x) over all cells, so T is the root of 2RT + T^2 = tol/10.
+    """
+    if kind == "vn" or tol is None:
+        return NEGLIGIBLE
+    share = 0.1 * tol
+    if kind == "min":
+        return share
+    r = float(np.sqrt(np.clip(traces, 0.0, None)).sum())
+    return share / (r + math.sqrt(r * r + share))
+
+
+def kept_cells(traces: np.ndarray, kind: str, tol: float | None = None) -> np.ndarray:
     """Keep-mask of a cq state's cells: False on those a functional may skip.
 
     traces are the cell traces t_x; kind is the functional, "vn", "min" or
     "max", whose bound on what one cell of trace t can contribute is
     -t ln t, t or sqrt(t). With the cells in increasing order of trace, the
     skipped cells are the longest leading run whose bounds sum to at most
-    NEGLIGIBLE. Only cells with 0 <= t <= NEGLIGIBLE are candidates, so a
-    cell of negative trace is never skipped, and the largest cell is always
-    kept. The caller accounts for the skipped cells.
+    the budget (_skip_budget): tol/10 of a min or max solve's gap at tol,
+    NEGLIGIBLE = 1e-15 for vn or when tol is None. Only cells with
+    0 <= t <= budget are candidates, so a cell of negative trace is never
+    skipped, and the largest cell is always kept. The caller accounts for
+    the skipped cells.
     """
     tr = np.asarray(traces, dtype=float)
     bound = _CELL_BOUNDS[kind]
-    cand = np.flatnonzero((tr >= 0.0) & (tr <= NEGLIGIBLE))
+    budget = _skip_budget(tr, kind, tol)
+    cand = np.flatnonzero((tr >= 0.0) & (tr <= budget))
     cand = cand[np.argsort(tr[cand], kind="stable")]
-    n = int(np.searchsorted(np.cumsum(bound(tr[cand])), NEGLIGIBLE, side="right"))
+    n = int(np.searchsorted(np.cumsum(bound(tr[cand])), budget, side="right"))
     keep = np.ones(len(tr), dtype=bool)
     keep[cand[:min(n, len(tr) - 1)]] = False
     return keep
@@ -197,14 +219,6 @@ class CQState:
     def marginal(self) -> np.ndarray:
         """Memory marginal omega_B = sum_x omega_B^x."""
         return self.ops.sum(0)
-
-    def block_diagonal(self) -> np.ndarray:
-        """Embedding sum_x |x><x| (x) omega_B^x as one dense matrix."""
-        m, d = self.ops.shape[:2]
-        out = np.zeros((m, d, m, d), dtype=complex)
-        x = np.arange(m)
-        out[x, :, x, :] = self.ops
-        return out.reshape(m * d, m * d)
 
     def diagnostics(self) -> dict:
         tr = self.probs.sum()

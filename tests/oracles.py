@@ -162,6 +162,18 @@ def prolate_lambda0(c):
     return 2.0 * lam(1.0 + 1e-7) - lam(1.0 + 2e-7)
 
 
+def nystrom_lambda0(delta_q, delta_p, order):
+    """Top eigenvalue of the full Nystrom matrix sqrt(w_i w_j) K(x_i, x_j)
+    of the sinc kernel K(x, y) = sin(dp (x - y) / 2) / (pi (x - y)) on all
+    `order` Gauss-Legendre nodes of [-dq/2, dq/2], by one dense eigvalsh."""
+    xi, w = np.polynomial.legendre.leggauss(order)
+    x, w = 0.5 * delta_q * xi, 0.5 * delta_q * w
+    diff = x[:, None] - x[None, :]
+    k = delta_p / (2.0 * math.pi) * np.sinc(delta_p * diff / (2.0 * math.pi))
+    sw = np.sqrt(w)
+    return float(np.linalg.eigvalsh(sw[:, None] * k * sw[None, :])[-1])
+
+
 FOCK_TERMS_MAX = 1e7
 
 
@@ -277,6 +289,16 @@ def with_cells(cq, rng, traces):
 
     extra = [(f"extra{i}", t * random_density(cq.dim, rng)) for i, t in enumerate(traces)]
     return CQState(cq.outcomes + tuple(extra))
+
+
+def block_diagonal(ops):
+    """The cq operator sum_x |x><x| (x) omega_x of an (m, d, d) stack as one
+    dense md x md matrix, filled block by block."""
+    m, d = ops.shape[:2]
+    out = np.zeros((m * d, m * d), dtype=complex)
+    for x in range(m):
+        out[x * d:(x + 1) * d, x * d:(x + 1) * d] = ops[x]
+    return out
 
 
 def random_cq(rng, n_outcomes, dim, rank=None):

@@ -31,6 +31,7 @@ from quncert.verify import (
 )
 
 from oracles import (
+    block_diagonal,
     epr_gap_nats,
     fdec_bloch_grid,
     gaussian_h_bits,
@@ -200,7 +201,7 @@ def test_07_solver_correctness():
         d = int(rng.integers(2, 9))
         cq = random_cq(rng, 2, d)
         hel = helstrom_textbook(cq.outcomes[0][1], cq.outcomes[1][1])
-        res = cond_min_entropy_value(cq.block_diagonal(), 2, d)
+        res = cond_min_entropy_value(block_diagonal(cq.ops), 2, d)
         worst_hel = max(worst_hel, abs(res.value - hel))
         worst_gap = max(worst_gap, res.gap)
     worst_dual = 0.0

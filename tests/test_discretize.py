@@ -18,7 +18,7 @@ from quncert.discretize import (
 )
 from quncert.entropy import cond_vn_cq
 from quncert.gaussian import epr_grid_wavefunction
-from quncert.minmax import decoupling_fidelity, guessing_probability
+from quncert.minmax import DEFAULT_TOL, decoupling_fidelity, guessing_probability
 from quncert.qstate import NEGLIGIBLE, CQState, GridWaveFunction, kept_cells, sample_outer_sum
 
 from oracles import (binned_cond_vn_nats, binned_cq, binned_cq_loop, gaussian_h_bits,
@@ -377,7 +377,7 @@ class TestTraceFirstLadder:
         phi = momentum_transform(EPR)
         full = discretize_position(phi, Partition.centered(2.0, phi.grid[0], phi.grid[-1]))
         for kind in ("min", "max"):
-            kept = int(kept_cells(full.probs, kind).sum())
+            kept = int(kept_cells(full.probs, kind, DEFAULT_TOL).sum())
             assert kept < len(full.labels)
             built.clear()
             convergence_ladder(EPR, "momentum", kind, n_max=0, alpha0=2.0)
@@ -386,6 +386,17 @@ class TestTraceFirstLadder:
         built.clear()
         convergence_ladder(gaussian_wavefunction(1.0, n_points=1024), "position", "vn", n_max=2)
         assert built == []
+
+    def test_paper_scale_momentum_max_rung_keeps_few_cells(self, caplog):
+        # the 32768-point grid puts most of its 12,869 cells at alpha = 1/2
+        # in FFT rounding (trace about 1e-30); the tol budget skips them
+        psi = epr_grid_wavefunction(1.5, n_points=32768)
+        with caplog.at_level(logging.DEBUG, logger="quncert"):
+            tab = convergence_ladder(psi, "momentum", "max", n_max=0, alpha0=0.5)
+        assert tab.converged
+        (rec,) = [r for r in caplog.records if r.name == "quncert"]
+        got = re.search(r": (\d+) cells, (\d+) kept,", rec.getMessage())
+        assert int(got[1]) > 10000 and int(got[2]) < 100
 
     def test_logs_one_debug_record_per_rung(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="quncert"):

@@ -17,7 +17,8 @@ from quncert.entropy import (
 from quncert import qstate
 from quncert.qstate import CQState, NEGLIGIBLE
 
-from oracles import cond_vn_block_nats, eig_entropy_bits, gaussian_h_bits, random_cq, with_cells
+from oracles import (block_diagonal, cond_vn_block_nats, eig_entropy_bits, gaussian_h_bits,
+                     random_cq, with_cells)
 
 
 def random_density(dim, rng):
@@ -132,7 +133,7 @@ class TestCondVNcq:
         # H(X|B) = H(XB) - H(B) on the classical-quantum embedding
         rng = np.random.default_rng(5)
         cq = random_cq(rng, 3, 3)
-        hxb = eig_entropy_bits(cq.block_diagonal())
+        hxb = eig_entropy_bits(block_diagonal(cq.ops))
         hb = eig_entropy_bits(cq.marginal())
         assert math.isclose(cond_vn_cq(cq).value, hxb - hb, abs_tol=1e-8)
 

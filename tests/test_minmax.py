@@ -20,6 +20,7 @@ from quncert.qstate import CQState
 from quncert.verify import _trial_rng, haar_state, measure_to_cq, mub_pair, random_density
 
 from oracles import (
+    block_diagonal,
     block_embedding,
     fdec_block_sdp,
     fdec_bloch_grid,
@@ -99,7 +100,7 @@ class TestGuessingProbability:
             d = int(rng.integers(2, 7))
             cq = random_cq(rng, 2, d)
             hel = helstrom_textbook(cq.outcomes[0][1], cq.outcomes[1][1])
-            res = cond_min_entropy_value(cq.block_diagonal(), 2, d)
+            res = cond_min_entropy_value(block_diagonal(cq.ops), 2, d)
             assert res.converged
             assert abs(res.value - hel) < 1e-6
             assert res.gap < 1e-7
@@ -165,14 +166,24 @@ class TestGuessingProbability:
         assert math.isclose(guessing_probability(cq).value, 1.0, abs_tol=1e-12)
 
 
+def _untrimmed(kind, cq, tol=minmax.DEFAULT_TOL):
+    """The solvers' skip-and-charge core on every cell of cq, none skipped."""
+    return minmax._charged_solve(kind, cq.ops, np.empty(0), tol)
+
+
 def _trimmed_cq(seed, m, d):
     """A random cq state of m cells with cells of trace 1e-40, 1e-20 and
     1e-40 appended. P_guess (bound t) skips all three; F_dec (bound
-    sqrt(t)) keeps the one of 1e-20."""
+    sqrt(t)) keeps the one of 1e-20 under the 1e-15 budget and at tol 1e-9,
+    and skips it at tol 1e-7."""
     rng = _trial_rng(seed, 0)
     cq = with_cells(random_cq(rng, m, d), rng, [1e-40, 1e-20, 1e-40])
-    assert qstate.kept_cells(cq.probs, "min").tolist() == [True] * m + [False] * 3
-    assert qstate.kept_cells(cq.probs, "max").tolist() == [True] * m + [False, True, False]
+    for tol in (None, 1e-7, 1e-9):
+        assert qstate.kept_cells(cq.probs, "min", tol).tolist() == [True] * m + [False] * 3
+    for tol in (None, 1e-9):
+        assert (qstate.kept_cells(cq.probs, "max", tol).tolist()
+                == [True] * m + [False, True, False])
+    assert qstate.kept_cells(cq.probs, "max", 1e-7).tolist() == [True] * m + [False] * 3
     return cq
 
 
@@ -204,21 +215,19 @@ class TestGuessingProbabilityTrim:
         assert np.linalg.eigvalsh(res.dual_certificate - cq.ops).min() >= 0.0
 
     @pytest.mark.parametrize("seed,m,d", [(82, 2, 2), (83, 4, 3), (84, 6, 5)])
-    def test_agrees_with_untrimmed_solve(self, seed, m, d, monkeypatch):
+    def test_agrees_with_untrimmed_solve(self, seed, m, d):
         cq = _trimmed_cq(seed, m, d)
         res = guessing_probability(cq)
-        monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
-        full = guessing_probability(cq)
+        full = _untrimmed("min", cq)
         assert full.converged
         assert res.value <= full.value + full.gap + 1e-12
         assert full.value <= res.value + res.gap + 1e-12
 
     @pytest.mark.parametrize("seed,m,d", [(85, 1, 2), (86, 2, 3), (87, 5, 4)])
-    def test_no_negligible_cell_is_bit_identical(self, seed, m, d, monkeypatch):
+    def test_no_negligible_cell_is_bit_identical(self, seed, m, d):
         cq = random_cq(_trial_rng(seed, 0), m, d)
         res = guessing_probability(cq)
-        monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
-        full = guessing_probability(cq)
+        full = _untrimmed("min", cq)
         assert (res.value, res.gap, res.iterations) == (full.value, full.gap, full.iterations)
         assert np.array_equal(res.dual_certificate, full.dual_certificate)
         assert np.array_equal(res.primal_povm.elements, full.primal_povm.elements)
@@ -226,13 +235,12 @@ class TestGuessingProbabilityTrim:
 
 class TestDecouplingTrim:
     @pytest.mark.parametrize("seed,m,d", [(91, 1, 2), (92, 2, 3), (93, 4, 3), (94, 5, 4)])
-    def test_within_gap_of_untrimmed_solve(self, seed, m, d, monkeypatch):
+    def test_within_gap_of_untrimmed_solve(self, seed, m, d):
         cq = _trimmed_cq(seed, m, d)
         res = decoupling_fidelity(cq, 1e-9)
         fdec, gap = res.value, res.gap
         assert 0.0 <= gap <= 1e-9
-        monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
-        full_res = decoupling_fidelity(cq, 1e-9)
+        full_res = _untrimmed("max", cq, 1e-9)
         full, full_gap = full_res.value, full_res.gap
         assert full_gap <= 1e-9
         # each solve's [value - gap, value] contains F_dec
@@ -240,11 +248,106 @@ class TestDecouplingTrim:
         assert full - full_gap <= fdec + 1e-12
 
     @pytest.mark.parametrize("seed,m,d", [(95, 1, 2), (96, 3, 3)])
-    def test_no_negligible_cell_is_bit_identical(self, seed, m, d, monkeypatch):
+    def test_no_negligible_cell_is_bit_identical(self, seed, m, d):
         cq = random_cq(_trial_rng(seed, 0), m, d)
-        got = decoupling_fidelity(cq, 1e-7)
-        monkeypatch.setattr(qstate, "NEGLIGIBLE", 0.0)
-        assert got == decoupling_fidelity(cq, 1e-7)
+        assert decoupling_fidelity(cq, 1e-7) == _untrimmed("max", cq, 1e-7)
+
+
+def _charged(kind, cq, tol, budget_tol):
+    """The skip-and-charge solve of cq at tol, skipping the cells that
+    kept_cells skips at budget_tol (None: the 1e-15 budget)."""
+    t = cq.probs
+    keep = qstate.kept_cells(t, kind, budget_tol)
+    return minmax._charged_solve(kind, cq.ops[keep], t[~keep], tol), keep
+
+
+def _bracket(kind, res):
+    """The interval the certificate puts the optimum in."""
+    return (res.value, res.value + res.gap) if kind == "min" else (res.value - res.gap, res.value)
+
+
+def _epr_rung(which, alpha):
+    psi = gaussian.epr_grid_wavefunction(1.5, n_points=2048)
+    if which == "momentum":
+        psi = discretize.momentum_transform(psi)
+    return discretize.discretize_position(
+        psi, discretize.Partition.centered(alpha, psi.grid[0], psi.grid[-1]))
+
+
+class TestTolBudget:
+    """Min and max solves skip the cells that cost at most tol/10 of the
+    certificate's gap and solve the rest to the remaining tol."""
+
+    def test_budget_rule(self):
+        t = np.array([0.5, 0.3, 0.2 - 1.1e-8, 6e-9, 4e-9, 1e-9, 4e-18, 1e-18])
+        # P_guess: the smallest traces while they sum to at most tol/10
+        assert qstate.kept_cells(t, "min", 1e-7).tolist() == [True] * 4 + [False] * 4
+        # sqrt(F_dec): T = sum sqrt(t) with 2RT + T^2 <= tol/10, R = 1.70...
+        keep = qstate.kept_cells(t, "max", 1e-7)
+        assert keep.tolist() == [True] * 7 + [False]
+        r, root = float(np.sqrt(t).sum()), float(np.sqrt(t[~keep]).sum())
+        assert (2.0 * r + root) * root <= 1e-8
+        root += math.sqrt(4e-18)
+        assert (2.0 * r + root) * root > 1e-8
+        # vn keeps its 1e-15 budget whatever the tol
+        for tol in (1e-7, 1e-3):
+            assert np.array_equal(qstate.kept_cells(t, "vn", tol), qstate.kept_cells(t, "vn"))
+        # a large tol still keeps the largest cell and no cell of negative trace
+        assert qstate.kept_cells(np.array([1e-4, 2e-4]), "min", 1e-3).tolist() == [False, True]
+        assert qstate.kept_cells(np.array([1.0, -1e-9]), "min", 1e-3).tolist() == [True, True]
+
+    def test_kept_cells_are_solved_to_the_rest_of_tol(self, monkeypatch):
+        seen = {}
+        for kind, name in (("min", "_guess"), ("max", "_fdec_ascent")):
+            real = getattr(minmax, name)
+
+            def spy(ops, tol, kind=kind, real=real):
+                seen[kind] = tol
+                return real(ops, tol)
+            monkeypatch.setattr(minmax, name, spy)
+        rng = _trial_rng(101, 0)
+        cq = with_cells(random_cq(rng, 3, 3), rng, [1e-9, 1e-9, 1e-18])
+        t, tol = cq.probs, 1e-7
+        assert guessing_probability(cq, tol).converged
+        assert decoupling_fidelity(cq, tol).converged
+        skipped = t[~qstate.kept_cells(t, "min", tol)]
+        assert len(skipped) == 3
+        assert seen["min"] == pytest.approx(tol - skipped.sum(), rel=1e-12)
+        skipped = t[~qstate.kept_cells(t, "max", tol)]
+        assert skipped.tolist() == [t[-1]]
+        r, root = float(np.sqrt(t).sum()), float(np.sqrt(skipped).sum())
+        assert seen["max"] == pytest.approx(tol - (2.0 * r + root) * root, rel=1e-12)
+        assert tol - seen["max"] <= 0.1 * tol
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    @pytest.mark.parametrize("tol", [1e-7, 1e-9])
+    @pytest.mark.parametrize("seed, m, d", [(102, 3, 3), (103, 5, 4)])
+    def test_bracket_meets_the_negligible_budget_solve_on_small_cells(self, kind, tol, seed, m, d):
+        rng = _trial_rng(seed, 0)
+        cq = with_cells(random_cq(rng, m, d), rng, [1e-9, 1e-9, 1e-18])
+        self._assert_meets(kind, cq, tol)
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    @pytest.mark.parametrize("which, alpha", [("position", 2.0), ("momentum", 1.0)])
+    def test_bracket_meets_the_negligible_budget_solve_on_epr_rungs(self, kind, which, alpha):
+        keep = self._assert_meets(kind, _epr_rung(which, alpha), minmax.DEFAULT_TOL)
+        assert keep[0].sum() < keep[1].sum()
+
+    @staticmethod
+    def _assert_meets(kind, cq, tol):
+        """The charged solve at tol is converged with gap <= tol, and its
+        bracket meets that of the same solve under the 1e-15 budget.
+        Returns both keep-masks."""
+        res, keep = _charged(kind, cq, tol, tol)
+        entry = (guessing_probability if kind == "min" else decoupling_fidelity)(cq, tol)
+        fields = lambda r: (r.value, r.gap, r.iterations, r.converged)
+        assert fields(res) == fields(entry)
+        ref, ref_keep = _charged(kind, cq, tol, None)
+        assert res.converged and 0.0 <= res.gap <= tol
+        lo, hi = _bracket(kind, res)
+        ref_lo, ref_hi = _bracket(kind, ref)
+        assert lo <= ref_hi + 1e-12 and ref_lo <= hi + 1e-12
+        return keep, ref_keep
 
 
 class TestPaperScale:
@@ -266,12 +369,13 @@ class TestPaperScale:
         assert abs(res.value - 0.82041563) < 1e-8
 
     def test_epr_fdec_at_alpha_2(self):
-        # 11 of the 17 cells are kept; the md block SDP took 165 s to give
-        # 1.9565971161 (gap 2.2e-10) here
+        # 11 of the 17 cells pass the 1e-15 budget and 9 the default tol's;
+        # the md block SDP took 165 s to give 1.9565971161 (gap 2.2e-10) here
         psi = gaussian.epr_grid_wavefunction(1.5)
         part = discretize.Partition.centered(2.0, psi.grid[0], psi.grid[-1])
         cq = discretize.discretize_position(psi, part)
         assert int(qstate.kept_cells(cq.probs, "max").sum()) == 11
+        assert int(qstate.kept_cells(cq.probs, "max", minmax.DEFAULT_TOL).sum()) == 9
         res = decoupling_fidelity(cq)
         assert res.converged
         assert res.value - res.gap <= 1.9565971161 <= res.value
@@ -358,7 +462,7 @@ class TestCondMinEntropyGeneral:
             rng = _trial_rng(31, trial)
             cq = random_cq(rng, 3, 2)
             pg = guessing_probability(cq).value
-            res = cond_min_entropy_value(cq.block_diagonal(), 3, 2)
+            res = cond_min_entropy_value(block_diagonal(cq.ops), 3, 2)
             val, gap = res.value, res.gap
             assert abs(val - pg) < 3e-6
             assert gap < 1e-7
@@ -488,7 +592,7 @@ class TestSDPResult:
 
     def test_cond_min_entropy_value(self):
         cq = random_cq(_trial_rng(74, 0), 3, 2)
-        res = cond_min_entropy_value(cq.block_diagonal(), 3, 2)
+        res = cond_min_entropy_value(block_diagonal(cq.ops), 3, 2)
         _assert_result(res, 1e-7, certificates=False)
         assert res.converged and res.iterations > 0
 
@@ -499,7 +603,7 @@ class TestSDPResult:
         monkeypatch.setattr(minmax, "ASCENT_MAX_SWEEPS", 2)
         monkeypatch.setattr(minmax, "IPM_MAX_ITER", 2)
         for res in (decoupling_fidelity(cq), guessing_probability(cq),
-                    cond_min_entropy_value(cq.block_diagonal(), len(cq.labels), 3)):
+                    cond_min_entropy_value(block_diagonal(cq.ops), len(cq.labels), 3)):
             assert isinstance(res, SDPResult)
             assert not res.converged
             assert res.iterations == 2

@@ -14,7 +14,7 @@ from quncert.overlap import (
 from quncert.qstate import POVM, sqrt_overlap_norm
 from quncert.verify import mub_pair, random_povm
 
-from oracles import prolate_lambda0
+from oracles import nystrom_lambda0, prolate_lambda0
 
 
 class TestProlateOverlap:
@@ -59,6 +59,19 @@ class TestProlateOverlap:
     def test_rejects_non_finite_spacing(self, delta_q, delta_p):
         with pytest.raises(ValueError, match="positive and finite"):
             prolate_overlap(delta_q, delta_p)
+
+    @pytest.mark.parametrize("delta_q, delta_p", [
+        (2.0 ** -6, 2.0 ** -6), (1.0, 1.0), (3.0, 3.0), (5.0, 5.0), (8.0, 8.0), (1.3, 0.7)])
+    def test_even_block_matches_full_nystrom_matrix(self, delta_q, delta_p):
+        # the half-size even block has the full matrix's top eigenvalue
+        res = prolate_overlap(delta_q, delta_p)
+        assert res.converged
+        assert abs(res.c - nystrom_lambda0(delta_q, delta_p, res.nystrom_order)) <= 1e-14
+
+    @pytest.mark.parametrize("n_quad", [15, 65])
+    def test_rejects_odd_or_small_order(self, n_quad):
+        with pytest.raises(ValueError, match="n_quad must be even and at least 16"):
+            prolate_overlap(1.0, 1.0, n_quad=n_quad)
 
     def test_cached_quadrature_is_read_only_and_exact(self, monkeypatch):
         xi, w = overlap._gauss_legendre(64)
@@ -113,6 +126,13 @@ class TestEigenfunction:
         dq = 1.0 / n
         x = -0.5 + dq * (np.arange(n) + 0.5)
         assert math.isclose(np.sum(f(x) ** 2) * dq, 1.0, abs_tol=1e-9)
+
+    def test_values_on_every_node_of_the_order(self):
+        # the even block's eigenvector, mirrored onto the negative nodes
+        f = self.RES.eigenfunction
+        xi, w = np.polynomial.legendre.leggauss(self.RES.nystrom_order)
+        assert np.array_equal(f.nodes, 0.5 * xi) and np.array_equal(f.weights, 0.5 * w)
+        assert np.array_equal(f.values, f.values[::-1])
 
     def test_zero_outside_interval(self):
         f = self.RES.eigenfunction

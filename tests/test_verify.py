@@ -16,7 +16,7 @@ from quncert.verify import (
     random_povm,
     _trial_rng,
 )
-from quncert import verify
+from quncert import overlap, verify
 from quncert.qstate import partial_trace, validate
 
 from oracles import dilated_cond_entropy_bits
@@ -175,6 +175,18 @@ class TestInequalitySuites:
         for variant in ("frank_lieb", "dilation"):
             rep = check_bipartite(trials=15, seed=7, variant=variant)
             assert rep.passed, variant
+
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 4)])
+    def test_frank_lieb_computes_only_its_own_bound(self, monkeypatch, dims):
+        want = check_bipartite(dims=dims, trials=5, seed=11, variant="frank_lieb",
+                               use_mub=False)
+
+        def dilation_term(*args):
+            raise AssertionError("frank_lieb computed a term of the dilation bound")
+        monkeypatch.setattr(verify, "_dilated_cond_entropy", dilation_term)
+        monkeypatch.setattr(overlap, "povm_overlap", dilation_term)
+        assert check_bipartite(dims=dims, trials=5, seed=11, variant="frank_lieb",
+                               use_mub=False) == want
 
     def test_dilation_tightens_frank_lieb_on_record(self):
         # both reports carry per-instance slacks for the same seeded states
