@@ -7,10 +7,8 @@ from .qstate import (
     DensityMatrix,
     GridWaveFunction,
     POVM,
-    fidelity,
     partial_trace,
     purify_cq,
-    sqrt_overlap_norm,
     validate,
 )
 from .entropy import (

@@ -48,6 +48,12 @@ def _emit(args, header: str, lines) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(args, base: str, obj) -> None:
+    """obj as one line of sorted JSON: after the header in the --json file,
+    alone on stdout."""
+    _emit(args, _header(args, base) if args.json else "", [json.dumps(obj, sort_keys=True)])
+
+
 def _parse_sweep(spec: str):
     try:
         kind, lo, hi, n = spec.split(":")
@@ -85,12 +91,11 @@ def cmd_overlap(args) -> int:
 
 def cmd_epr_gap(args) -> int:
     rows = gaussian.fig2_table(args.r_min, args.r_max, args.n)
-    lines = ["r,nu,gap_bits,gap_nats,log10_gap_nats,mean_energy"]
+    lines = ["r,nu,gap_bits,gap_nats,log10_gap_nats"]
     for row in rows:
         log_gap = math.log10(row.gap_nats) if row.gap_nats > 0 else float("-inf")
         lines.append(",".join(_fmt(v) for v in
-                              (row.r, row.nu, row.gap_bits, row.gap_nats,
-                               log_gap, row.mean_energy)))
+                              (row.r, row.nu, row.gap_bits, row.gap_nats, log_gap)))
     _emit(args, _header(args, args.base), lines)
     return 0
 
@@ -139,12 +144,7 @@ def cmd_entropy(args) -> int:
         if not res.converged:
             print(json.dumps(out, sort_keys=True), file=sys.stderr)
             return 1
-    text = json.dumps(out, sort_keys=True)
-    if args.json:
-        atomic_write(args.json, _header(args, args.base) + text + "\n")
-        print(f"wrote {args.json}")
-    else:
-        print(text)
+    _emit_json(args, args.base, out)
     return 0
 
 
@@ -180,12 +180,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"unknown relation {args.relation!r}; "
                          f"choose from {sorted(_RELATIONS)}")
     report = _RELATIONS[args.relation](args)
-    text = json.dumps(report.to_json(), sort_keys=True)
-    if args.json:
-        atomic_write(args.json, _header(args, "bits") + text + "\n")
-        print(f"wrote {args.json}")
-    else:
-        print(text)
+    _emit_json(args, "bits", report.to_json())
     return 0 if report.passed else 1
 
 

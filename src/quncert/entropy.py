@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import CQState, clipped_eigh, herm, kept_cells
+from .qstate import CQState, herm, kept_cells, psd_eigh
 
 SUPPORT_RTOL = 1e-10
 
@@ -77,16 +77,14 @@ def von_neumann(rho: np.ndarray, base: str = "bits") -> EntropyValue:
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"state not normalized: trace = {tr}")
-    vals, _ = clipped_eigh(rho)
-    vals = np.clip(vals, 0.0, None)
+    vals, _ = psd_eigh(rho)
     return _as_base(-float(_xlogx(vals).sum()), base)
 
 
 def _spectrum(sigma: np.ndarray):
     """sigma's spectrum clipped at 0, its eigenvectors, and the mask of
     eigenvalues above SUPPORT_RTOL times the largest (its support)."""
-    vals, vecs = clipped_eigh(sigma)
-    vals = np.clip(vals, 0.0, None)
+    vals, vecs = psd_eigh(sigma)
     return vals, vecs, vals > SUPPORT_RTOL * vals.max()
 
 
@@ -129,8 +127,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits") -> 
     if spec is None:
         return _as_base(math.inf, base)
     svals, _, _, diag = spec
-    rvals, _ = clipped_eigh(rho)
-    rvals = np.clip(rvals, 0.0, None)
+    rvals, _ = psd_eigh(rho)
     tr_rho_log_rho = float(_xlogx(rvals).sum())
     # every positive eigenvalue of sigma, as in _cond_vn_nats
     positive = svals > 0.0

@@ -60,10 +60,15 @@ class GaussianState:
                              self.displacement[idx])
 
 
+def _check_nu(nu: float) -> None:
+    # written so that NaN fails too
+    if not 1.0 <= nu < math.inf:
+        raise ValueError(f"nu must be finite and >= 1, got {nu}")
+
+
 def epr_state(nu: float) -> GaussianState:
     """Two-mode squeezed state with nu = cosh(2r); nu = 1 is vacuum (x) vacuum."""
-    if nu < 1.0:
-        raise ValueError("nu must be >= 1")
+    _check_nu(nu)
     z = np.diag([1.0, -1.0])
     s = math.sqrt(max(nu * nu - 1.0, 0.0))
     cov = 0.5 * np.block([[nu * np.eye(2), s * z], [s * z, nu * np.eye(2)]])
@@ -98,8 +103,7 @@ def gaussian_vn_entropy(state: GaussianState, base: str = "bits") -> EntropyValu
 def _f_nats(nu: float) -> float:
     """h(Q|B) + h(P) for the EPR state: log(e pi nu) - (nu+1)/2 log((nu+1)/2)
     + (nu-1)/2 log((nu-1)/2), with the nu = 1 limit taken analytically."""
-    if nu < 1.0:
-        raise ValueError("nu must be >= 1")
+    _check_nu(nu)
     val = math.log(math.e * math.pi * nu)
     val -= (nu + 1.0) / 2.0 * math.log((nu + 1.0) / 2.0)
     if nu > 1.0:
@@ -115,6 +119,7 @@ def epr_gap(nu: float, base: str = "bits") -> float:
     nu >= GAP_SERIES_NU the series is summed (its terms fall at least 4x per
     step), since f(nu) - log(2 pi) cancels there: at r = 8 it gives -1.5e-9
     nats instead of 8.4e-15. Below it the closed form keeps full precision."""
+    _check_nu(nu)
     if nu < GAP_SERIES_NU:
         gap = _f_nats(nu) - math.log(2.0 * math.pi)
     else:
@@ -132,6 +137,7 @@ def epr_gap(nu: float, base: str = "bits") -> float:
 
 def epr_conditional_entropies(nu: float, base: str = "bits"):
     """(h(Q|B), h(P), sum) for the EPR state; the sum is f(nu) >= log(2 pi)."""
+    _check_nu(nu)
     h_p = 0.5 + 0.5 * math.log(math.pi * nu)  # = h(Q), marginal variance nu/2
     t = (nu + 1.0) / 2.0
     h_b = 0.0 if t <= 1.0 else t * math.log(t) - (t - 1.0) * math.log(t - 1.0)
@@ -146,23 +152,20 @@ class Fig2Row:
     nu: float
     gap_bits: float
     gap_nats: float
-    mean_energy: float
 
 
 def fig2_table(r_lo: float = 0.0, r_hi: float = 3.0, n: int = 61):
     """Gap versus squeezing table.
 
-    mean_energy reports the caption formula 1 + 2 sinh(r/2)^2 verbatim; the
-    argument convention (r vs r/2) in that formula is ambiguous against the
-    standard two-mode squeezed energy and is flagged in the docs."""
+    The per-mode mean energy in vacuum units, 1 + 2 sinh(r)^2, is nu itself,
+    so a row carries no separate energy column."""
     if n < 1:
         raise ValueError(f"row count n must be at least 1, got {n}")
     rows = []
     for r in np.linspace(r_lo, r_hi, n):
         nu = math.cosh(2.0 * r)
         gap_nats = epr_gap(nu, base="nats")
-        rows.append(Fig2Row(float(r), nu, gap_nats / math.log(2.0), gap_nats,
-                            1.0 + 2.0 * math.sinh(r / 2.0) ** 2))
+        rows.append(Fig2Row(float(r), nu, gap_nats / math.log(2.0), gap_nats))
     return rows
 
 
@@ -176,8 +179,7 @@ def epr_grid_wavefunction(nu: float, n_points: int = 4096,
     """
     from .qstate import GridWaveFunction
 
-    if nu < 1.0:
-        raise ValueError("nu must be >= 1")
+    _check_nu(nu)
     r = 0.5 * math.acosh(nu)
     lam = math.tanh(r)
     if memory_dim is None:

@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .entropy import EntropyValue, _as_base
-from .qstate import CQState, POVM, clipped_eigh, herm, kept_cells, psd_funcm
+from .qstate import CQState, POVM, herm, kept_cells, psd_eigh, psd_funcm
 # unused here; perfbench/spans.py traces these two bindings of this module by name
 from .qstate import partial_trace, purify_cq  # noqa: F401
 
@@ -232,13 +232,12 @@ def _ipm_value(rho: np.ndarray, emb: _Embedding, tol: float) -> SDPResult:
 def _helstrom(ops: np.ndarray):
     """Optimal POVM elements and dual sigma of two outcomes in closed form."""
     op0, op1 = ops
-    delta = herm(op0 - op1)
-    vals, vecs = np.linalg.eigh(delta)
+    vals, vecs = psd_eigh(op0 - op1)
     pos = (vecs * (vals > 0).astype(float)) @ vecs.conj().T
     e0 = herm(pos)
     elements = np.stack([e0, np.eye(op0.shape[0]) - e0])
     # dual optimum: sigma = op1 + (op0 - op1)_+
-    sigma = herm(op1 + (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T)
+    sigma = herm(op1 + (vecs * vals) @ vecs.conj().T)
     return elements, sigma + _feasible_shift(ops, sigma) * np.eye(op0.shape[0])
 
 
@@ -424,8 +423,7 @@ def _fdec_ascent(ops: np.ndarray, tol: float) -> SDPResult:
     """
     cap = ASCENT_MAX_SWEEPS
     m, d = ops.shape[:2]
-    vals, vecs = clipped_eigh(ops)
-    vals = np.clip(vals, 0.0, None)
+    vals, vecs = psd_eigh(ops)
     roots = (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     root_sum = float(np.sqrt(vals.sum(1)).sum())
     keep, charge = _kept_directions(vals, (0.1 * tol / (2.0 * root_sum + 1.0) / m) ** 2)

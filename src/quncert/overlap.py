@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .qstate import POVM, PSD_TOL, herm, psd_sqrt
+from .qstate import POVM, PSD_TOL, herm, psd_funcm
 
 NYSTROM_START = 64
 NYSTROM_CAP = 2048
@@ -212,7 +212,7 @@ def povm_overlap(e: POVM, f: POVM) -> float:
     for name, els in (("E", e.elements), ("F", f.elements)):
         if np.linalg.eigvalsh(herm(els)).min() < -PSD_TOL:
             raise ValueError(f"{name} is not positive semidefinite")
-    se = psd_sqrt(e.elements)[:, None]
+    se = psd_funcm(e.elements, np.sqrt)[:, None]
     vals = np.linalg.eigvalsh(herm(se @ f.elements @ se))
     return float(max(vals[..., -1].max(), 0.0))
 

@@ -2,9 +2,12 @@
 
 Everything here is a plain numpy array wrapped in a small frozen dataclass;
 cq states and POVMs hold one (m, d, d) stack, and a cq stack is symmetrized
-once, when the state is made. Matrices are symmetrized before any
-eigendecomposition and eigenvalues in [-1e-10, 0) are clipped to zero, so
-quadrature / FFT round-off cannot flip positivity checks.
+once, when the state is made. Every function of a PSD operator (entropies,
+square roots, positive parts) goes through psd_eigh, which symmetrizes and
+clips the whole spectrum at 0. The validity checks (diagnostics) read the
+raw spectrum instead and allow PSD_TOL = 1e-10 below 0, so quadrature and
+FFT round-off cannot flip them while a genuinely indefinite input still
+fails.
 """
 
 from __future__ import annotations
@@ -27,15 +30,12 @@ __all__ = [
     "POVM",
     "GridWaveFunction",
     "herm",
-    "psd_sqrt",
+    "psd_eigh",
     "psd_funcm",
-    "trace_norm",
     "kept_cells",
     "validate",
     "partial_trace",
-    "fidelity",
     "purify_cq",
-    "sqrt_overlap_norm",
     "sample_outer_sum",
 ]
 
@@ -45,31 +45,19 @@ def herm(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + np.swapaxes(mat.conj(), -1, -2))
 
 
-def clipped_eigh(mat: np.ndarray, clip: float = PSD_TOL):
-    """Eigendecomposition of herm(mat) with tiny negative eigenvalues set to 0.
-
-    Accepts a (..., d, d) stack and decomposes it in one batched call.
-    Eigenvalues below -clip are left alone: genuinely indefinite input should
-    stay visibly indefinite.
-    """
+def psd_eigh(mat: np.ndarray):
+    """Eigendecomposition of herm(mat), of a matrix or of each matrix of a
+    (..., d, d) stack in one batched call, with the spectrum clipped at 0:
+    the eigen-data of the PSD part of herm(mat)."""
     vals, vecs = np.linalg.eigh(herm(mat))
-    vals = np.where((vals < 0) & (vals >= -clip), 0.0, vals)
-    return vals, vecs
-
-
-def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    return psd_funcm(mat, lambda vals: np.sqrt(np.clip(vals, 0.0, None)))
+    return np.clip(vals, 0.0, None), vecs
 
 
 def psd_funcm(mat: np.ndarray, fn) -> np.ndarray:
-    """Apply a scalar function to the clipped spectrum of a Hermitian matrix,
-    or of each matrix of a (..., d, d) stack."""
-    vals, vecs = clipped_eigh(mat)
+    """fn applied to the spectrum of psd_eigh(mat): V fn(vals) V^dagger, for
+    a matrix or for each matrix of a (..., d, d) stack."""
+    vals, vecs = psd_eigh(mat)
     return (vecs * fn(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-
-
-def trace_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
 # the most a small cell of trace t can contribute to each cq functional, on
@@ -154,12 +142,6 @@ class DensityMatrix:
             "psd": (bool(vals.min() >= -PSD_TOL), float(vals.min())),
             "trace": (bool(0.0 < tr <= 1.0 + PSD_TOL), tr),
         }
-
-    @classmethod
-    def pure(cls, vec: np.ndarray) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).ravel()
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -355,19 +337,6 @@ def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
     return t.reshape(lead + (d_keep, d_keep))
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F = ||sqrt(rho) sqrt(sigma)||_1^2.
-
-    Accepts subnormalized inputs; F(c*rho, sigma) = c*F(rho, sigma).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError("dimension mismatch")
-    val = trace_norm(psd_sqrt(rho) @ psd_sqrt(sigma))
-    return float(val ** 2)
-
-
 def purify_cq(omega: CQState):
     """Purification |Psi> = sum_x |x>_X |x>_X' (x) |phi_x>_BB' of a cq state.
 
@@ -377,24 +346,11 @@ def purify_cq(omega: CQState):
     Returns (vector, dims) with factor order (X, X', B, B').
     """
     m, d = omega.ops.shape[:2]
-    vals, vecs = clipped_eigh(omega.ops)
+    vals, vecs = psd_eigh(omega.ops)
     # |phi_x> = sum_j sqrt(lambda_j) |v_j>_B |j>_B', index (b, b')
-    phi = vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+    phi = vecs * np.sqrt(vals)[:, None, :]
     vec = np.zeros((m, m, d, d), dtype=complex)
     x = np.arange(m)
     vec[x, x] = phi
     return vec.reshape(-1), (m, m, d, d)
 
-
-def sqrt_overlap_norm(e: np.ndarray, f: np.ndarray) -> float:
-    """||sqrt(E) sqrt(F)||^2 = lambda_max(sqrt(E) F sqrt(E)) for PSD E, F."""
-    e = np.asarray(e, dtype=complex)
-    f = np.asarray(f, dtype=complex)
-    if e.shape != f.shape:
-        raise ValueError("dimension mismatch")
-    for name, m in (("E", e), ("F", f)):
-        if np.linalg.eigvalsh(herm(m)).min() < -PSD_TOL:
-            raise ValueError(f"{name} is not positive semidefinite")
-    se = psd_sqrt(e)
-    vals = np.linalg.eigvalsh(herm(se @ f @ se))
-    return float(max(vals[-1], 0.0))

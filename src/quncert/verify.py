@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import entropy, minmax, overlap
-from .qstate import CQState, POVM, herm, partial_trace, psd_funcm, psd_sqrt, purify_cq
+from .qstate import CQState, POVM, herm, partial_trace, psd_eigh, psd_funcm, purify_cq
 
 VIOLATION_TOL = -1e-7
 
@@ -210,7 +210,7 @@ def _dilated_cond_entropy(rho_ab: np.ndarray, d_a: int, d_b: int, povm: POVM) ->
     """H(A|XB) in bits after the dilated measurement V = sum_x sqrt(E_x) (x)
     |x>_X |x>_X' with X' traced out, which leaves the X-diagonal state
     rho_AXB = sum_x (sqrt(E_x) (x) 1) rho_AB (sqrt(E_x) (x) 1) (x) |x><x|_X."""
-    s = psd_sqrt(povm.elements)
+    s = psd_funcm(povm.elements, np.sqrt)
     m, x = len(s), np.arange(len(s))
     rho_axb = np.zeros((d_a, m, d_b, d_a, m, d_b), dtype=complex)
     rho_axb[:, x, :, :, x, :] = np.einsum("xab,bicj,xcd->xaidj", s,
@@ -377,8 +377,8 @@ def _purified_min_entropy_value(omega: CQState, tol: float) -> minmax.SDPResult:
 def _vn_duality_defect(rho_ab: np.ndarray) -> float:
     """H(A|C) + H(A|B) for the purification of a two-qubit rho_AB; zero by
     duality."""
-    vals, vecs = np.linalg.eigh(herm(rho_ab))
-    psi = (vecs * np.sqrt(np.clip(vals, 0.0, None))).reshape(-1)  # |psi>_(AB)C, C of dim 4
+    vals, vecs = psd_eigh(rho_ab)
+    psi = (vecs * np.sqrt(vals)).reshape(-1)  # |psi>_(AB)C, C of dim 4
     rho = np.outer(psi, psi.conj())
     return (_quantum_cond_vn(rho, [2, 2, 4], sys_a=[0], sys_b=[2])
             + _quantum_cond_vn(rho, [2, 2, 4], sys_a=[0], sys_b=[1]))

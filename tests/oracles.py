@@ -23,6 +23,21 @@ def eig_entropy_bits(rho):
     return float(-np.sum(vals * np.log2(vals)))
 
 
+def psd_sqrt(mat):
+    """Square root of the PSD part of a Hermitian matrix, or of each matrix
+    of a (..., d, d) stack, from numpy's eigh with the spectrum clipped at
+    0. (scipy's sqrtm warns on the rank-deficient matrices this serves.)"""
+    vals, vecs = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat.conj(), -1, -2)))
+    roots = vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+    return roots @ np.swapaxes(vecs.conj(), -1, -2)
+
+
+def sqrt_overlap_norm(e, f):
+    """||sqrt(E) sqrt(F)||^2 for one pair of PSD matrices, as the squared
+    largest singular value of the product of their square roots."""
+    return float(np.linalg.norm(psd_sqrt(e) @ psd_sqrt(f), 2) ** 2)
+
+
 def cond_vn_block_nats(ops):
     """H(XB) - H(B) in nats for the cq stack ops, from the spectra of the
     block-diagonal embedding sum_x |x><x| (x) omega_x and of the marginal
@@ -42,8 +57,7 @@ def dilated_cond_entropy_bits(rho_ab, d_a, d_b, elements):
     m = len(elements)
     v = np.zeros((d_a, m, m, d_a), dtype=complex)
     for x, e in enumerate(elements):
-        vals, vecs = np.linalg.eigh(e)
-        v[:, x, x, :] = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+        v[:, x, x, :] = psd_sqrt(e)
     big = np.kron(v.reshape(d_a * m * m, d_a), np.eye(d_b))
     full = (big @ rho_ab @ big.conj().T).reshape((d_a, m, m, d_b) * 2)
     rho_axb = np.einsum("axkbcykd->axbcyd", full)
@@ -333,7 +347,6 @@ def fdec_block_sdp(cq, tol):
     interior-point core: a route that shares no step with the unitary
     ascent of decoupling_fidelity. Its cost grows like (m d^2)^3 per step."""
     from quncert.minmax import _ipm_value
-    from quncert.qstate import psd_sqrt
 
     m, d = cq.ops.shape[:2]
     roots = psd_sqrt(cq.ops).reshape(m * d, d)

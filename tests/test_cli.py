@@ -24,7 +24,8 @@ CAPS = {"min": ("IPM_MAX_ITER", 2), "max": ("ASCENT_MAX_SWEEPS", 1)}
 
 class TestSerialize:
     def test_density_round_trip(self, tmp_path):
-        rho = DensityMatrix.pure(np.array([1.0, 1.0j]) / math.sqrt(2.0))
+        v = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+        rho = DensityMatrix(np.outer(v, v.conj()))
         p = tmp_path / "rho.json"
         save_state(rho, p)
         back = load_state(p)
@@ -100,7 +101,8 @@ class TestSerialize:
         module, names = targets
         for name in names:
             monkeypatch.setattr(module, name, fail)
-        rho = DensityMatrix.pure(np.array([1.0, 1.0j]) / math.sqrt(2.0))
+        v = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+        rho = DensityMatrix(np.outer(v, v.conj()))
         with pytest.raises(RuntimeError):
             save_state(rho, p)
         monkeypatch.undo()
@@ -421,11 +423,12 @@ class TestCLI:
          "seed must be non-negative, got -1"),
         (["overlap", "--sweep", "lin:1:2:0"], "sweep count n must be at least 1, got 0"),
         (["epr-gap", "--n", "0"], "row count n must be at least 1, got 0"),
+        (["epr-gap", "--r-min", "nan", "--n", "3"], "nu must be finite and >= 1, got nan"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
             "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
             "ladder-cq", "overlap-nan", "overlap-inf", "ladder-alpha0-nan", "ladder-alpha0-inf",
             "ladder-sigma-inf", "verify-dims-0", "verify-dims-negative", "verify-seed-negative",
-            "sweep-count-0", "epr-gap-n-0"])
+            "sweep-count-0", "epr-gap-n-0", "epr-gap-nan"])
     def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
         from quncert.discretize import gaussian_wavefunction
 

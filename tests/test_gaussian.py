@@ -46,6 +46,14 @@ class TestCovariance:
         with pytest.raises(ValueError):
             epr_state(0.9)
 
+    @pytest.mark.parametrize("fn", [epr_state, epr_gap, epr_conditional_entropies,
+                                    epr_grid_wavefunction])
+    @pytest.mark.parametrize("nu", [math.nan, 0.5, math.inf])
+    def test_rejects_nu_outside_range(self, fn, nu):
+        # NaN passes a nu < 1 test; epr_gap's series never met its stop test on it
+        with pytest.raises(ValueError, match="nu must be finite and >= 1"):
+            fn(nu)
+
 
 class TestGaussianEntropy:
     def test_pure_state_zero(self):
@@ -120,8 +128,8 @@ class TestGap:
     def test_fig2_table_shape_and_energy(self):
         rows = fig2_table(0.0, 3.0, 7)
         assert len(rows) == 7
-        assert math.isclose(rows[0].nu, 1.0)
-        assert math.isclose(rows[0].mean_energy, 1.0)
+        # nu is also the per-mode mean energy in vacuum units, 1 at r = 0
+        assert rows[0].nu == 1.0
         assert math.isclose(rows[-1].nu, math.cosh(6.0))
         assert math.isclose(rows[0].gap_bits, math.log2(math.e / 2.0),
                             abs_tol=1e-12)

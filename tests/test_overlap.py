@@ -11,10 +11,10 @@ from quncert.overlap import (
     prolate_overlap,
     prolate_top_eigenfunction,
 )
-from quncert.qstate import POVM, sqrt_overlap_norm
+from quncert.qstate import POVM
 from quncert.verify import mub_pair, random_povm
 
-from oracles import nystrom_lambda0, prolate_lambda0
+from oracles import nystrom_lambda0, prolate_lambda0, sqrt_overlap_norm
 
 
 class TestProlateOverlap:

@@ -9,13 +9,11 @@ from quncert.qstate import (
     DensityMatrix,
     GridWaveFunction,
     POVM,
-    clipped_eigh,
-    fidelity,
     herm,
     partial_trace,
+    psd_eigh,
     psd_funcm,
     purify_cq,
-    sqrt_overlap_norm,
     validate,
 )
 
@@ -44,14 +42,22 @@ class TestStackedPrimitives:
             assert np.array_equal(got, herm(mat))
             assert np.array_equal(got, got.conj().T)
 
-    def test_clipped_eigh(self):
-        vals, vecs = clipped_eigh(self.STACK)
+    def test_psd_eigh(self):
+        vals, vecs = psd_eigh(self.STACK)
         assert vals.shape == (4, 5) and vecs.shape == (4, 5, 5)
+        raw_vals, raw_vecs = np.linalg.eigh(herm(self.STACK))
+        assert (raw_vals < 0).any()  # the stack is indefinite
+        # the negative eigenvalues come back as 0, the vectors unchanged
+        assert np.array_equal(vals, np.where(raw_vals < 0, 0.0, raw_vals))
+        assert np.array_equal(vecs, raw_vecs)
         for mat, v, u in zip(self.STACK, vals, vecs):
-            v_one, u_one = clipped_eigh(mat)
+            v_one, u_one = psd_eigh(mat)
             assert np.array_equal(v, v_one)
             assert np.array_equal(u, u_one)
-            assert (v < 0).any()  # indefinite input stays indefinite
+        # the square root from it squares to the PSD part of the input
+        psd_part = (vecs * vals[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        root = psd_funcm(self.STACK, np.sqrt)
+        assert np.allclose(root @ root, psd_part, rtol=0.0, atol=1e-14)
 
     def test_psd_funcm(self):
         def pos(vals):
@@ -64,12 +70,6 @@ class TestStackedPrimitives:
 
 
 class TestDensityMatrix:
-    def test_pure_state(self):
-        v = np.array([1.0, 1.0j]) / math.sqrt(2.0)
-        rho = DensityMatrix.pure(v)
-        assert np.allclose(rho.mat, np.outer(v, v.conj()))
-        assert validate(rho)["pass"]
-
     def test_validate_catches_nonhermitian(self):
         bad = np.array([[0.5, 0.3], [0.0, 0.5]])
         assert not validate(DensityMatrix(bad))["pass"]
@@ -267,38 +267,6 @@ class TestPartialTrace:
             assert math.isclose(np.real(np.trace(red)), 1.0, abs_tol=1e-12)
 
 
-class TestFidelity:
-    def test_pure_vs_mixed(self):
-        # F(|0><0|, I/2) = 1/2
-        rho = np.diag([1.0, 0.0])
-        assert math.isclose(fidelity(rho, np.eye(2) / 2.0), 0.5, abs_tol=1e-12)
-
-    def test_identical_states(self):
-        rho = random_density(3)
-        assert math.isclose(fidelity(rho, rho), 1.0, abs_tol=1e-10)
-
-    def test_orthogonal_pure(self):
-        assert math.isclose(fidelity(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-                            0.0, abs_tol=1e-12)
-
-    def test_matches_sqrtm_route(self):
-        from oracles import fidelity_sqrtm
-
-        for _ in range(5):
-            rho, sig = random_density(4), random_density(4)
-            assert math.isclose(fidelity(rho, sig), fidelity_sqrtm(rho, sig),
-                                abs_tol=1e-9)
-
-    def test_symmetry(self):
-        rho, sig = random_density(3), random_density(3)
-        assert math.isclose(fidelity(rho, sig), fidelity(sig, rho), abs_tol=1e-10)
-
-    def test_homogeneous_in_scale(self):
-        rho, sig = random_density(2), random_density(2)
-        assert math.isclose(fidelity(0.3 * rho, sig), 0.3 * fidelity(rho, sig),
-                            abs_tol=1e-10)
-
-
 class TestPurifyCQ:
     def test_reduces_to_cq_blocks(self):
         from oracles import random_cq
@@ -322,18 +290,3 @@ class TestPurifyCQ:
         vec, _ = purify_cq(cq)
         assert math.isclose(np.vdot(vec, vec).real, 1.0, abs_tol=1e-12)
 
-
-class TestSqrtOverlapNorm:
-    def test_projector_pair(self):
-        # ||sqrt(P) sqrt(Q)||^2 = |<0|+>|^2 = 1/2 for these projectors
-        p = np.diag([1.0, 0.0])
-        plus = np.ones((2, 2)) / 2.0
-        assert math.isclose(sqrt_overlap_norm(p, plus), 0.5, abs_tol=1e-12)
-
-    def test_identity_pair(self):
-        assert math.isclose(sqrt_overlap_norm(np.eye(3), np.eye(3)), 1.0,
-                            abs_tol=1e-12)
-
-    def test_rejects_non_psd(self):
-        with pytest.raises(ValueError):
-            sqrt_overlap_norm(np.diag([1.0, -0.2]), np.eye(2))
