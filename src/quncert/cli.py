@@ -96,7 +96,7 @@ def cmd_epr_gap(args) -> int:
         log_gap = math.log10(row.gap_nats) if row.gap_nats > 0 else float("-inf")
         lines.append(",".join(_fmt(v) for v in
                               (row.r, row.nu, row.gap_bits, row.gap_nats, log_gap)))
-    _emit(args, _header(args, args.base), lines)
+    _emit(args, _header(args, "bits"), lines)
     return 0
 
 
@@ -134,12 +134,11 @@ def cmd_entropy(args) -> int:
     else:
         if not isinstance(state, CQState):
             raise ValueError(f"{args.measure} needs a cq state file")
-        # H_min = -log P_guess and H_max = log F_dec; 0.0 - keeps a zero H_min at +0.0
-        hmin = args.measure == "hmin"
-        res = (minmax.guessing_probability if hmin else minmax.decoupling_fidelity)(
+        kind = "min" if args.measure == "hmin" else "max"
+        res = (minmax.guessing_probability if kind == "min" else minmax.decoupling_fidelity)(
             state, args.tol)
-        nats = 0.0 - math.log(res.value) if hmin else math.log(res.value)
-        out.update(entropy_mod.EntropyValue(nats, "nats").in_base(args.base).to_json())
+        out.update(entropy_mod._as_base(minmax._entropy_nats(kind, res.value),
+                                        args.base).to_json())
         out.update({"gap": res.gap, "iterations": res.iterations, "converged": res.converged})
         if not res.converged:
             print(json.dumps(out, sort_keys=True), file=sys.stderr)
@@ -200,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     eg.add_argument("--r-min", type=float, default=0.0)
     eg.add_argument("--r-max", type=float, default=3.0)
     eg.add_argument("--n", type=int, default=61)
-    eg.add_argument("--base", default="bits", choices=["bits", "nats"])
     eg.add_argument("--csv")
     eg.set_defaults(func=cmd_epr_gap)
 

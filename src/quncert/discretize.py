@@ -198,17 +198,6 @@ def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
     return CQState.from_stack([str(k) for k in labels[live]], _cell_stack(psi, starts, live))
 
 
-def _classical_regularized(probs: np.ndarray, alpha: float, kind: str) -> float:
-    """H(X_alpha) + log(alpha) in nats for trivial memory and positive probs."""
-    if kind == "vn":
-        h = -float(np.sum(probs * np.log(probs)))
-    elif kind == "min":
-        h = -math.log(float(probs.max()))
-    else:
-        h = 2.0 * math.log(float(np.sum(np.sqrt(probs))))
-    return h + math.log(alpha)
-
-
 def _vn_cells(psi: GridWaveFunction, memory, starts: np.ndarray,
               traces: np.ndarray, keep: np.ndarray) -> float:
     """H(X|B) in nats of the kept cells, from their samples: no cell
@@ -242,13 +231,15 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
 
     which selects the position or momentum statistics of psi; kind is one of
     vn / min / max; n_max >= 0. The finest rung must keep alpha >= 2*dq.
-    With a memory, min and max rungs are SDP solves at tol; the table's
+    With a memory, min and max rungs are SDP solves at tol, which min and
+    max ladders check as the solvers do (in (0, 1e-3]); the table's
     converged flag is False when some rung's gap exceeds tol.
 
     Each rung bins trace first (_cells). Trivial memory takes the entropy of
-    the cell traces. With a memory, the functional's own skip rule
-    (qstate.kept_cells at tol: a budget of 1e-15 nats for vn, and tol/10 of
-    the certificate's gap for min and max) picks the cells that enter. A vn
+    the cell traces (entropy._classical_nats). With a memory, the
+    functional's own skip rule (qstate.kept_cells at tol: a budget of 1e-15
+    nats for vn, and tol/10 of the certificate's gap for min and max) picks
+    the cells that enter. A vn
     rung then takes H(X|B) from the kept cells' samples against omega_B of
     all samples, formed once per ladder (_vn_cells): it forms no cell
     operator, and applies the very rule cond_vn_cq applies to the full
@@ -259,9 +250,10 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     skipped cells, to minmax._charged_solve, the core that
     guessing_probability and decoupling_fidelity run on the full binned
     state: it is that solve of discretize_position's state, bit for bit
-    on the 19-level EPR state. Each rung logs one DEBUG record to the
-    "quncert" logger: alpha, cells, cells kept, the total trace of the
-    cells not formed ("skipped trace") and seconds.
+    on the 19-level EPR state, read through minmax._entropy_nats. Each rung
+    logs one DEBUG record to the "quncert" logger: alpha, cells, cells
+    kept, the total trace of the cells not formed ("skipped trace") and
+    seconds.
 
     On the 19-level EPR memory (one BLAS thread, 2-core x86-64 host) the
     position vn ladder alpha = 1 .. 2^-6 on 4096 points takes about 20 ms,
@@ -276,6 +268,8 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
         raise ValueError(f"n_max must be at least 0, got {n_max}")
     if kind not in ("vn", "min", "max"):
         raise ValueError(f"unknown entropy kind {kind!r}")
+    if kind != "vn":
+        minmax._check_tol(tol)
     if not 0.0 < alpha0 < math.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
     if which == "momentum":
@@ -289,29 +283,25 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     q, norms = psi.grid, psi.density()
     if kind == "vn" and psi.memory_dim > 1:
         memory = entropy._spectrum(sample_outer_sum(psi.samples, psi.dq))
-    ln2 = math.log(2.0)
     rows, unconverged = [], []
     for n in range(n_max + 1):
         began = time.perf_counter()
         alpha = alpha0 * 2.0 ** (-n)
         starts, labels, traces = _cells(psi, Partition.centered(alpha, q[0], q[-1]), norms)
+        converged = True
         if psi.memory_dim == 1:
             keep = traces > 0.0
-            val, converged = _classical_regularized(traces[keep], alpha, kind), True
+            val = entropy._classical_nats(traces[keep], kind)
         else:
             keep = kept_cells(traces, kind, tol)
             if kind == "vn":
-                val, converged = _vn_cells(psi, memory, starts, traces, keep), True
+                val = _vn_cells(psi, memory, starts, traces, keep)
             else:
                 kept = CQState.from_stack(labels[keep],
                                           _cell_stack(psi, starts, np.flatnonzero(keep)))
                 res = minmax._charged_solve(kind, kept.ops, traces[~keep], tol)
-                # H_min = -log P_guess and H_max = log F_dec
-                val = (-1.0 if kind == "min" else 1.0) * math.log(res.value)
-                converged = res.converged
-            val += math.log(alpha)
-        if base == "bits":
-            val /= ln2
+                val, converged = minmax._entropy_nats(kind, res.value), res.converged
+        val = entropy._as_base(val + math.log(alpha), base).value
         rows.append((alpha, val))
         if not converged:
             unconverged.append(alpha)

@@ -2,8 +2,10 @@
 conditional von Neumann for cq states, and classical discrete/differential
 entropies.
 
-All computation is done in nats; results carry an explicit base tag and are
-reported in bits by default. Support conditions (whether supp rho lies inside
+All computation is done in nats, on one conditional von Neumann core
+(_cond_vn_nats; the relative entropy is its one-cell case) and one classical
+core (_classical_nats); results carry an explicit base tag (_as_base) and
+are reported in bits by default. Support conditions (whether supp rho lies inside
 supp sigma) are decided at a relative eigenvalue threshold of 1e-10, giving
 deterministic +inf behavior under round-off. 0*log(0) = 0 throughout.
 """
@@ -71,6 +73,16 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _classical_nats(p: np.ndarray, kind: str) -> float:
+    """Entropy in nats of nonnegative weights p: Shannon -sum p log p (kind
+    "vn"), min -log max p, or max 2 log sum sqrt(p)."""
+    if kind == "vn":
+        return -float(_xlogx(p).sum())
+    if kind == "min":
+        return -math.log(float(p.max()))
+    return 2.0 * math.log(float(np.sum(np.sqrt(p))))
+
+
 def von_neumann(rho: np.ndarray, base: str = "bits") -> EntropyValue:
     """H(rho) = -tr[rho log rho] for a normalized density matrix."""
     rho = np.asarray(rho, dtype=complex)
@@ -99,41 +111,29 @@ def _leaks(diag: np.ndarray, on_support: np.ndarray, tr) -> bool:
 
 
 def _support(sigma: np.ndarray, rho: np.ndarray):
-    """Spectral data of sigma and the support test of rho against it.
-
-    rho is one matrix or an (m, d, d) stack. Returns (vals, vecs, on_support,
-    diag) as _spectrum gives them, with diag the real diagonal of
-    vecs^dagger rho vecs for each rho; None when rho fails _leaks.
-    """
+    """(vals, vecs, on_support) of sigma as _spectrum gives them, and diag,
+    the real diagonal of vecs^dagger rho vecs for rho one matrix or each of
+    an (m, d, d) stack: what _leaks and the cross term of _cond_vn_nats read."""
     vals, vecs, on_support = _spectrum(sigma)
-    diag = np.einsum("...ij,ij->...j", rho @ vecs, vecs.conj()).real
-    if _leaks(diag, on_support, np.trace(rho, axis1=-2, axis2=-1).real):
-        return None
-    return vals, vecs, on_support, diag
+    return vals, vecs, on_support, np.einsum("...ij,ij->...j", rho @ vecs, vecs.conj()).real
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits") -> EntropyValue:
     """Umegaki relative entropy D(rho||sigma) = tr[rho log rho - rho log sigma].
 
-    rho may be subnormalized. Returns +inf when supp(rho) is not contained in
-    supp(sigma) (the support test of _leaks); once it is, the cross term
-    runs over every positive eigenvalue of sigma.
+    rho may be subnormalized. Evaluated as -_cond_vn_nats of the one cell
+    rho against sigma: +inf when supp(rho) is not contained in supp(sigma)
+    (the support test of _leaks); once it is, the cross term runs over
+    every positive eigenvalue of sigma.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    spec = _support(sigma, rho)
-    if spec is None:
-        return _as_base(math.inf, base)
-    svals, _, _, diag = spec
-    rvals, _ = psd_eigh(rho)
-    tr_rho_log_rho = float(_xlogx(rvals).sum())
-    # every positive eigenvalue of sigma, as in _cond_vn_nats
-    positive = svals > 0.0
-    diag = np.clip(diag[positive], 0.0, None)
-    tr_rho_log_sigma = float(np.sum(diag * np.log(svals[positive])))
-    return _as_base(tr_rho_log_rho - tr_rho_log_sigma, base)
+    svals, _, on_support, diag = _support(sigma, rho[None])
+    # 0.0 - keeps an exact 0 at +0.0
+    return _as_base(0.0 - _cond_vn_nats(svals, on_support, diag, np.trace(rho).real,
+                                        rho[None]), base)
 
 
 def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits") -> EntropyValue:
@@ -146,10 +146,9 @@ def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits")
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    spec = _support(sigma, rho)
-    if spec is None:
+    svals, svecs, on_support, diag = _support(sigma, rho)
+    if _leaks(diag, on_support, np.trace(rho).real):
         return _as_base(math.inf, base)
-    svals, svecs, on_support, _ = spec
     inv_sqrt = svecs[:, on_support] * (1.0 / np.sqrt(svals[on_support]))
     core = inv_sqrt.conj().T @ rho @ inv_sqrt
     lam = float(np.linalg.eigvalsh(herm(core)).max())
@@ -169,7 +168,8 @@ def _cond_vn_nats(svals: np.ndarray, on_support: np.ndarray, diag: np.ndarray,
     Only the lower triangles are read. -inf when some omega_x fails the
     support test (_leaks). Once it passes, the cross term runs over every
     positive eigenvalue of omega_B, the small ones below the support mask
-    included, so the value is H(XB) - H(B) to rounding.
+    included, so the value is H(XB) - H(B) to rounding. On one cell rho
+    against omega_B = sigma it is -D(rho||sigma) (relative_entropy).
     """
     if _leaks(diag, on_support, traces):
         return -math.inf
@@ -200,8 +200,7 @@ def cond_vn_cq(omega: CQState, base: str = "bits") -> EntropyValue:
     keep = kept_cells(probs, "vn")
     if not keep.all():
         ops, probs = ops[keep], probs[keep]
-    svals, vecs, on_support = _spectrum(omega.marginal())
-    diag = np.einsum("xij,ij->xj", ops @ vecs, vecs.conj()).real
+    svals, _, on_support, diag = _support(omega.marginal(), ops)
     return _as_base(_cond_vn_nats(svals, on_support, diag, probs, ops), base)
 
 
@@ -213,7 +212,7 @@ def shannon(p: np.ndarray, base: str = "bits") -> EntropyValue:
     p = np.clip(p, 0.0, None)
     if abs(p.sum() - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-    return _as_base(-float(_xlogx(p).sum()), base)
+    return _as_base(_classical_nats(p, "vn"), base)
 
 
 def differential_entropy(density: np.ndarray, dq: float, base: str = "bits") -> EntropyValue:
@@ -224,7 +223,7 @@ def differential_entropy(density: np.ndarray, dq: float, base: str = "bits") -> 
     p = np.clip(p, 0.0, None)
     if abs(p.sum() * dq - 1.0) > 1e-6:
         raise ValueError(f"density integrates to {p.sum() * dq}, not 1")
-    return _as_base(-float(_xlogx(p).sum()) * dq, base)
+    return _as_base(_classical_nats(p, "vn") * dq, base)
 
 
 def classical_hmin_hmax(density: np.ndarray, dq: float, base: str = "bits"):
@@ -236,6 +235,5 @@ def classical_hmin_hmax(density: np.ndarray, dq: float, base: str = "bits"):
     p = np.clip(p, 0.0, None)
     if abs(p.sum() * dq - 1.0) > 1e-6:
         raise ValueError(f"density integrates to {p.sum() * dq}, not 1")
-    h_min = -math.log(float(p.max()))
     h_max = 2.0 * math.log(float(np.sum(np.sqrt(p)) * dq))
-    return _as_base(h_min, base), _as_base(h_max, base)
+    return _as_base(_classical_nats(p, "min"), base), _as_base(h_max, base)

@@ -129,6 +129,12 @@ def _tensor_embedding(dim_a: int, dim_c: int) -> _Embedding:
                       dim_a)
 
 
+def _entropy_nats(kind: str, value: float) -> float:
+    """H_min = -log P_guess (kind "min") or H_max = log F_dec (kind "max")
+    in nats from a solve's value; 0.0 - keeps a certain guess at +0.0."""
+    return 0.0 - math.log(value) if kind == "min" else math.log(value)
+
+
 def _check_tol(tol: float) -> None:
     if not 0.0 < tol <= 1e-3:
         raise ValueError("tol must be in (0, 1e-3]")
@@ -288,9 +294,7 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
 
 def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
     """H_min(X|B) = -log P_guess(X|B)."""
-    res = guessing_probability(omega, tol)
-    # 0.0 - keeps a certain guess at +0.0 rather than -0.0
-    return _as_base(0.0 - math.log(res.value), base)
+    return _as_base(_entropy_nats("min", guessing_probability(omega, tol).value), base)
 
 
 def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
@@ -527,4 +531,4 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
 def h_max_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
     """H_max(X|B) = log F_dec(X|B), with F_dec the certified upper bound of
     decoupling_fidelity's unitary block ascent."""
-    return _as_base(math.log(decoupling_fidelity(omega, tol).value), base)
+    return _as_base(_entropy_nats("max", decoupling_fidelity(omega, tol).value), base)

@@ -23,6 +23,23 @@ def eig_entropy_bits(rho):
     return float(-np.sum(vals * np.log2(vals)))
 
 
+def relative_entropy_nats(rho, sigma, rtol=1e-10):
+    """Umegaki D(rho||sigma) in nats from numpy's eigendecompositions of rho
+    and sigma: sum_i r_i log r_i - sum_ij r_i |<r_i|s_j>|^2 log s_j over the
+    eigenpairs (r_i, |r_i>) of rho and (s_j, |s_j>) of sigma. sigma's
+    support is its eigenvalues above rtol times the largest; +inf when rho
+    puts weight above rtol * max(1, tr rho) outside it."""
+    r, u = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    s, v = np.linalg.eigh(0.5 * (sigma + sigma.conj().T))
+    r = np.clip(r, 0.0, None)
+    weight = r @ np.abs(u.conj().T @ v) ** 2  # rho's weight on each |s_j>
+    support = s > rtol * s.max()
+    if weight[~support].sum() > rtol * max(1.0, r.sum()):
+        return math.inf
+    r = r[r > 0.0]
+    return float(np.sum(r * np.log(r)) - weight[support] @ np.log(s[support]))
+
+
 def psd_sqrt(mat):
     """Square root of the PSD part of a Hermitian matrix, or of each matrix
     of a (..., d, d) stack, from numpy's eigh with the spectrum clipped at

@@ -168,6 +168,14 @@ class TestCLI:
         digits = gap0.lstrip("-0.").replace(".", "")
         assert len(digits) >= 16  # 17 significant digits requested
 
+    def test_epr_gap_prints_both_bases_and_takes_no_base(self, capsys):
+        assert main(["epr-gap", "--n", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:4] == ["# config: command=epr-gap n=2 r_max=3.0 r_min=0.0",
+                              "# base: bits", "r,nu,gap_bits,gap_nats,log10_gap_nats"]
+        with pytest.raises(SystemExit):
+            main(["epr-gap", "--base", "nats"])
+
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (a, b):
@@ -423,12 +431,15 @@ class TestCLI:
          "seed must be non-negative, got -1"),
         (["overlap", "--sweep", "lin:1:2:0"], "sweep count n must be at least 1, got 0"),
         (["epr-gap", "--n", "0"], "row count n must be at least 1, got 0"),
-        (["epr-gap", "--r-min", "nan", "--n", "3"], "nu must be finite and >= 1, got nan"),
+        (["epr-gap", "--r-min", "nan", "--n", "3"], "squeezing r must be finite, got r_lo=nan"),
+        (["epr-gap", "--r-max", "400", "--n", "2"], "squeezing r=400.0 too large"),
+        (["epr-gap", "--r-max", "inf"], "squeezing r must be finite, got r_lo=0.0, r_hi=inf"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
             "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
             "ladder-cq", "overlap-nan", "overlap-inf", "ladder-alpha0-nan", "ladder-alpha0-inf",
             "ladder-sigma-inf", "verify-dims-0", "verify-dims-negative", "verify-seed-negative",
-            "sweep-count-0", "epr-gap-n-0", "epr-gap-nan"])
+            "sweep-count-0", "epr-gap-n-0", "epr-gap-nan", "epr-gap-r-overflow",
+            "epr-gap-r-inf"])
     def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
         from quncert.discretize import gaussian_wavefunction
 
@@ -440,6 +451,8 @@ class TestCLI:
         assert main([a.format(**files) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        # the error line alone: no traceback and no numpy warning
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("ops", [
         [[[0.5]], [[0.25, 0.0], [0.0, 0.25]]],

@@ -452,6 +452,15 @@ class TestConvergenceLadder:
         with pytest.raises(ValueError, match="alpha0"):
             convergence_ladder(self.PSI, kind="vn", n_max=0, alpha0=alpha0)
 
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, 0.5])
+    def test_rejects_tol_outside_solver_range(self, kind, tol):
+        # the range guessing_probability and decoupling_fidelity accept, checked
+        # before any rung is solved
+        psi = epr_grid_wavefunction(1.5, n_points=512, memory_dim=8)
+        with pytest.raises(ValueError, match=re.escape("tol must be in (0, 1e-3]")):
+            convergence_ladder(psi, kind=kind, n_max=0, alpha0=4.0, tol=tol)
+
     def test_memory_ladder_matches_classical_on_product(self):
         # a product wavefunction with 2-dim memory must give the same
         # conditional ladder as the classical fast path (memory independent)

@@ -18,11 +18,12 @@ from quncert import qstate
 from quncert.qstate import CQState, NEGLIGIBLE
 
 from oracles import (block_diagonal, cond_vn_block_nats, eig_entropy_bits, gaussian_h_bits,
-                     random_cq, with_cells)
+                     random_cq, relative_entropy_nats, with_cells)
 
 
-def random_density(dim, rng):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_density(dim, rng, rank=None):
+    rank = rank or dim
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     return m / np.real(np.trace(m))
 
@@ -92,6 +93,44 @@ class TestRelativeEntropy:
         for _ in range(10):
             rho, sig = random_density(3, rng), random_density(3, rng)
             assert relative_entropy(rho, sig).value >= -1e-9
+
+
+class TestRelativeEntropyOracle:
+    """relative_entropy, the one-cell case of the conditional von Neumann
+    core, against numpy's eigendecompositions of rho and sigma."""
+
+    @pytest.mark.parametrize("seed,d", [(41, 2), (42, 3), (43, 4), (44, 6)])
+    def test_full_rank_pairs(self, seed, d):
+        rng = np.random.default_rng(seed)
+        rho, sig = random_density(d, rng), random_density(d, rng)
+        for a, b in ((rho, sig), (sig, rho)):
+            assert abs(relative_entropy(a, b, base="nats").value
+                       - relative_entropy_nats(a, b)) < 1e-12
+
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_rank_deficient_sigma_containing_rho(self, seed):
+        # sigma of rank 3 in 5 dimensions; rho of rank 2 inside its support
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        iso, _ = np.linalg.qr(g)
+        sig = iso @ random_density(3, rng) @ iso.conj().T
+        rho = iso @ random_density(3, rng, rank=2) @ iso.conj().T
+        got = relative_entropy(rho, sig, base="nats").value
+        assert math.isfinite(got)
+        assert abs(got - relative_entropy_nats(rho, sig)) < 1e-12
+
+    @pytest.mark.parametrize("scale", [0.3, 1e-3])
+    def test_subnormalized_rho(self, scale):
+        rng = np.random.default_rng(61)
+        rho, sig = scale * random_density(4, rng), random_density(4, rng)
+        assert abs(relative_entropy(rho, sig, base="nats").value
+                   - relative_entropy_nats(rho, sig)) < 1e-12
+
+    def test_support_leak_is_infinite(self):
+        rng = np.random.default_rng(71)
+        rho, sig = random_density(4, rng), random_density(4, rng, rank=2)
+        assert relative_entropy_nats(rho, sig) == math.inf
+        assert relative_entropy(rho, sig).value == math.inf
 
 
 class TestMaxRelativeEntropy:
