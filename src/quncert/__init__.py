@@ -43,14 +43,10 @@ from .overlap import (
     prolate_top_eigenfunction,
 )
 from .gaussian import (
-    GaussianState,
     epr_conditional_entropies,
     epr_gap,
     epr_grid_wavefunction,
-    epr_state,
     fig2_table,
-    gaussian_vn_entropy,
-    symplectic_eigenvalues,
 )
 from .verify import (
     CheckReport,

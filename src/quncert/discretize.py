@@ -230,10 +230,10 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     """Regularized entropies H(X_alpha|B) + log(alpha) for alpha = alpha0*2^-n.
 
     which selects the position or momentum statistics of psi; kind is one of
-    vn / min / max; n_max >= 0. The finest rung must keep alpha >= 2*dq.
-    With a memory, min and max rungs are SDP solves at tol, which min and
-    max ladders check as the solvers do (in (0, 1e-3]); the table's
-    converged flag is False when some rung's gap exceeds tol.
+    vn / min / max; base is bits or nats; n_max >= 0. The finest rung must
+    keep alpha >= 2*dq. With a memory, min and max rungs are SDP solves at
+    tol, which min and max ladders check as the solvers do (in (0, 1e-3]);
+    the table's converged flag is False when some rung's gap exceeds tol.
 
     Each rung bins trace first (_cells). Trivial memory takes the entropy of
     the cell traces (entropy._classical_nats). With a memory, the
@@ -268,6 +268,8 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
         raise ValueError(f"n_max must be at least 0, got {n_max}")
     if kind not in ("vn", "min", "max"):
         raise ValueError(f"unknown entropy kind {kind!r}")
+    if base not in ("bits", "nats"):
+        raise ValueError(f"unknown base {base!r}")
     if kind != "vn":
         minmax._check_tol(tol)
     if not 0.0 < alpha0 < math.inf:

@@ -38,23 +38,6 @@ class EntropyValue:
     value: float  # may be +/- inf
     base: str = "bits"  # "bits" or "nats"
 
-    def in_base(self, base: str) -> "EntropyValue":
-        if base == self.base:
-            return self
-        if base == "bits" and self.base == "nats":
-            return EntropyValue(self.value / math.log(2), "bits")
-        if base == "nats" and self.base == "bits":
-            return EntropyValue(self.value * math.log(2), "nats")
-        raise ValueError(f"unknown base {base!r}")
-
-    @property
-    def bits(self) -> float:
-        return self.in_base("bits").value
-
-    @property
-    def nats(self) -> float:
-        return self.in_base("nats").value
-
     def to_json(self) -> dict:
         v = self.value
         if math.isinf(v):
@@ -63,7 +46,12 @@ class EntropyValue:
 
 
 def _as_base(nats: float, base: str) -> EntropyValue:
-    return EntropyValue(nats, "nats").in_base(base)
+    """The value nats as an EntropyValue in base "bits" or "nats"."""
+    if base == "nats":
+        return EntropyValue(nats, "nats")
+    if base == "bits":
+        return EntropyValue(nats / math.log(2), "bits")
+    raise ValueError(f"unknown base {base!r}")
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:
@@ -215,25 +203,29 @@ def shannon(p: np.ndarray, base: str = "bits") -> EntropyValue:
     return _as_base(_classical_nats(p, "vn"), base)
 
 
-def differential_entropy(density: np.ndarray, dq: float, base: str = "bits") -> EntropyValue:
-    """h = -int P log P, midpoint rule on a uniform grid with spacing dq."""
+def _density(density: np.ndarray, dq: float) -> np.ndarray:
+    """density clipped at 0, once checked to be a normalized density on a
+    grid of spacing dq: no entry below -1e-12, integral within 1e-6 of 1."""
     p = np.asarray(density, dtype=float)
     if p.min() < -1e-12:
         raise ValueError(f"negative density {p.min()}")
     p = np.clip(p, 0.0, None)
     if abs(p.sum() * dq - 1.0) > 1e-6:
         raise ValueError(f"density integrates to {p.sum() * dq}, not 1")
-    return _as_base(_classical_nats(p, "vn") * dq, base)
+    return p
+
+
+def differential_entropy(density: np.ndarray, dq: float, base: str = "bits") -> EntropyValue:
+    """h = -int P log P, midpoint rule on a uniform grid with spacing dq."""
+    return _as_base(_classical_nats(_density(density, dq), "vn") * dq, base)
 
 
 def classical_hmin_hmax(density: np.ndarray, dq: float, base: str = "bits"):
     """Differential Renyi entropies of order infinity and 1/2.
 
     h_min = -log ||P||_inf, h_max = 2 log int sqrt(P); h_min <= h <= h_max.
+    The density is checked as differential_entropy checks it.
     """
-    p = np.asarray(density, dtype=float)
-    p = np.clip(p, 0.0, None)
-    if abs(p.sum() * dq - 1.0) > 1e-6:
-        raise ValueError(f"density integrates to {p.sum() * dq}, not 1")
+    p = _density(density, dq)
     h_max = 2.0 * math.log(float(np.sum(np.sqrt(p)) * dq))
     return _as_base(_classical_nats(p, "min"), base), _as_base(h_max, base)

@@ -1,11 +1,12 @@
-"""Gaussian continuous-variable analytics: EPR covariance matrices,
-symplectic eigenvalues, Gaussian entropies, and the saturation gap of the
-position-momentum uncertainty relation with quantum memory.
+"""Gaussian continuous-variable analytics: closed-form entropies of the
+two-mode squeezed (EPR) state, the saturation gap of the position-momentum
+uncertainty relation with quantum memory, and the EPR state as a grid
+wavefunction with a finite memory.
 
-Conventions: hbar = 1, vacuum quadrature variance 1/2, covariance ordering
-(q_A, p_A, q_B, p_B). The two-mode squeezed (EPR) state with nu = cosh(2r)
-has covariance [[nu*1, s*Z], [s*Z, nu*1]] / 2 with s = sqrt(nu^2 - 1) and
-Z = diag(1, -1).
+Conventions: hbar = 1, vacuum quadrature variance 1/2. The EPR state has
+nu = cosh(2r): each mode's marginal is thermal with quadrature variance
+nu/2, and the memory's entropy is that of a thermal mode of mean photon
+number (nu - 1)/2.
 """
 
 from __future__ import annotations
@@ -15,49 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyValue, _as_base
+from .entropy import _as_base
 
-SYMPLECTIC_TOL = 1e-10
 GAP_SERIES_NU = 2.0
 
 __all__ = [
-    "GaussianState",
-    "epr_state",
-    "symplectic_eigenvalues",
-    "gaussian_vn_entropy",
     "epr_gap",
     "fig2_table",
     "epr_conditional_entropies",
     "epr_grid_wavefunction",
 ]
-
-
-def _symplectic_form(n_modes: int) -> np.ndarray:
-    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), omega)
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    n_modes: int
-    cov: np.ndarray
-    displacement: np.ndarray = None
-
-    def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (2 * self.n_modes, 2 * self.n_modes):
-            raise ValueError("covariance has the wrong shape")
-        if np.abs(cov - cov.T).max() > 1e-12:
-            raise ValueError("covariance not symmetric")
-        disp = self.displacement
-        disp = np.zeros(2 * self.n_modes) if disp is None else np.asarray(disp, dtype=float)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "displacement", disp)
-
-    def marginal(self, modes) -> "GaussianState":
-        idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes])
-        return GaussianState(len(modes), self.cov[np.ix_(idx, idx)],
-                             self.displacement[idx])
 
 
 def _check_nu(nu: float) -> None:
@@ -66,40 +34,12 @@ def _check_nu(nu: float) -> None:
         raise ValueError(f"nu must be finite and >= 1, got {nu}")
 
 
-def epr_state(nu: float) -> GaussianState:
-    """Two-mode squeezed state with nu = cosh(2r); nu = 1 is vacuum (x) vacuum."""
-    _check_nu(nu)
-    z = np.diag([1.0, -1.0])
-    s = math.sqrt(max(nu * nu - 1.0, 0.0))
-    cov = 0.5 * np.block([[nu * np.eye(2), s * z], [s * z, nu * np.eye(2)]])
-    return GaussianState(2, cov)
-
-
-def symplectic_eigenvalues(state: GaussianState) -> np.ndarray:
-    """Moduli of the eigenvalues of i*Omega*cov, one per mode, sorted."""
-    omega = _symplectic_form(state.n_modes)
-    vals = np.abs(np.linalg.eigvals(1j * omega @ state.cov).real)
-    vals.sort()
-    sym = vals[::2]  # eigenvalues come in +/- pairs
-    if sym.min() < 0.5 - SYMPLECTIC_TOL:
-        raise ValueError(f"unphysical covariance: symplectic eigenvalue {sym.min()}")
-    return sym
-
-
 def _thermal_entropy_nats(t: float) -> float:
     """t log t - (t-1) log(t-1), the entropy in nats of a thermal mode of
     mean photon number t - 1; 0 for t <= 1."""
     if t <= 1.0:
         return 0.0
     return t * math.log(t) - (t - 1.0) * math.log(t - 1.0)
-
-
-def gaussian_vn_entropy(state: GaussianState, base: str = "bits") -> EntropyValue:
-    """Von Neumann entropy from the symplectic spectrum; additive over modes.
-    A mode within 1e-12 of the vacuum (symplectic eigenvalue 1/2) adds 0."""
-    total = sum((_thermal_entropy_nats(t) for t in symplectic_eigenvalues(state) + 0.5
-                 if t > 1.0 + 1e-12), 0.0)
-    return _as_base(total, base)
 
 
 def epr_gap(nu: float, base: str = "bits") -> float:
@@ -171,7 +111,9 @@ def epr_grid_wavefunction(nu: float, n_points: int = 4096,
 
     Uses the Schmidt form sum_n sech(r) tanh(r)^n h_n(q_A) |n>_B with h_n the
     harmonic-oscillator eigenfunctions (vacuum variance 1/2). memory_dim
-    defaults to the smallest d with truncated weight below 1e-12.
+    defaults to the smallest d with truncated weight below 1e-12, about
+    14 nu levels at large nu; past nu of about 1.6e16 tanh(r) rounds to 1
+    and no d qualifies (ValueError).
     """
     from .qstate import GridWaveFunction
 
@@ -185,6 +127,9 @@ def epr_grid_wavefunction(nu: float, n_points: int = 4096,
     r = 0.5 * math.acosh(nu)
     lam = math.tanh(r)
     if memory_dim is None:
+        if lam == 1.0:
+            raise ValueError(f"nu = {nu:g} too large: tanh(r) rounds to 1, so no default "
+                             f"memory_dim truncates the state below weight 1e-12")
         memory_dim = 1 if lam == 0.0 else max(
             2, int(math.ceil(-12.0 * math.log(10.0) / (2.0 * math.log(lam)))) + 1)
     sigma = math.sqrt(nu / 2.0)

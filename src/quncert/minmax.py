@@ -3,8 +3,9 @@ max-entropy via the decoupling fidelity.
 
 The guessing probability P_guess(X|B) = sup { sum_x tr[omega_B^x E_x] } over
 POVMs equals, by strong duality, min { tr sigma : sigma >= omega_B^x for all
-x }. Two outcomes use the Helstrom closed form (exact measurement and dual
-certificate). The max-entropy H_max(X|B) = log F_dec(X|B) is the value of
+x }. The solver goes by the number of outcomes kept after the skip rule
+(guessing_probability): two take the Helstrom closed form (exact
+measurement and dual certificate), three or more the interior-point core. The max-entropy H_max(X|B) = log F_dec(X|B) is the value of
 the SDP
 
     F_dec = min { sum_x tr Y_x : Y_0 (+) ... (+) Y_{m-1} >= R },

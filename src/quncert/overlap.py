@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -45,7 +44,6 @@ class OverlapResult:
     delta_p: float
     nystrom_order: int
     converged: bool
-    eigenfunction: Optional["ProlateEigenfunction"] = None
 
 
 @dataclass(frozen=True)
@@ -80,25 +78,23 @@ class ProlateEigenfunction:
         phase = np.exp(-1j * np.outer(p, self.nodes))
         return phase @ (self.weights * self.values) / math.sqrt(2.0 * math.pi)
 
-    def momentum_cell_probabilities(self, alpha: Optional[float] = None,
-                                    n_cells: int = 64,
+    def momentum_cell_probabilities(self, n_cells: int = 64,
                                     nodes_per_cell: int = 64) -> np.ndarray:
-        """Probabilities of momentum cells of width alpha centered on 0.
+        """Probabilities of momentum cells of width delta_p centered on 0.
 
         Each cell integral of |phi(p)|^2 is done by per-cell Gauss-Legendre;
         the spectrum decays only like 1/p^2 (the eigenfunction is truncated
         sharply at the interval edge), so direct quadrature per cell beats
         any uniform-grid binning of an FFT. Cells run over
-        [-(n_cells/2) alpha, (n_cells/2) alpha]; the omitted tail only
+        [-(n_cells/2) delta_p, (n_cells/2) delta_p]; the omitted tail only
         lowers the far cells, never the peak one."""
-        if alpha is None:
-            alpha = self.delta_p
+        dp = self.delta_p
         xi, w = _gauss_legendre(nodes_per_cell)
         n_cells += 1 - n_cells % 2  # odd count so one cell is centered on 0
-        lo = -(n_cells / 2.0) * alpha
+        lo = -(n_cells / 2.0) * dp
         probs = np.empty(n_cells)
         for k in range(n_cells):
-            a, b = lo + k * alpha, lo + (k + 1) * alpha
+            a, b = lo + k * dp, lo + (k + 1) * dp
             pk = 0.5 * (b - a) * xi + 0.5 * (a + b)
             dens = np.abs(self.fourier(pk)) ** 2
             probs[k] = 0.5 * (b - a) * float(np.dot(w, dens))
@@ -159,25 +155,12 @@ def _nystrom_top(delta_q: float, order: int, block: np.ndarray):
     return lam, nodes, weights, psi
 
 
-def prolate_overlap(delta_q: float, delta_p: float, n_quad: int = NYSTROM_START,
-                    with_eigenfunction: bool = False) -> OverlapResult:
-    """Largest eigenvalue of the time-frequency limiting operator.
-
-    Quadrature order (the full Gauss-Legendre order, even) doubles from
-    n_quad until |lambda(n) - lambda(2n)| is below 1e-10 or the cap of 2048
-    is hit (converged flag reports which). Spacings must be positive and
-    finite. The top eigenfunction is even, so each order takes the top
-    eigenvalue of the half-size even block (_even_block) rather than of the
-    full Nystrom matrix; that also keeps it apart from the odd lambda_1,
-    which nears it as c -> 1. The doubling loop takes eigenvalues only
-    (eigvalsh); the eigenvector is computed once, at the final order, and
-    only with_eigenfunction, whose eigenvalue is then the one c reports.
-    """
+def _doubling(delta_q: float, delta_p: float):
+    """The doubling loop of prolate_overlap: (top eigenvalue, final order,
+    its even block, converged) from eigenvalues alone (eigvalsh)."""
     if not (0.0 < delta_q < math.inf and 0.0 < delta_p < math.inf):
         raise ValueError(f"spacings must be positive and finite, got {delta_q} and {delta_p}")
-    if n_quad < 16 or n_quad % 2:
-        raise ValueError(f"n_quad must be even and at least 16, got {n_quad}")
-    order = n_quad
+    order = NYSTROM_START
     block = _even_block(delta_q, delta_p, order)
     lam = float(np.linalg.eigvalsh(block)[-1])
     converged = False
@@ -189,19 +172,32 @@ def prolate_overlap(delta_q: float, delta_p: float, n_quad: int = NYSTROM_START,
         lam = lam2
         if converged:
             break
-    fn = None
-    if with_eigenfunction:
-        lam, nodes, weights, psi = _nystrom_top(delta_q, order, block)
-        fn = ProlateEigenfunction(delta_q, delta_p, lam, nodes, weights, psi)
-    return OverlapResult(float(min(lam, 1.0)), delta_q, delta_p, order, converged, fn)
+    return lam, order, block, converged
 
 
-def prolate_top_eigenfunction(delta_q: float, delta_p: float,
-                              n_quad: int = NYSTROM_START) -> ProlateEigenfunction:
+def prolate_overlap(delta_q: float, delta_p: float) -> OverlapResult:
+    """Largest eigenvalue of the time-frequency limiting operator.
+
+    Quadrature order (the full Gauss-Legendre order, even) doubles from
+    NYSTROM_START = 64 until |lambda(n) - lambda(2n)| is below 1e-10 or the
+    cap of 2048 is hit (converged flag reports which). Spacings must be
+    positive and finite. The top eigenfunction is even, so each order takes
+    the top eigenvalue of the half-size even block (_even_block) rather
+    than of the full Nystrom matrix; that also keeps it apart from the odd
+    lambda_1, which nears it as c -> 1. The loop takes eigenvalues only
+    (eigvalsh); prolate_top_eigenfunction gives the eigenfunction.
+    """
+    lam, order, _, converged = _doubling(delta_q, delta_p)
+    return OverlapResult(float(min(lam, 1.0)), delta_q, delta_p, order, converged)
+
+
+def prolate_top_eigenfunction(delta_q: float, delta_p: float) -> ProlateEigenfunction:
     """Unit-norm top eigenfunction on [-delta_q/2, delta_q/2] (even, positive
-    at the center); its Rayleigh quotient equals the overlap."""
-    res = prolate_overlap(delta_q, delta_p, n_quad, with_eigenfunction=True)
-    return res.eigenfunction
+    at the center), from the eigenvector (eigh) of the even block at the
+    order where prolate_overlap's loop stops; its eigenvalue, the Rayleigh
+    quotient, matches the overlap to rounding."""
+    _, order, block, _ = _doubling(delta_q, delta_p)
+    return ProlateEigenfunction(delta_q, delta_p, *_nystrom_top(delta_q, order, block))
 
 
 def povm_overlap(e: POVM, f: POVM) -> float:

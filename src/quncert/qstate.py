@@ -284,8 +284,9 @@ class GridWaveFunction:
     def normalized(self) -> "GridWaveFunction":
         return GridWaveFunction(self.q0, self.dq, self.samples / np.sqrt(self.norm_sq()))
 
-    def is_valid(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
+    def is_valid(self) -> bool:
+        """Normalized to within NORM_TOL."""
+        return abs(self.norm_sq() - 1.0) <= NORM_TOL
 
 
 def sample_outer_sum(samples: np.ndarray, dq: float) -> np.ndarray:

@@ -152,12 +152,12 @@ def _quantum_cond_vn(rho: np.ndarray, dims, sys_a, sys_b) -> float:
     return entropy.von_neumann(rho_ab).value - entropy.von_neumann(rho_b).value
 
 
-def _povm_pair(d_a: int, rng: np.random.Generator, use_mub: bool, n_outcomes: int = None):
-    """The MUB pair on A, or two random POVMs drawn in the order (E, F)."""
+def _povm_pair(d_a: int, rng: np.random.Generator, use_mub: bool):
+    """The MUB pair on A, or two random d_a-outcome POVMs drawn in the order
+    (E, F)."""
     if use_mub:
         return mub_pair(d_a)
-    m = n_outcomes or d_a
-    return random_povm(d_a, m, rng), random_povm(d_a, m, rng)
+    return random_povm(d_a, d_a, rng), random_povm(d_a, d_a, rng)
 
 
 def _bits(kind: str, value: float) -> float:
@@ -182,17 +182,17 @@ def _tripartite(relation: str, dims: tuple, trials: int, seed: int, use_mub: boo
 
 
 def check_minmax_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
-                            tol: float = minmax.DEFAULT_TOL, use_mub: bool = True) -> CheckReport:
+                            use_mub: bool = True) -> CheckReport:
     """H_max(X|B) + H_min(Y|C) >= -log2 c(E, F) with MUB or random POVM pairs
     on A. H_max = log F_dec and H_min = -log P_guess each come from a
-    certified solve."""
+    certified solve at minmax.DEFAULT_TOL."""
     dims = _check_dims(dims, 3)
     if math.prod(dims) > 64:
         raise ValueError("total dimension above desk scale")
 
     def hmax_hmin(cq_xb, cq_yc):
-        fdec = minmax.decoupling_fidelity(cq_xb, tol)
-        pguess = minmax.guessing_probability(cq_yc, tol)
+        fdec = minmax.decoupling_fidelity(cq_xb)
+        pguess = minmax.guessing_probability(cq_yc)
         if fdec.converged and pguess.converged:
             return _bits("max", fdec.value) + _bits("min", pguess.value)
         return None
@@ -249,10 +249,10 @@ def _bipartite_bounds(rho: np.ndarray, d_a: int, d_b: int, e: POVM, f: POVM,
 
 
 def check_bipartite(dims=(2, 2), trials: int = 50, seed: int = 0,
-                    variant: str = "frank_lieb", n_outcomes: int = None,
-                    use_mub: bool = True) -> CheckReport:
+                    variant: str = "frank_lieb", use_mub: bool = True) -> CheckReport:
     """Bipartite uncertainty bound `variant`, "frank_lieb" or "dilation"
-    (see _bipartite_bounds), on random rho_AB with measurement pairs."""
+    (see _bipartite_bounds), on random rho_AB with the MUB pair on A or two
+    random d_A-outcome POVMs."""
     d_a, d_b = _check_dims(dims, 2)
     if d_a * d_b > 16:
         raise ValueError("bipartite checker limited to total dimension 16")
@@ -261,7 +261,7 @@ def check_bipartite(dims=(2, 2), trials: int = 50, seed: int = 0,
 
     def trial(rng):
         rho = random_density(d_a * d_b, rng)
-        e, f = _povm_pair(d_a, rng, use_mub, n_outcomes)
+        e, f = _povm_pair(d_a, rng, use_mub)
         bounds = _bipartite_bounds(rho, d_a, d_b, e, f, (variant,))
         return [bounds["lhs"] - bounds[f"{variant}_rhs"]]
 
@@ -288,21 +288,22 @@ def gedankenexperiment(measured: int = 1):
     return _bipartite_bounds(rho, 4, 2, e, f)
 
 
-def check_operator_lemmas(trials: int = 50, seed: int = 0,
-                          tol: float = minmax.DEFAULT_TOL) -> CheckReport:
+def check_operator_lemmas(trials: int = 50, seed: int = 0) -> CheckReport:
     """Property checks for the supporting entropy lemmas on random qubit-pair
     instances: relative-entropy monotonicity and scaling, the chain rule,
     D_max ordering and monotonicity, data processing for H_min/H_max, and
     the min/max and von Neumann purification dualities; eleven slacks per
     trial. The min/max duality sets decoupling_fidelity's ascent against
-    the interior-point 2^{-H_min(X|C)} of the purified state. A trial with
-    a capped H_min or H_max solve adds none of its slacks."""
-    return _run("operator_lemmas", trials, seed, lambda rng: _lemma_slacks(rng, tol))
+    the interior-point 2^{-H_min(X|C)} of the purified state. Every solve
+    runs at minmax.DEFAULT_TOL. A trial with a capped H_min or H_max solve
+    adds none of its slacks."""
+    return _run("operator_lemmas", trials, seed, _lemma_slacks)
 
 
-def _lemma_slacks(rng: np.random.Generator, tol: float):
+def _lemma_slacks(rng: np.random.Generator):
     """The eleven slacks of one check_operator_lemmas trial, or None when
     one of its H_min or H_max solves was capped."""
+    tol = minmax.DEFAULT_TOL
     trial = []
     rho, gamma = random_density(4, rng), random_density(4, rng)
     sigma = gamma + random_density(4, rng) * rng.uniform(0.1, 1.0)  # sigma >= gamma
@@ -335,13 +336,13 @@ def _lemma_slacks(rng: np.random.Generator, tol: float):
     # data processing: discarding a memory factor cannot lower H_min/H_max
     cq_bc = _random_cq(3, 4, rng)
     cq_b = CQState.from_stack(cq_bc.labels, partial_trace(cq_bc.ops, [2, 2], [0]))
-    p_b, p_bc = (minmax.guessing_probability(cq, tol) for cq in (cq_b, cq_bc))
-    f_b, f_bc = (minmax.decoupling_fidelity(cq, tol) for cq in (cq_b, cq_bc))
+    p_b, p_bc = (minmax.guessing_probability(cq) for cq in (cq_b, cq_bc))
+    f_b, f_bc = (minmax.decoupling_fidelity(cq) for cq in (cq_b, cq_bc))
     trial.append(_bits("min", p_b.value) - _bits("min", p_bc.value) + 2 * tol)
     trial.append(_bits("max", f_b.value) - _bits("max", f_bc.value) + 2 * tol)
     # min/max duality H_max(X|B) = -H_min(X|C), C = X'B' purifying cq_b:
     # the unitary ascent against the interior-point core, both read as H_max
-    c_xc = _purified_min_entropy_value(cq_b, tol)
+    c_xc = _purified_min_entropy_value(cq_b)
     trial.append(2 * tol - abs(_bits("max", f_b.value) - _bits("max", c_xc.value)))
     # von Neumann duality H(A|C) = -H(A|B) for a purified two-qubit state
     trial.append(1e-9 - abs(_vn_duality_defect(rho)))
@@ -366,13 +367,13 @@ def _random_cq(n_outcomes: int, dim: int, rng: np.random.Generator) -> CQState:
                          for i in range(n_outcomes)))
 
 
-def _purified_min_entropy_value(omega: CQState, tol: float) -> minmax.SDPResult:
+def _purified_min_entropy_value(omega: CQState) -> minmax.SDPResult:
     """2^{-H_min(X|C)} of the purified cq state, C = X'B' (qstate.purify_cq),
     which equals F_dec(X|B) = 2^{H_max(X|B)} by duality."""
     m, d = omega.ops.shape[:2]
     vec, dims = purify_cq(omega)
     rho_xc = partial_trace(np.outer(vec, vec.conj()), list(dims), keep=[0, 1, 3])
-    return minmax.cond_min_entropy_value(rho_xc, m, m * d, tol)
+    return minmax.cond_min_entropy_value(rho_xc, m, m * d)
 
 
 def _vn_duality_defect(rho_ab: np.ndarray) -> float:

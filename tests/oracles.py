@@ -208,25 +208,32 @@ def nystrom_lambda0(delta_q, delta_p, order):
 FOCK_TERMS_MAX = 1e7
 
 
+def epr_memory_entropy_nats(nu):
+    """H(B) of the EPR state in nats, by Fock sums: the Shannon entropy of
+    the thermal photon distribution (1 - t) t^n with t = tanh(r)^2 =
+    (nu - 1)/(nu + 1), summed until t^n < e^-80. The term count grows like
+    nu, so past FOCK_TERMS_MAX terms it raises ValueError; epr_gap_decimal
+    serves there.
+    """
+    t = (nu - 1.0) / (nu + 1.0)
+    if t <= 0.0:
+        return 0.0
+    terms = 80.0 / -math.log(t) + 1.0 if t < 1.0 else math.inf
+    if terms > FOCK_TERMS_MAX:
+        raise ValueError(f"nu = {nu:g} needs {terms:.3g} Fock terms, above "
+                         f"{FOCK_TERMS_MAX:g}; use epr_gap_decimal")
+    n = np.arange(int(terms))
+    logp = math.log1p(-t) + n * math.log(t)
+    return -math.fsum(np.exp(logp) * logp)
+
+
 def epr_gap_nats(nu):
     """EPR uncertainty gap 2 h(Q) - H(B) - log(2 pi) in nats, by Fock sums.
 
-    h(Q) = log(pi e nu) / 2 is the Gaussian marginal entropy; H(B) is the
-    Shannon entropy of the thermal photon distribution (1 - t) t^n with
-    t = tanh(r)^2 = (nu - 1)/(nu + 1), summed until t^n < e^-80. The term
-    count grows like nu, so past FOCK_TERMS_MAX terms it raises ValueError;
-    epr_gap_decimal serves there.
+    h(Q) = log(pi e nu) / 2 is the Gaussian marginal entropy and H(B) is
+    epr_memory_entropy_nats(nu), which refuses large nu.
     """
-    t = (nu - 1.0) / (nu + 1.0)
-    h_b = 0.0
-    if t > 0.0:
-        terms = 80.0 / -math.log(t) + 1.0 if t < 1.0 else math.inf
-        if terms > FOCK_TERMS_MAX:
-            raise ValueError(f"nu = {nu:g} needs {terms:.3g} Fock terms, above "
-                             f"{FOCK_TERMS_MAX:g}; use epr_gap_decimal")
-        n = np.arange(int(terms))
-        logp = math.log1p(-t) + n * math.log(t)
-        h_b = -math.fsum(np.exp(logp) * logp)
+    h_b = epr_memory_entropy_nats(nu)
     return math.log(math.pi * math.e * nu) - h_b - math.log(2.0 * math.pi)
 
 

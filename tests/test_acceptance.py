@@ -20,7 +20,7 @@ from quncert.discretize import (
 from quncert.entropy import classical_hmin_hmax, differential_entropy
 from quncert.gaussian import epr_conditional_entropies, epr_gap, epr_grid_wavefunction
 from quncert.minmax import cond_min_entropy_value, decoupling_fidelity
-from quncert.overlap import prolate_overlap
+from quncert.overlap import prolate_overlap, prolate_top_eigenfunction
 from quncert.verify import (
     check_operator_lemmas,
     check_bipartite,
@@ -96,12 +96,13 @@ def test_02_overlap_product_invariance():
 def test_03_sharpness():
     """The top eigenfunction saturates the min/max-entropy bound."""
     t0 = time.time()
-    res = prolate_overlap(1.0, 1.0, with_eigenfunction=True)
+    c = prolate_overlap(1.0, 1.0).c
+    fn = prolate_top_eigenfunction(1.0, 1.0)
     # position side: support inside one width-1 cell, so H_max vanishes
     n = 4096
     dq = 1.0 / 512.0
     grid = dq * (np.arange(n) + 0.5 - n / 2)
-    vals = res.eigenfunction(grid).astype(complex)
+    vals = fn(grid).astype(complex)
     from quncert.qstate import GridWaveFunction
 
     psi = GridWaveFunction(grid[0], dq, vals / math.sqrt(np.sum(np.abs(vals) ** 2) * dq))
@@ -109,10 +110,9 @@ def test_03_sharpness():
     cq = discretize_position(psi, part)
     hmax_q = 2.0 * math.log2(np.sqrt(cq.probs).sum())
     # momentum side: per-cell quadrature on a 63 x 65 = 4095-point grid
-    probs = res.eigenfunction.momentum_cell_probabilities(n_cells=63,
-                                                          nodes_per_cell=65)
+    probs = fn.momentum_cell_probabilities(n_cells=63, nodes_per_cell=65)
     hmin_p = -math.log2(probs.max())
-    defect = hmin_p + math.log2(res.c)
+    defect = hmin_p + math.log2(c)
     ok = abs(hmax_q) < 1e-12 and abs(defect) < 1e-3
     _report("saturation at unit spacings", ok,
             f"H_max(Q)={hmax_q:.1e} (want 0), H_min(P)+log2 c={defect:.2e}",

@@ -452,6 +452,16 @@ class TestConvergenceLadder:
         with pytest.raises(ValueError, match="alpha0"):
             convergence_ladder(self.PSI, kind="vn", n_max=0, alpha0=alpha0)
 
+    @pytest.mark.parametrize("kind", ["vn", "min", "max"])
+    def test_rejects_unknown_base_before_any_rung(self, monkeypatch, kind):
+        calls = []
+        cells = discretize._cells
+        monkeypatch.setattr(discretize, "_cells", lambda *a: calls.append(1) or cells(*a))
+        psi = gaussian_wavefunction(n_points=256)
+        with pytest.raises(ValueError, match="unknown base 'foo'"):
+            convergence_ladder(psi, kind=kind, n_max=0, base="foo")
+        assert calls == []
+
     @pytest.mark.parametrize("kind", ["min", "max"])
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, 0.5])
     def test_rejects_tol_outside_solver_range(self, kind, tol):

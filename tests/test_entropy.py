@@ -30,16 +30,17 @@ def random_density(dim, rng, rank=None):
 
 class TestEntropyValue:
     def test_base_conversion_round_trip(self):
-        e = EntropyValue(1.0, "bits")
-        assert math.isclose(e.nats, math.log(2.0))
-        assert math.isclose(e.in_base("nats").in_base("bits").value, 1.0)
+        half = np.eye(2) / 2.0
+        assert von_neumann(half, base="bits") == EntropyValue(1.0, "bits")
+        nats = von_neumann(half, base="nats")
+        assert nats.base == "nats" and math.isclose(nats.value, math.log(2.0))
 
     def test_infinite_serialization(self):
         assert EntropyValue(math.inf, "bits").to_json()["value"] == "inf"
 
     def test_rejects_unknown_base(self):
-        with pytest.raises(ValueError):
-            EntropyValue(1.0, "bits").in_base("trits")
+        with pytest.raises(ValueError, match="unknown base 'trits'"):
+            von_neumann(np.eye(2) / 2.0, base="trits")
 
 
 class TestVonNeumann:
@@ -323,3 +324,21 @@ class TestClassicalAndDifferential:
     def test_rejects_unnormalized_density(self):
         with pytest.raises(ValueError):
             differential_entropy(np.ones(10), 1.0)
+
+    @pytest.mark.parametrize("fn", [differential_entropy, classical_hmin_hmax])
+    def test_density_checked_alike(self, fn):
+        from quncert.discretize import gaussian_wavefunction
+
+        psi = gaussian_wavefunction(sigma=1.0)
+        dens = psi.density()
+        # a negative tail entry leaves the integral at 1 once clipped
+        bad = dens.copy()
+        bad[0] = -0.5
+        with pytest.raises(ValueError, match=r"negative density -0\.5"):
+            fn(bad, psi.dq)
+        with pytest.raises(ValueError, match="density integrates to"):
+            fn(2.0 * dens, psi.dq)
+        # a rounding-level negative entry is clipped, not rejected
+        tiny = dens.copy()
+        tiny[0] = -1e-13
+        fn(tiny, psi.dq)

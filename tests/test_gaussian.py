@@ -9,67 +9,22 @@ from quncert.discretize import Partition, convergence_ladder, discretize_positio
 from quncert.entropy import von_neumann
 from quncert.gaussian import (
     GAP_SERIES_NU,
-    GaussianState,
     epr_conditional_entropies,
     epr_gap,
     epr_grid_wavefunction,
-    epr_state,
     fig2_table,
-    gaussian_vn_entropy,
-    symplectic_eigenvalues,
 )
 
-from oracles import epr_gap_decimal, epr_gap_nats
+from oracles import epr_gap_decimal, epr_gap_nats, epr_memory_entropy_nats
 
 
 class TestCovariance:
-    def test_vacuum_variance_half(self):
-        vac = epr_state(1.0)
-        assert np.allclose(vac.cov, np.eye(4) / 2.0)
-
-    def test_symplectic_eigenvalues_epr(self):
-        # the two-mode squeezed state is pure: both symplectic eigenvalues 1/2
-        st = epr_state(3.0)
-        assert np.allclose(symplectic_eigenvalues(st), 0.5, atol=1e-10)
-
-    def test_marginal_is_thermal(self):
-        st = epr_state(2.5)
-        bmode = st.marginal([1])
-        assert np.allclose(bmode.cov, 1.25 * np.eye(2))
-        assert np.allclose(symplectic_eigenvalues(bmode), 1.25)
-
-    def test_unphysical_rejected(self):
-        bad = GaussianState(1, 0.1 * np.eye(2))
-        with pytest.raises(ValueError):
-            symplectic_eigenvalues(bad)
-
-    def test_rejects_nu_below_one(self):
-        with pytest.raises(ValueError):
-            epr_state(0.9)
-
-    @pytest.mark.parametrize("fn", [epr_state, epr_gap, epr_conditional_entropies,
-                                    epr_grid_wavefunction])
+    @pytest.mark.parametrize("fn", [epr_gap, epr_conditional_entropies, epr_grid_wavefunction])
     @pytest.mark.parametrize("nu", [math.nan, 0.5, math.inf])
     def test_rejects_nu_outside_range(self, fn, nu):
         # NaN passes a nu < 1 test; epr_gap's series never met its stop test on it
         with pytest.raises(ValueError, match="nu must be finite and >= 1"):
             fn(nu)
-
-
-class TestGaussianEntropy:
-    def test_pure_state_zero(self):
-        assert abs(gaussian_vn_entropy(epr_state(4.0)).value) < 1e-10
-
-    def test_thermal_memory_entropy(self):
-        # H(B) = t log t - (t-1) log(t-1), t = (nu+1)/2
-        nu = 3.0
-        t = (nu + 1.0) / 2.0
-        expected = (t * math.log(t) - (t - 1.0) * math.log(t - 1.0)) / math.log(2.0)
-        hb = gaussian_vn_entropy(epr_state(nu).marginal([1])).value
-        assert math.isclose(hb, expected, abs_tol=1e-10)
-
-    def test_vacuum_entropy_zero(self):
-        assert gaussian_vn_entropy(epr_state(1.0)).value == 0.0
 
 
 class TestGap:
@@ -186,12 +141,20 @@ class TestEPRWavefunction:
         assert np.abs(off).max() < 1e-10
 
     def test_memory_entropy_matches_symplectic(self):
+        # the grid's H(B) against the thermal entropy summed in the Fock basis
         nu = 2.5
         psi = epr_grid_wavefunction(nu, n_points=2048)
         rho_b = psi.dq * (psi.samples.conj().T @ psi.samples)
-        hb_grid = von_neumann(rho_b.real).value
-        hb_analytic = gaussian_vn_entropy(epr_state(nu).marginal([1])).value
-        assert math.isclose(hb_grid, hb_analytic, abs_tol=1e-8)
+        hb_fock = epr_memory_entropy_nats(nu) / math.log(2.0)
+        assert math.isclose(von_neumann(rho_b.real).value, hb_fock, abs_tol=1e-8)
+
+    @pytest.mark.parametrize("nu", [1e17, 1e20])
+    def test_rejects_nu_where_tanh_r_rounds_to_one(self, nu):
+        # no default memory_dim exists there; an explicit one still works
+        with pytest.raises(ValueError, match=re.escape(f"nu = {nu:g} too large")):
+            epr_grid_wavefunction(nu, 64)
+        psi = epr_grid_wavefunction(nu, 64, memory_dim=2)
+        assert psi.memory_dim == 2
 
     def test_conditional_ladder_hits_analytic(self):
         # the core EPR cross-check at moderate squeezing

@@ -68,50 +68,51 @@ class TestProlateOverlap:
         assert res.converged
         assert abs(res.c - nystrom_lambda0(delta_q, delta_p, res.nystrom_order)) <= 1e-14
 
-    @pytest.mark.parametrize("n_quad", [15, 65])
-    def test_rejects_odd_or_small_order(self, n_quad):
-        with pytest.raises(ValueError, match="n_quad must be even and at least 16"):
-            prolate_overlap(1.0, 1.0, n_quad=n_quad)
-
     def test_cached_quadrature_is_read_only_and_exact(self, monkeypatch):
         xi, w = overlap._gauss_legendre(64)
         assert overlap._gauss_legendre(64)[0] is xi
         assert not (xi.flags.writeable or w.flags.writeable)
         with pytest.raises(ValueError):
             xi[0] = 0.0
-        cached = prolate_overlap(1.3, 0.7, with_eigenfunction=True)
-        cached_probs = cached.eigenfunction.momentum_cell_probabilities(n_cells=8)
+        cached = prolate_overlap(1.3, 0.7)
+        cached_fn = prolate_top_eigenfunction(1.3, 0.7)
+        cached_probs = cached_fn.momentum_cell_probabilities(n_cells=8)
         monkeypatch.setattr(overlap, "_gauss_legendre", np.polynomial.legendre.leggauss)
-        fresh = prolate_overlap(1.3, 0.7, with_eigenfunction=True)
+        fresh = prolate_overlap(1.3, 0.7)
+        fresh_fn = prolate_top_eigenfunction(1.3, 0.7)
         assert (cached.c, cached.nystrom_order) == (fresh.c, fresh.nystrom_order)
-        for name in ("nodes", "weights", "values"):
-            assert np.array_equal(getattr(cached.eigenfunction, name),
-                                  getattr(fresh.eigenfunction, name))
-        assert np.array_equal(cached_probs,
-                              fresh.eigenfunction.momentum_cell_probabilities(n_cells=8))
+        for name in ("eigenvalue", "nodes", "weights", "values"):
+            assert np.array_equal(getattr(cached_fn, name), getattr(fresh_fn, name))
+        assert np.array_equal(cached_probs, fresh_fn.momentum_cell_probabilities(n_cells=8))
 
     @pytest.mark.parametrize("delta", [2.0 ** -6, 1.0, 3.0, 5.0])
     def test_eigenvalue_only_loop_matches_eigh_path(self, monkeypatch, delta):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         fast = prolate_overlap(delta, delta)
-        with_fn = prolate_overlap(delta, delta, with_eigenfunction=True)
+        # one eigvalsh of the even block per order, 64, 128, ... up to the last
+        orders = [64 * 2 ** k for k in range(len(calls))]
+        assert calls == [(n // 2, n // 2) for n in orders] and orders[-1] == fast.nystrom_order
+        fn = prolate_top_eigenfunction(delta, delta)
         # eigh at every order, the eigenvector discarded until the last one
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.linalg.eigh(a)[0])
-        ref = prolate_overlap(delta, delta, with_eigenfunction=True)
-        assert fast.nystrom_order == with_fn.nystrom_order == ref.nystrom_order
-        assert fast.eigenfunction is None
+        ref = prolate_overlap(delta, delta)
+        ref_fn = prolate_top_eigenfunction(delta, delta)
+        assert fast.nystrom_order == ref.nystrom_order == len(fn.nodes)
         assert abs(fast.c - ref.c) <= 1e-15
-        assert with_fn.c == ref.c
+        assert fn.eigenvalue == ref.c
         for name in ("eigenvalue", "nodes", "weights", "values"):
-            assert np.array_equal(getattr(with_fn.eigenfunction, name),
-                                  getattr(ref.eigenfunction, name))
+            assert np.array_equal(getattr(fn, name), getattr(ref_fn, name))
 
 
 class TestEigenfunction:
-    RES = prolate_overlap(1.0, 1.0, with_eigenfunction=True)
+    RES = prolate_overlap(1.0, 1.0)
+    FN = prolate_top_eigenfunction(1.0, 1.0)
 
     def test_rayleigh_quotient_matches_eigenvalue(self):
         # eigenpair consistency: <psi, K psi> / <psi, psi> = lambda
-        f = self.RES.eigenfunction
+        f = self.FN
         x, w, v = f.nodes, f.weights, f.values
         from quncert.overlap import _sinc_kernel
 
@@ -121,7 +122,7 @@ class TestEigenfunction:
         assert math.isclose(num / den, self.RES.c, abs_tol=1e-9)
 
     def test_unit_norm_on_interval(self):
-        f = self.RES.eigenfunction
+        f = self.FN
         n = 20000
         dq = 1.0 / n
         x = -0.5 + dq * (np.arange(n) + 0.5)
@@ -129,29 +130,30 @@ class TestEigenfunction:
 
     def test_values_on_every_node_of_the_order(self):
         # the even block's eigenvector, mirrored onto the negative nodes
-        f = self.RES.eigenfunction
+        f = self.FN
         xi, w = np.polynomial.legendre.leggauss(self.RES.nystrom_order)
         assert np.array_equal(f.nodes, 0.5 * xi) and np.array_equal(f.weights, 0.5 * w)
         assert np.array_equal(f.values, f.values[::-1])
 
     def test_zero_outside_interval(self):
-        f = self.RES.eigenfunction
+        f = self.FN
         assert np.all(f(np.array([-0.6, 0.51, 3.0])) == 0.0)
 
     def test_even_and_positive_at_center(self):
-        f = self.RES.eigenfunction
+        f = self.FN
         x = np.linspace(0.0, 0.45, 20)
         assert np.allclose(f(x), f(-x), atol=1e-10)
         assert f(np.array([0.0]))[0] > 0.0
 
     def test_momentum_mass_in_band_equals_eigenvalue(self):
         # the defining property of the top time-frequency limited function
-        probs = self.RES.eigenfunction.momentum_cell_probabilities()
+        probs = self.FN.momentum_cell_probabilities()
         assert math.isclose(probs.max(), self.RES.c, abs_tol=1e-12)
 
     def test_top_eigenfunction_helper(self):
-        f = prolate_top_eigenfunction(1.0, 1.0)
-        assert math.isclose(f.eigenvalue, self.RES.c, abs_tol=1e-10)
+        for d in (1.0, 3.0):
+            f = prolate_top_eigenfunction(d, d)
+            assert abs(f.eigenvalue - prolate_lambda0(d * d / 4.0)) <= 1e-9
 
 
 class TestFiniteOverlaps:
