@@ -17,7 +17,7 @@ kept cells' samples (their diagonals in omega_B's eigenbasis, and the
 spectra of their Gram matrices when a cell holds fewer samples than the
 memory has levels). A min or max ladder forms the operators of the cells
 its entropy keeps and hands them, with the traces of the others, to the
-solvers' skip-and-charge core (minmax._charged_solve).
+solver that charges for those (minmax._guess or minmax._fdec_ascent).
 """
 
 from __future__ import annotations
@@ -239,18 +239,18 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     the cell traces (entropy._classical_nats). With a memory, the
     functional's own skip rule (qstate.kept_cells at tol: a budget of 1e-15
     nats for vn, and tol/10 of the certificate's gap for min and max) picks
-    the cells that enter. A vn
-    rung then takes H(X|B) from the kept cells' samples against omega_B of
-    all samples, formed once per ladder (_vn_cells): it forms no cell
-    operator, and applies the very rule cond_vn_cq applies to the full
-    binned state, so it equals cond_vn_cq(discretize_position(psi, part))
-    up to rounding
-    (within 1e-14 nats on the 19-level EPR state). A min or max rung forms
+    the cells that enter. A vn rung then takes H(X|B) from the kept cells'
+    samples against omega_B of all samples, formed once per ladder
+    (_vn_cells): it forms no cell operator, and applies the very rule
+    cond_vn_cq applies to the full binned state, so it equals
+    cond_vn_cq(discretize_position(psi, part)) up to rounding (within
+    1e-14 nats on the 19-level EPR state). A min or max rung forms
     only the kept cells' operators and passes them, with the traces of the
-    skipped cells, to minmax._charged_solve, the core that
-    guessing_probability and decoupling_fidelity run on the full binned
-    state: it is that solve of discretize_position's state, bit for bit
-    on the 19-level EPR state, read through minmax._entropy_nats. Each rung
+    skipped cells, to minmax._guess or minmax._fdec_ascent, the solvers
+    that guessing_probability and decoupling_fidelity run on the full
+    binned state; each charges the skipped cells in its one certificate.
+    The rung is that solve of discretize_position's state, bit for bit on
+    the 19-level EPR state, read through minmax._entropy_nats. Each rung
     logs one DEBUG record to the "quncert" logger: alpha, cells, cells
     kept, the total trace of the cells not formed ("skipped trace") and
     seconds.
@@ -301,7 +301,8 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
             else:
                 kept = CQState.from_stack(labels[keep],
                                           _cell_stack(psi, starts, np.flatnonzero(keep)))
-                res = minmax._charged_solve(kind, kept.ops, traces[~keep], tol)
+                solve = minmax._guess if kind == "min" else minmax._fdec_ascent
+                res = solve(kept.ops, traces[~keep], tol)
                 val, converged = minmax._entropy_nats(kind, res.value), res.converged
         val = entropy._as_base(val + math.log(alpha), base).value
         rows.append((alpha, val))
@@ -332,6 +333,7 @@ def gaussian_wavefunction(sigma: float = 1.0, n_points: int = 4096,
     half = width_sigmas * sigma
     dq = 2.0 * half / n_points
     q = -half + dq * np.arange(n_points) + center
-    amp = (2.0 * math.pi * sigma ** 2) ** (-0.25) * np.exp(-((q - center) ** 2) / (4.0 * sigma ** 2))
-    psi = GridWaveFunction(q[0], dq, amp.astype(complex))
-    return psi.normalized()
+    # normalized() sets the scale, so the amplitude needs no (2 pi sigma^2)^(-1/4),
+    # which underflows for a tiny sigma
+    z = (q - center) / sigma
+    return GridWaveFunction(q[0], dq, np.exp(-0.25 * z * z).astype(complex)).normalized()

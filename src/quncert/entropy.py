@@ -78,7 +78,7 @@ def von_neumann(rho: np.ndarray, base: str = "bits") -> EntropyValue:
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"state not normalized: trace = {tr}")
     vals, _ = psd_eigh(rho)
-    return _as_base(-float(_xlogx(vals).sum()), base)
+    return _as_base(_classical_nats(vals, "vn"), base)
 
 
 def _spectrum(sigma: np.ndarray):
@@ -161,10 +161,10 @@ def _cond_vn_nats(svals: np.ndarray, on_support: np.ndarray, diag: np.ndarray,
     """
     if _leaks(diag, on_support, traces):
         return -math.inf
-    tr_rho_log_rho = float(_xlogx(np.clip(np.linalg.eigvalsh(cells), 0.0, None)).sum())
+    self_term = _classical_nats(np.clip(np.linalg.eigvalsh(cells), 0.0, None), "vn")
     positive = svals > 0.0
     diag = np.clip(diag[:, positive], 0.0, None)
-    return float(np.sum(diag @ np.log(svals[positive]))) - tr_rho_log_rho
+    return float(np.sum(diag @ np.log(svals[positive]))) + self_term
 
 
 def cond_vn_cq(omega: CQState, base: str = "bits") -> EntropyValue:
@@ -224,8 +224,9 @@ def classical_hmin_hmax(density: np.ndarray, dq: float, base: str = "bits"):
     """Differential Renyi entropies of order infinity and 1/2.
 
     h_min = -log ||P||_inf, h_max = 2 log int sqrt(P); h_min <= h <= h_max.
-    The density is checked as differential_entropy checks it.
+    The density is checked as differential_entropy checks it. On the grid
+    h_max is the discrete max-entropy of the samples plus 2 log dq.
     """
     p = _density(density, dq)
-    h_max = 2.0 * math.log(float(np.sum(np.sqrt(p)) * dq))
+    h_max = _classical_nats(p, "max") + 2.0 * math.log(dq)
     return _as_base(_classical_nats(p, "min"), base), _as_base(h_max, base)

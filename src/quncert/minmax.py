@@ -5,8 +5,8 @@ The guessing probability P_guess(X|B) = sup { sum_x tr[omega_B^x E_x] } over
 POVMs equals, by strong duality, min { tr sigma : sigma >= omega_B^x for all
 x }. The solver goes by the number of outcomes kept after the skip rule
 (guessing_probability): two take the Helstrom closed form (exact
-measurement and dual certificate), three or more the interior-point core. The max-entropy H_max(X|B) = log F_dec(X|B) is the value of
-the SDP
+measurement and dual certificate), three or more the interior-point core.
+The max-entropy H_max(X|B) = log F_dec(X|B) is the value of the SDP
 
     F_dec = min { sum_x tr Y_x : Y_0 (+) ... (+) Y_{m-1} >= R },
     R_xy = sqrt(omega_x) sqrt(omega_y),
@@ -24,6 +24,10 @@ over unitaries (Burer and Monteiro, Math. Program. 95, 2003) is exact:
 decoupling_fidelity climbs it by block-coordinate ascent, one d x d SVD per
 block step, and certifies the result with the dual that complementary
 slackness reads off the unitaries (_ascent_bound).
+
+Both cq solvers, _guess and _fdec_ascent, take the stack of the cells
+kept (qstate.kept_cells at tol) and the traces of the others, and build and
+charge their whole bracket, so converged means a charged gap of at most tol.
 
 The guessing SDP and 2^{-H_min(A|C)} read min { tr Y : embed(Y) >= rho_j
 for every block j } over a (q, c, c) stack Y and a stack of blocks rho,
@@ -46,7 +50,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .entropy import EntropyValue, _as_base
-from .qstate import CQState, POVM, herm, kept_cells, psd_eigh, psd_funcm
+from .qstate import CQState, POVM, _root_share, herm, kept_cells, psd_eigh, psd_funcm
 # unused here; perfbench/spans.py traces these two bindings of this module by name
 from .qstate import partial_trace, purify_cq  # noqa: F401
 
@@ -248,21 +252,22 @@ def _helstrom(ops: np.ndarray):
     return elements, sigma + _feasible_shift(ops, sigma) * np.eye(op0.shape[0])
 
 
-def _guess(ops: np.ndarray, tol: float) -> SDPResult:
-    """guessing_probability on an (m, d, d) stack."""
+def _guess(ops: np.ndarray, skipped: np.ndarray, tol: float) -> SDPResult:
+    """P_guess of the kept cells' stack ops, its gap grown by S = sum_y t_y
+    over the skipped traces, since sigma + sum_y omega_y dominates every
+    omega_x; POVM and sigma are the kept cells'. One cell gives tr omega."""
     m, d = ops.shape[:2]
-    if m == 1:
-        sigma = ops[0].copy()
-        return _certified(float(np.real(np.trace(sigma))), 0.0, 0, tol,
-                          POVM(np.eye(d)[None]), sigma)
     iters = 0
-    if m == 2:
+    if m == 1:
+        elements, sigma = np.eye(d)[None], ops[0].copy()
+    elif m == 2:
         elements, sigma = _helstrom(ops)
     else:
         (sigma,), elements, iters = _ipm(ops, _cq_embedding(m), tol)
-    value = _primal_value(ops, elements)
-    gap = float(np.real(np.trace(sigma))) - value
-    return _certified(value, gap, iters, tol, POVM(elements), sigma)
+    dual = float(np.real(np.trace(sigma)))
+    value = dual if m == 1 else _primal_value(ops, elements)
+    return _certified(value, dual - value + float(skipped.sum()), iters, tol,
+                      POVM(elements), sigma)
 
 
 def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
@@ -275,18 +280,17 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
 
     The smallest outcomes are skipped while their traces sum to at most
     tol/10 (qstate.kept_cells at tol, bound t_y per cell) and charged by
-    _charged_solve, which solves the kept ones to the rest of tol; the
-    outcome count that picks the solver is that of the outcomes kept. A
-    skipped outcome gets E_y = 0, so the POVM keeps one element per label
-    and the value is still sum_x tr[omega_x E_x]. The certificate is
-    sigma + sum_y omega_y over the skipped y, which dominates every omega_x.
+    _guess; the outcome count that picks the solver is that of the
+    outcomes kept. A skipped outcome gets E_y = 0, so the POVM keeps one
+    element per label and the value is still sum_x tr[omega_x E_x]. The
+    certificate is sigma + sum_y omega_y over the skipped y.
     """
     _check_tol(tol)
     ops, t = omega.ops, omega.probs
     keep = kept_cells(t, "min", tol)
-    res = _charged_solve("min", ops if keep.all() else ops[keep], t[~keep], tol)
     if keep.all():
-        return res
+        return _guess(ops, t[~keep], tol)
+    res = _guess(ops[keep], t[~keep], tol)
     elements = np.zeros(ops.shape, dtype=complex)
     elements[keep] = res.primal_povm.elements
     return replace(res, primal_povm=POVM(elements),
@@ -321,7 +325,7 @@ def _polar(b: np.ndarray) -> np.ndarray:
 
 def _kept_directions(vals: np.ndarray, budget: float):
     """Keep-mask of an (m, d) stack of spectra: in each cell the smallest
-    eigenvalues are left out while their sum s_x is at most budget > 0, so
+    eigenvalues are left out while their sum s_x is at most budget >= 0, so
     zeros always are. Returns the mask and the charge sum_x sqrt(s_x)."""
     order = np.argsort(vals, axis=1)
     left_out = np.cumsum(np.take_along_axis(vals, order, axis=1), axis=1) <= budget
@@ -400,42 +404,51 @@ def _ascent_bound(vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray,
     return None
 
 
-def _fdec_ascent(ops: np.ndarray, tol: float) -> SDPResult:
-    """F_dec of an (m, d, d) stack by block-coordinate ascent over the
-    unitaries of ||A||_F^2, A = sum_x U_x sqrt(omega_x).
+def _fdec_ascent(ops: np.ndarray, skipped: np.ndarray, tol: float) -> SDPResult:
+    """F_dec of the kept cells' stack ops and the skipped traces t_y, by
+    block-coordinate ascent over the unitaries of ||A||_F^2,
+    A = sum_x U_x sqrt(omega_x) over the kept cells.
 
     Each block step sets U_x to the polar factor of (A - U_x sqrt(omega_x))
-    sqrt(omega_x), which maximizes ||A||_F^2 over U_x alone, and updates A;
-    ||A||_F^2 is the lower bound and never decreases. The residual is the
-    norm of the skew-Hermitian parts of the sqrt(omega_x) A^H U_x, zero at a
-    fixed point. The dual bound (_ascent_bound) costs about a sweep or more,
-    so it is formed only when the residual falls below a trigger: first
-    0.1 sqrt(tol), since at a nondegenerate optimum the gap falls like the
-    square of the residual; after a miss, where the gap, taken proportional
-    to the residual, would meet tol, and no sooner than a quarter of the
-    sweeps so far. The ascent stops when a bound is within tol, after
+    sqrt(omega_x), which maximizes ||A||_F^2 over U_x alone, and updates A.
+    The residual is the norm of the skew-Hermitian parts of the
+    sqrt(omega_x) A^H U_x, zero at a fixed point. The dual bound
+    (_ascent_bound) costs about a sweep or more, so it is formed only when
+    the residual falls below a trigger: first 0.1 sqrt(tol), since at a
+    nondegenerate optimum the gap falls like the square of the residual;
+    after a miss, where the gap, taken proportional to the residual, would
+    meet tol, and no sooner than a quarter of the sweeps so far. The ascent
+    stops when the charged bracket below is within tol, after
     ASCENT_MAX_SWEEPS sweeps (read at call time), or when the residual has
     stalled (no 10% drop in the last best_at + 64 sweeps, best_at being the
     sweep of the last one); the last two form a final bound and come back
     with it, converged or not.
 
-    Eigen-directions of the omega_x whose eigenvalues sum to at most
-    ((tol / 10) / (2 sum_x sqrt(t_x) + 1) / m)^2 per cell are left out of
-    the dual and charged like negligible cells: a bound U on the rest gives
-    (sqrt(U) + T)^2 with T = sum_x sqrt(s_x) over the left-out sums s_x,
-    at most tol / 10 above U. The value never exceeds (sum_x sqrt(t_x))^2,
-    which bounds ||A||_F for any unitaries.
+    What the dual leaves out is charged once: skipped cells whole, and in
+    each kept cell the smallest eigenvalues while their sum s_x is within
+    a per-cell budget. With T = sum_y sqrt(t_y) + sum_x sqrt(s_x), a bound
+    U on the rest gives sqrt(F_dec) <= sqrt(U) + T (the dual Y_y is
+    proportional to omega_y / sqrt(t_y)), and the unitaries, padded with
+    1_d blocks, give F_dec >= ||A||_F^2 + sum_y t_y. Both are clamped to
+    R^2, R = sum_x sqrt(t_x) over all cells, since H_max(X|B) <= H_max(X),
+    so one outcome gives tr omega exactly. All that is left out may cost
+    2RT + T^2 <= tol/5 (qstate._root_share): the cells take their tol/10
+    first, and the directions split the rest of that root evenly.
     """
     cap = ASCENT_MAX_SWEEPS
     m, d = ops.shape[:2]
     vals, vecs = psd_eigh(ops)
     roots = (vecs * np.sqrt(vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    root_sum = float(np.sqrt(vals.sum(1)).sum())
-    keep, charge = _kept_directions(vals, (0.1 * tol / (2.0 * root_sum + 1.0) / m) ** 2)
+    cells = float(np.sqrt(skipped).sum())
+    r = float(np.sqrt(np.clip(np.trace(ops, axis1=1, axis2=2).real, 0.0, None)).sum()) + cells
+    room = max(0.0, _root_share(r, 0.2 * tol) - cells)
+    keep, charge = _kept_directions(vals, (room / m) ** 2)
+    charge += cells
+    ceiling, mass = r * r, float(skipped.sum())
     u = np.broadcast_to(np.eye(d, dtype=complex), (m, d, d)).copy()
     terms = roots.astype(complex)  # the U_x sqrt(omega_x)
     a = terms.sum(0)
-    upper, lower = root_sum ** 2, float(np.vdot(a, a).real)
+    upper, lower = ceiling, 0.0
     trigger, best, best_at, next_check = 0.1 * math.sqrt(tol), math.inf, 0, 1
     sweeps = 0
     while sweeps < cap:
@@ -447,7 +460,7 @@ def _fdec_ascent(ops: np.ndarray, tol: float) -> SDPResult:
             a = rest + terms[x]
         # summed afresh, so that rounding does not build up over the sweeps
         a = terms.sum(0)
-        lower = float(np.vdot(a, a).real)
+        lower = min(ceiling, float(np.vdot(a, a).real) + mass)
         y = roots @ (a.conj().T @ u)
         residual = float(np.linalg.norm(y - y.conj().transpose(0, 2, 1)))
         if residual < 0.9 * best:
@@ -467,47 +480,6 @@ def _fdec_ascent(ops: np.ndarray, tol: float) -> SDPResult:
     return _certified(upper, upper - lower, sweeps, tol)
 
 
-def _charged_solve(kind: str, ops: np.ndarray, skipped: np.ndarray, tol: float) -> SDPResult:
-    """P_guess (kind "min") or F_dec (kind "max") of a cq state given as the
-    (m, d, d) stack ops of the cells its functional keeps
-    (qstate.kept_cells at tol) and the traces t_y of the cells it skips:
-    solved as if the skipped cells were absent, and charged for them in the
-    certificate with S = sum_y t_y and T = sum_y sqrt(t_y).
-
-    P_guess: the gap grows by S, since sigma + sum_y omega_y dominates every
-    omega_x; the POVM and sigma are those of the kept cells.
-
-    F_dec: the kept solve's upper bound U gives sqrt(F_dec) <= sqrt(U) + T,
-    from the dual Y_y proportional to omega_y / sqrt(t_y); its lower bound
-    L, the primal value of X_xy = U_x^H U_y, with 1_d blocks padded in for
-    the skipped cells, gives F_dec >= L + S. The value is the upper bound
-    (sqrt(U) + T)^2 and the gap its distance to L + S, which exceeds the
-    kept solve's gap by at most 2RT + T^2, R = sum_x sqrt(t_x) over all
-    cells. Both bounds are clamped to R^2, since H_max(X|B) <= H_max(X); a
-    one-outcome state thus gives F_dec = tr omega exactly, not that plus
-    the ascent's rounding.
-
-    The kept cells are solved to tol less that charge (S, or 2RT + T^2), so
-    converged still means that the charged gap is at most tol.
-    """
-    if kind == "min":
-        charge = float(skipped.sum())
-        res = _guess(ops, tol - charge)
-        return _certified(res.value, res.gap + charge, res.iterations, tol,
-                          res.primal_povm, res.dual_certificate)
-    kept = np.clip(np.trace(ops, axis1=1, axis2=2).real, 0.0, None)
-    root = float(np.sqrt(skipped).sum())
-    total = float(np.sqrt(kept).sum()) + root
-    res = _fdec_ascent(ops, tol - (2.0 * total + root) * root)
-    upper, lower = res.value, res.value - res.gap
-    if len(skipped):
-        upper = (math.sqrt(upper) + root) ** 2
-        lower += float(skipped.sum())
-    ceiling = total ** 2
-    upper, lower = min(upper, ceiling), min(lower, ceiling)
-    return _certified(upper, upper - lower, res.iterations, tol)
-
-
 def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     """F_dec(X|B) = sup_sigma (sum_x sqrt(F(omega_B^x, sigma)))^2.
 
@@ -520,13 +492,12 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
 
     The smallest cells are skipped while T = sum_y sqrt(t_y) keeps
     2RT + T^2, R = sum_x sqrt(t_x), at most tol/10 (qstate.kept_cells at
-    tol, bound sqrt(t_y) per cell), and charged by _charged_solve, which
-    solves the kept ones to the rest of tol.
+    tol, bound sqrt(t_y) per cell) and charged by _fdec_ascent.
     """
     _check_tol(tol)
     ops, t = omega.ops, omega.probs
     keep = kept_cells(t, "max", tol)
-    return _charged_solve("max", ops if keep.all() else ops[keep], t[~keep], tol)
+    return _fdec_ascent(ops if keep.all() else ops[keep], t[~keep], tol)
 
 
 def h_max_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:

@@ -69,23 +69,28 @@ _CELL_BOUNDS = {
 }
 
 
+def _root_share(r: float, share: float) -> float:
+    """The root T >= 0 of 2rT + T^2 = share: a charge (sqrt(U) + T)^2 then
+    lies at most share above U <= r^2."""
+    return share / (r + math.sqrt(r * r + share))
+
+
 def _skip_budget(traces: np.ndarray, kind: str, tol: float | None) -> float:
     """The most the skipped cells' bounds may sum to.
 
     NEGLIGIBLE for vn, whose values are exact to rounding, and for every
     kind without a tol. A certified min or max solve at tol spends tol/10
     of its gap on the skipped cells: P_guess is charged S = sum t, so
-    S <= tol/10; sqrt(F_dec) is charged T = sum sqrt(t), which moves the
-    bound (sqrt(U) + T)^2 at most 2RT + T^2 above U <= R^2, R = sum_x
-    sqrt(t_x) over all cells, so T is the root of 2RT + T^2 = tol/10.
+    S <= tol/10; sqrt(F_dec) is charged T = sum sqrt(t), so T is the root
+    of 2RT + T^2 = tol/10 (_root_share), R = sum_x sqrt(t_x) over all
+    cells; the rest of a tol/5 root is minmax._fdec_ascent's.
     """
     if kind == "vn" or tol is None:
         return NEGLIGIBLE
     share = 0.1 * tol
     if kind == "min":
         return share
-    r = float(np.sqrt(np.clip(traces, 0.0, None)).sum())
-    return share / (r + math.sqrt(r * r + share))
+    return _root_share(float(np.sqrt(np.clip(traces, 0.0, None)).sum()), share)
 
 
 def kept_cells(traces: np.ndarray, kind: str, tol: float | None = None) -> np.ndarray:

@@ -6,12 +6,15 @@ Wavefunction:  {"type": "wavefunction", "q0": float, "dq": float, "d": int,
                 "re": [[..]], "im": [[..]]}  (N x d sample arrays)
 
 Readers validate invariants and raise StateFormatError naming the violated
-one. A density's declared "dim" and a wavefunction's declared "d" must match
-the data. save_state writes atomically (temp file + rename), like the CLI.
+one; every other error that malformed content raises while it is read
+(KeyError, TypeError, ValueError, AttributeError) is mapped to
+StateFormatError in one place, _reading. A density's declared "dim" and a
+wavefunction's declared "d" must match the data. save_state writes atomically (temp file + rename), like the CLI.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -27,56 +30,63 @@ class StateFormatError(ValueError):
     pass
 
 
-def _matrix_from(obj, what: str) -> np.ndarray:
+@contextlib.contextmanager
+def _reading(what: str):
+    """The one map from what malformed JSON content raises when a reader
+    indexes, converts or calls it (KeyError, TypeError, ValueError,
+    AttributeError) to StateFormatError naming `what`; a StateFormatError
+    raised inside passes through unchanged."""
     try:
+        yield
+    except StateFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise StateFormatError(f"bad {what} ({exc})") from exc
+
+
+def _matrix_from(obj, what: str) -> np.ndarray:
+    with _reading(f"{what} matrix data"):
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StateFormatError(f"{what}: bad matrix data ({exc})") from exc
     if re.shape != im.shape:
         raise StateFormatError(f"{what}: re/im shape mismatch")
     return re + 1j * im
 
 
-def _density_from(obj) -> DensityMatrix:
-    mat = _matrix_from(obj, "density matrix")
-    dm = DensityMatrix(mat)
-    if "dim" in obj and int(obj["dim"]) != dm.dim:
-        raise StateFormatError(f"declared dim {obj['dim']} != matrix dim {dm.dim}")
-    for name, (ok, measured) in dm.diagnostics().items():
+def _checked(state, what: str):
+    for name, (ok, measured) in state.diagnostics().items():
         if not ok:
-            raise StateFormatError(f"density matrix violates {name} (measured {measured})")
-    return dm
+            raise StateFormatError(f"{what} violates {name} (measured {measured})")
+    return state
+
+
+# what the fields of each kind of state outside its matrix data are called
+_FIELDS = {"density": "density matrix", "cq": "cq outcome list",
+           "wavefunction": "wavefunction header"}
 
 
 def loads_state(text: str):
     obj = json.loads(text)
-    kind = obj.get("type")
-    if kind == "density":
-        return _density_from(obj)
-    if kind == "cq":
-        try:
-            outcomes = tuple((o["label"], _matrix_from(o["state"], f"outcome {o['label']}"))
-                             for o in obj["outcomes"])
-        except (KeyError, TypeError) as exc:
-            raise StateFormatError(f"bad cq outcome list ({exc})") from exc
-        cq = CQState(outcomes)
-        for name, (ok, measured) in cq.diagnostics().items():
-            if not ok:
-                raise StateFormatError(f"cq state violates {name} (measured {measured})")
-        return cq
-    if kind == "wavefunction":
-        samples = _matrix_from(obj, "wavefunction")
-        try:
-            psi = GridWaveFunction(float(obj["q0"]), float(obj["dq"]), samples)
-        except (KeyError, ValueError) as exc:
-            raise StateFormatError(f"bad wavefunction header ({exc})") from exc
+    with _reading("state file"):
+        kind = obj.get("type")
+        if kind not in _FIELDS:
+            raise StateFormatError(f"unknown or missing type tag {kind!r}")
+    with _reading(_FIELDS[kind]):
+        if kind == "density":
+            dm = DensityMatrix(_matrix_from(obj, "density matrix"))
+            if "dim" in obj and int(obj["dim"]) != dm.dim:
+                raise StateFormatError(f"declared dim {obj['dim']} != matrix dim {dm.dim}")
+            return _checked(dm, "density matrix")
+        if kind == "cq":
+            return _checked(CQState((o["label"], _matrix_from(o["state"], f"outcome {o['label']}"))
+                                    for o in obj["outcomes"]), "cq state")
+        psi = GridWaveFunction(float(obj["q0"]), float(obj["dq"]),
+                               _matrix_from(obj, "wavefunction"))
         if "d" in obj and int(obj["d"]) != psi.memory_dim:
             raise StateFormatError("declared memory dimension does not match samples")
-        if not psi.is_valid():
-            raise StateFormatError(f"wavefunction violates normalization (norm^2 {psi.norm_sq()})")
-        return psi
-    raise StateFormatError(f"unknown or missing type tag {kind!r}")
+    if not psi.is_valid():
+        raise StateFormatError(f"wavefunction violates normalization (norm^2 {psi.norm_sq()})")
+    return psi
 
 
 def load_state(path):

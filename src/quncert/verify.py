@@ -82,14 +82,18 @@ def _run(relation: str, trials: int, seed: int, trial) -> CheckReport:
                        seed, slacks, got.count(None), worst)
 
 
-def _check_dims(dims, count: int) -> tuple:
+def _check_dims(dims, count: int, cap: int) -> tuple:
     """dims, once checked to hold the `count` dimensions a relation needs,
-    each at least 1."""
+    each at least 1, with a product of at most the relation's cap, so that
+    no checker allocates for oversize dims."""
     dims = tuple(dims)
     if len(dims) != count:
         raise ValueError(f"dims must give {count} dimensions, got {len(dims)}: {list(dims)}")
     if min(dims) < 1:
         raise ValueError(f"dims must each be at least 1, got {list(dims)}")
+    if math.prod(dims) > cap:
+        raise ValueError(f"total dimension {math.prod(dims)} of dims {list(dims)} "
+                         f"above this relation's desk scale of {cap}")
     return dims
 
 
@@ -109,13 +113,13 @@ def random_density(dim: int, rng: np.random.Generator, rank: int = None) -> np.n
 
 
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> POVM:
-    """Normalized random PSD set: E_x = S^{-1/2} G_x S^{-1/2}, S = sum G_x,
-    with G_x = g_x g_x^dagger drawn outcome by outcome."""
+    """Normalized random PSD set: the pretty-good normalization
+    E_x = S^{-1/2} G_x S^{-1/2}, S = sum G_x (minmax._pgm), of
+    G_x = g_x g_x^dagger drawn outcome by outcome."""
     g = np.array([rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
                   for _ in range(n_outcomes)])
     gs = g @ np.swapaxes(g.conj(), 1, 2)
-    inv_sqrt = psd_funcm(gs.sum(0), lambda vals: 1.0 / np.sqrt(vals))
-    return POVM(herm(inv_sqrt @ gs @ inv_sqrt))
+    return POVM(minmax._pgm(gs, minmax._cq_embedding(n_outcomes)))
 
 
 def mub_pair(dim: int):
@@ -186,9 +190,7 @@ def check_minmax_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
     """H_max(X|B) + H_min(Y|C) >= -log2 c(E, F) with MUB or random POVM pairs
     on A. H_max = log F_dec and H_min = -log P_guess each come from a
     certified solve at minmax.DEFAULT_TOL."""
-    dims = _check_dims(dims, 3)
-    if math.prod(dims) > 64:
-        raise ValueError("total dimension above desk scale")
+    dims = _check_dims(dims, 3, 64)
 
     def hmax_hmin(cq_xb, cq_yc):
         fdec = minmax.decoupling_fidelity(cq_xb)
@@ -203,7 +205,7 @@ def check_minmax_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
 def check_vn_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
                         use_mub: bool = True) -> CheckReport:
     """H(X|B) + H(Y|C) >= -log2 c(E, F), conditional von Neumann version."""
-    return _tripartite("vn_tripartite", _check_dims(dims, 3), trials, seed, use_mub,
+    return _tripartite("vn_tripartite", _check_dims(dims, 3, 512), trials, seed, use_mub,
                        lambda xb, yc: entropy.cond_vn_cq(xb).value + entropy.cond_vn_cq(yc).value)
 
 
@@ -253,9 +255,7 @@ def check_bipartite(dims=(2, 2), trials: int = 50, seed: int = 0,
     """Bipartite uncertainty bound `variant`, "frank_lieb" or "dilation"
     (see _bipartite_bounds), on random rho_AB with the MUB pair on A or two
     random d_A-outcome POVMs."""
-    d_a, d_b = _check_dims(dims, 2)
-    if d_a * d_b > 16:
-        raise ValueError("bipartite checker limited to total dimension 16")
+    d_a, d_b = _check_dims(dims, 2, 16)
     if variant not in ("frank_lieb", "dilation"):
         raise ValueError(f"unknown variant {variant!r}; choose frank_lieb or dilation")
 

@@ -373,6 +373,30 @@ class TestCLI:
         assert main(["verify", "--relation", relation, "--dims", *dims, "--trials", "1"]) == 2
         assert f"dims must give {count} dimensions" in capsys.readouterr().err
 
+    def test_ladder_of_tiny_sigma_exits_0(self, capsys):
+        # sigma^2 = 1e-600 underflows; one cell holds the whole Gaussian
+        assert main(["ladder", "--sigma", "1e-300", "--n-max", "0"]) == 0
+        assert "\n1,0,vn,bits\n" in capsys.readouterr().out
+
+    def test_verify_oversize_dims_exit_2(self, capsys):
+        # numpy would try to allocate 14.6 TiB for the state of these dims
+        assert main(["verify", "--relation", "vn-tripartite", "--dims", "100", "100", "100",
+                     "--trials", "1"]) == 2
+        assert "total dimension 1000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "bad state file"),
+        ('{"type": "wavefunction", "q0": [1], "dq": 0.1, "re": [[1.0]]}',
+         "bad wavefunction header"),
+        ('{"type": "density", "dim": [2], "re": [[1.0, 0.0], [0.0, 0.0]]}',
+         "bad density matrix"),
+    ], ids=["list", "wavefunction-q0-list", "density-dim-list"])
+    def test_malformed_state_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        assert main(["entropy", "--state", str(path), "--measure", "vn"]) == 2
+        assert f"error: {message} (" in capsys.readouterr().err
+
     @pytest.mark.parametrize("relation, dims", [
         ("minmax-tripartite", ["--dims", "2", "2", "2"]),
         ("vn-tripartite", ["--dims", "2", "2", "2"]),

@@ -516,3 +516,13 @@ class TestGaussianWavefunction:
     def test_rejects_degenerate_grid(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
             gaussian_wavefunction(**kwargs)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e300])
+    def test_extreme_sigma_is_the_unit_gaussian_rescaled(self, sigma):
+        # sigma^2 under- or overflows; the amplitude is formed from
+        # (q - center)/sigma and normalized, so psi_sigma(q) * sqrt(sigma)
+        # samples the same function of q/sigma as sigma = 1
+        psi, unit = gaussian_wavefunction(sigma), gaussian_wavefunction(1.0)
+        assert psi.is_valid() and np.isfinite(psi.samples).all()
+        assert math.isclose(psi.dq, unit.dq * sigma, rel_tol=1e-15)
+        assert np.allclose(psi.samples * math.sqrt(sigma), unit.samples, rtol=1e-12, atol=0.0)

@@ -166,9 +166,15 @@ class TestGuessingProbability:
         assert math.isclose(guessing_probability(cq).value, 1.0, abs_tol=1e-12)
 
 
+def _solve(kind, ops, skipped, tol):
+    """The solver of kind ("min": _guess, "max": _fdec_ascent) on the kept
+    stack ops, charged for the skipped traces."""
+    return (minmax._guess if kind == "min" else minmax._fdec_ascent)(ops, skipped, tol)
+
+
 def _untrimmed(kind, cq, tol=minmax.DEFAULT_TOL):
-    """The solvers' skip-and-charge core on every cell of cq, none skipped."""
-    return minmax._charged_solve(kind, cq.ops, np.empty(0), tol)
+    """The solver of kind on every cell of cq, none skipped."""
+    return _solve(kind, cq.ops, np.empty(0), tol)
 
 
 def _trimmed_cq(seed, m, d):
@@ -254,11 +260,24 @@ class TestDecouplingTrim:
 
 
 def _charged(kind, cq, tol, budget_tol):
-    """The skip-and-charge solve of cq at tol, skipping the cells that
-    kept_cells skips at budget_tol (None: the 1e-15 budget)."""
+    """The solve of cq at tol that skips the cells kept_cells skips at
+    budget_tol (None: the 1e-15 budget) and charges for them."""
     t = cq.probs
     keep = qstate.kept_cells(t, kind, budget_tol)
-    return minmax._charged_solve(kind, cq.ops[keep], t[~keep], tol), keep
+    return _solve(kind, cq.ops[keep], t[~keep], tol), keep
+
+
+def _spy_directions(monkeypatch):
+    """The list that each _kept_directions call appends its per-cell
+    budget, mask and charge to."""
+    seen, real = [], minmax._kept_directions
+
+    def spy(vals, budget):
+        keep, charge = real(vals, budget)
+        seen.append((budget, keep, charge))
+        return keep, charge
+    monkeypatch.setattr(minmax, "_kept_directions", spy)
+    return seen
 
 
 def _bracket(kind, res):
@@ -276,7 +295,8 @@ def _epr_rung(which, alpha):
 
 class TestTolBudget:
     """Min and max solves skip the cells that cost at most tol/10 of the
-    certificate's gap and solve the rest to the remaining tol."""
+    certificate's gap and charge them in the one bracket they stop on; the
+    max solve's left-out eigen-directions share a tol/5 budget with them."""
 
     def test_budget_rule(self):
         t = np.array([0.5, 0.3, 0.2 - 1.1e-8, 6e-9, 4e-9, 1e-9, 4e-18, 1e-18])
@@ -296,28 +316,54 @@ class TestTolBudget:
         assert qstate.kept_cells(np.array([1e-4, 2e-4]), "min", 1e-3).tolist() == [False, True]
         assert qstate.kept_cells(np.array([1.0, -1e-9]), "min", 1e-3).tolist() == [True, True]
 
-    def test_kept_cells_are_solved_to_the_rest_of_tol(self, monkeypatch):
-        seen = {}
-        for kind, name in (("min", "_guess"), ("max", "_fdec_ascent")):
-            real = getattr(minmax, name)
-
-            def spy(ops, tol, kind=kind, real=real):
-                seen[kind] = tol
-                return real(ops, tol)
-            monkeypatch.setattr(minmax, name, spy)
+    def test_one_budget_for_skipped_cells_and_left_out_directions(self, monkeypatch):
+        # the skipped cells' sqrt-charge stays within the tol/10 root; the
+        # directions may take the rest of the tol/5 root, split over the m
+        # kept cells, so the whole T keeps 2RT + T^2 within tol/5
+        seen = _spy_directions(monkeypatch)
         rng = _trial_rng(101, 0)
         cq = with_cells(random_cq(rng, 3, 3), rng, [1e-9, 1e-9, 1e-18])
         t, tol = cq.probs, 1e-7
-        assert guessing_probability(cq, tol).converged
-        assert decoupling_fidelity(cq, tol).converged
+        res = guessing_probability(cq, tol)
         skipped = t[~qstate.kept_cells(t, "min", tol)]
-        assert len(skipped) == 3
-        assert seen["min"] == pytest.approx(tol - skipped.sum(), rel=1e-12)
+        assert len(skipped) == 3 and skipped.sum() <= 0.1 * tol
+        assert res.converged and res.gap >= skipped.sum()
+        res = decoupling_fidelity(cq, tol)
+        assert res.converged and 0.0 <= res.gap <= tol
         skipped = t[~qstate.kept_cells(t, "max", tol)]
         assert skipped.tolist() == [t[-1]]
-        r, root = float(np.sqrt(t).sum()), float(np.sqrt(skipped).sum())
-        assert seen["max"] == pytest.approx(tol - (2.0 * r + root) * root, rel=1e-12)
-        assert tol - seen["max"] <= 0.1 * tol
+        r, cells = float(np.sqrt(t).sum()), float(np.sqrt(skipped).sum())
+        assert (2.0 * r + cells) * cells <= 0.1 * tol
+        ((budget, keep, directions),) = seen
+        most = cells + len(keep) * math.sqrt(budget)
+        assert (2.0 * r + most) * most == pytest.approx(0.2 * tol, rel=1e-9)
+        whole = cells + directions
+        assert whole <= most and (2.0 * r + whole) * whole <= 0.2 * tol * (1.0 + 1e-12)
+
+    def test_skipped_cells_and_rank_deficient_kept_cells(self, monkeypatch):
+        # kept cells of rank 3 in d = 4, each with one eigenvalue small
+        # enough to leave out (at tol 1e-5 it stands well above rounding),
+        # and two cells small enough to skip: the one charged bracket
+        # contains the block SDP of every cell
+        rng = _trial_rng(104, 0)
+        p = rng.dirichlet(np.ones(4))
+        ops = []
+        for px in p:
+            v = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+            ops.append(px * (v * np.array([0.7, 0.3 - 1e-15, 1e-15, 0.0])) @ v.conj().T)
+        cq = with_cells(CQState(tuple((str(x), op) for x, op in enumerate(ops))), rng,
+                        [1e-14, 1e-40])
+        t, tol = cq.probs, 1e-5
+        assert qstate.kept_cells(t, "max", tol).tolist() == [True] * 4 + [False] * 2
+        seen = _spy_directions(monkeypatch)
+        res = decoupling_fidelity(cq, tol)
+        ((_, keep, directions),) = seen
+        # in each kept cell the zero and the 1e-15 eigenvalue are left out
+        assert keep.sum(1).tolist() == [2] * 4 and directions > 0.0
+        oracle = fdec_block_sdp(cq, 1e-10)
+        assert res.converged and oracle.converged and 0.0 <= res.gap <= tol
+        assert res.value - res.gap <= oracle.value + 1e-12
+        assert oracle.value - oracle.gap <= res.value + 1e-12
 
     @pytest.mark.parametrize("kind", ["min", "max"])
     @pytest.mark.parametrize("tol", [1e-7, 1e-9])

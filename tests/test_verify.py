@@ -104,6 +104,23 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="dims must each be at least 1"):
             check(dims=dims, trials=1)
 
+    @pytest.mark.parametrize("check, dims", [
+        (check_minmax_tripartite, (5, 5, 5)),
+        (check_vn_tripartite, (100, 100, 100)),
+        (check_bipartite, (5, 5)),
+    ])
+    def test_oversize_dims_rejected_before_any_trial(self, monkeypatch, check, dims):
+        def no_trial(seed, t):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(verify, "_trial_rng", no_trial)
+        with pytest.raises(ValueError, match="desk scale"):
+            check(dims=dims, trials=1)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (8, 8, 8)])
+    def test_vn_tripartite_runs_up_to_its_cap(self, dims):
+        assert check_vn_tripartite(dims=dims, trials=1).passed
+
     def test_arity_checked_before_desk_scale(self):
         with pytest.raises(ValueError, match="dims must give 3 dimensions"):
             check_minmax_tripartite(dims=(9, 9, 9, 9), trials=1)
