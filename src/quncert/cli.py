@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from . import discretize, entropy as entropy_mod, gaussian, minmax, overlap as overlap_mod, verify
-from .serialize import StateFormatError, atomic_write, load_state
+from .serialize import atomic_write, load_state
 from .qstate import CQState, DensityMatrix, GridWaveFunction
 
 
@@ -112,11 +112,11 @@ def cmd_ladder(args) -> int:
         alpha0=args.alpha0, base=args.base)
     lines = ["alpha,H_reg,entropy_kind,base"]
     for alpha, val in table.rows:
-        lines.append(f"{_fmt(alpha)},{_fmt(val)},{table.entropy_kind},{table.base}")
+        lines.append(f"{_fmt(alpha)},{_fmt(val)},{args.kind},{args.base}")
     lines.append(f"# extrapolated_limit_estimate,{_fmt(table.extrapolated)}")
     _emit(args, _header(args, args.base), lines)
     for alpha in table.unconverged:
-        print(f"error: {table.entropy_kind} rung at alpha={_fmt(alpha)} not converged "
+        print(f"error: {args.kind} rung at alpha={_fmt(alpha)} not converged "
               f"to tol={_fmt(minmax.DEFAULT_TOL)}", file=sys.stderr)
     return 0 if table.converged else 1
 
@@ -237,7 +237,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StateFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # StateFormatError and json.JSONDecodeError are ValueErrors
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,10 @@ class Partition:
     k_max: int
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not math.isfinite(self.offset):
+            raise ValueError(f"offset must be finite, got {self.offset}")
         if self.k_max < self.k_min:
             raise ValueError("empty index range")
 
@@ -72,31 +74,21 @@ class Partition:
         """Index k with q in (offset + k*alpha, offset + (k+1)*alpha]."""
         return np.ceil((np.asarray(q) - self.offset) / self.alpha).astype(int) - 1
 
-    @property
-    def n_cells(self) -> int:
-        return self.k_max - self.k_min + 1
-
 
 @dataclass(frozen=True)
 class ConvergenceTable:
-    """Rows (alpha, H_regularized) in decreasing alpha, plus an extrapolated
-    limit estimate (Aitken delta-squared on the last three rungs).
-    unconverged lists the alphas of rungs whose SDP gap exceeded tol."""
+    """Rows (alpha, H_regularized) in decreasing alpha, in the base the
+    ladder was asked for, plus an extrapolated limit estimate (Aitken
+    delta-squared on the last three rungs). unconverged lists the alphas of
+    rungs whose SDP gap exceeded tol."""
 
-    entropy_kind: str
-    which: str
-    base: str
-    rows: tuple = field(default_factory=tuple)
-    unconverged: tuple = ()
+    rows: tuple
+    unconverged: tuple
 
     @property
     def converged(self) -> bool:
         """True when every rung's SDP gap is at most tol."""
         return not self.unconverged
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.array([a for a, _ in self.rows])
 
     @property
     def values(self) -> np.ndarray:
@@ -112,11 +104,6 @@ class ConvergenceTable:
         if abs(denom) < 1e-15:
             return float(e3)
         return float(e3 - (e3 - e2) ** 2 / denom)
-
-    @property
-    def monotone(self) -> bool:
-        v = self.values
-        return bool(np.all(np.diff(v) <= 1e-9))
 
 
 def momentum_transform(psi: GridWaveFunction) -> GridWaveFunction:
@@ -311,29 +298,25 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
         log.debug("%s %s rung alpha=%g: %d cells, %d kept, skipped trace %.3g, %.4f s",
                   which, kind, alpha, len(traces), int(keep.sum()),
                   float(traces[~keep].sum()), time.perf_counter() - began)
-    return ConvergenceTable(kind, which, base, tuple(rows), tuple(unconverged))
+    return ConvergenceTable(tuple(rows), tuple(unconverged))
 
 
-def gaussian_wavefunction(sigma: float = 1.0, n_points: int = 4096,
-                          width_sigmas: float = 16.0, center: float = 0.0) -> GridWaveFunction:
-    """Normalized Gaussian test state with position variance sigma^2.
-
-    Grid defaults: 4096 points over [-16 sigma, 16 sigma); tail mass is far
-    below any tolerance in use, and the dyadic length keeps dq commensurate
-    with the dyadic cell ladder (cells hold equal point counts, so ladder
-    rungs converge smoothly instead of oscillating with bin alignment).
+def gaussian_wavefunction(sigma: float = 1.0, n_points: int = 4096) -> GridWaveFunction:
+    """Normalized Gaussian test state centered at 0, variance sigma^2, on
+    n_points points over [-16 sigma, 16 sigma); the tail mass is far below
+    any tolerance in use. Only when dq = 32 sigma / n_points is a power of
+    two (as at the default sigma = 1) do dyadic cells hold equal point
+    counts, so ladder rungs converge smoothly instead of oscillating with
+    bin alignment: at sigma = 0.3 a cell of width 1 holds 426.67 points.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
-    for name, value in (("sigma", sigma), ("width_sigmas", width_sigmas)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-    if not math.isfinite(center):
-        raise ValueError(f"center must be finite, got {center}")
-    half = width_sigmas * sigma
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    half = 16.0 * sigma
     dq = 2.0 * half / n_points
-    q = -half + dq * np.arange(n_points) + center
+    q = -half + dq * np.arange(n_points)
     # normalized() sets the scale, so the amplitude needs no (2 pi sigma^2)^(-1/4),
     # which underflows for a tiny sigma
-    z = (q - center) / sigma
+    z = q / sigma
     return GridWaveFunction(q[0], dq, np.exp(-0.25 * z * z).astype(complex)).normalized()

@@ -63,11 +63,12 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
 
 def _classical_nats(p: np.ndarray, kind: str) -> float:
     """Entropy in nats of nonnegative weights p: Shannon -sum p log p (kind
-    "vn"), min -log max p, or max 2 log sum sqrt(p)."""
+    "vn"), min -log max p, or max 2 log sum sqrt(p). 0.0 - keeps an exact 0
+    at +0.0."""
     if kind == "vn":
-        return -float(_xlogx(p).sum())
+        return 0.0 - float(_xlogx(p).sum())
     if kind == "min":
-        return -math.log(float(p.max()))
+        return 0.0 - math.log(float(p.max()))
     return 2.0 * math.log(float(np.sum(np.sqrt(p))))
 
 

@@ -105,8 +105,7 @@ def fig2_table(r_lo: float = 0.0, r_hi: float = 3.0, n: int = 61):
     return rows
 
 
-def epr_grid_wavefunction(nu: float, n_points: int = 4096,
-                          width_sigmas: float = 15.0, memory_dim: int = None):
+def epr_grid_wavefunction(nu: float, n_points: int = 4096, memory_dim: int = None):
     """Finitely squeezed EPR state as a grid wavefunction with finite memory.
 
     Uses the Schmidt form sum_n sech(r) tanh(r)^n h_n(q_A) |n>_B with h_n the
@@ -120,8 +119,6 @@ def epr_grid_wavefunction(nu: float, n_points: int = 4096,
     _check_nu(nu)
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
-    if not 0.0 < width_sigmas < math.inf:
-        raise ValueError(f"width_sigmas must be positive and finite, got {width_sigmas}")
     if memory_dim is not None and memory_dim < 1:
         raise ValueError(f"memory_dim must be at least 1, got {memory_dim}")
     r = 0.5 * math.acosh(nu)
@@ -133,9 +130,9 @@ def epr_grid_wavefunction(nu: float, n_points: int = 4096,
         memory_dim = 1 if lam == 0.0 else max(
             2, int(math.ceil(-12.0 * math.log(10.0) / (2.0 * math.log(lam)))) + 1)
     sigma = math.sqrt(nu / 2.0)
-    # round the half-width up to a power of two so dq stays commensurate
-    # with dyadic coarse-graining cells (no bin-alignment noise in ladders)
-    half = 2.0 ** math.ceil(math.log2(width_sigmas * sigma))
+    # 15 sigma rounded up to a power of two, so dq stays commensurate with
+    # dyadic coarse-graining cells (no bin-alignment noise in ladders)
+    half = 2.0 ** math.ceil(math.log2(15.0 * sigma))
     dq = 2.0 * half / n_points
     q = -half + dq * np.arange(n_points)
     # Hermite functions h_n(q), vacuum variance 1/2: h_0 = pi^{-1/4} e^{-q^2/2},

@@ -39,9 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OverlapResult:
+    """c(dq, dp), the Nystrom order the doubling loop stopped at, and whether
+    the top eigenvalue was stable to NYSTROM_TOL there (not at the cap)."""
+
     c: float
-    delta_q: float
-    delta_p: float
     nystrom_order: int
     converged: bool
 
@@ -160,6 +161,9 @@ def _doubling(delta_q: float, delta_p: float):
     its even block, converged) from eigenvalues alone (eigvalsh)."""
     if not (0.0 < delta_q < math.inf and 0.0 < delta_p < math.inf):
         raise ValueError(f"spacings must be positive and finite, got {delta_q} and {delta_p}")
+    if delta_q * delta_p / (2.0 * math.pi) < np.finfo(float).tiny:
+        raise ValueError(f"spacings {delta_q} and {delta_p} too small: "
+                         f"the overlap, about their product / (2 pi), underflows")
     order = NYSTROM_START
     block = _even_block(delta_q, delta_p, order)
     lam = float(np.linalg.eigvalsh(block)[-1])
@@ -181,14 +185,15 @@ def prolate_overlap(delta_q: float, delta_p: float) -> OverlapResult:
     Quadrature order (the full Gauss-Legendre order, even) doubles from
     NYSTROM_START = 64 until |lambda(n) - lambda(2n)| is below 1e-10 or the
     cap of 2048 is hit (converged flag reports which). Spacings must be
-    positive and finite. The top eigenfunction is even, so each order takes
-    the top eigenvalue of the half-size even block (_even_block) rather
-    than of the full Nystrom matrix; that also keeps it apart from the odd
-    lambda_1, which nears it as c -> 1. The loop takes eigenvalues only
-    (eigvalsh); prolate_top_eigenfunction gives the eigenfunction.
+    positive and finite, and delta_q * delta_p / (2 pi), the overlap at
+    small spacings, a normal double. The top eigenfunction is even, so each
+    order takes the top eigenvalue of the half-size even block (_even_block)
+    rather than of the full Nystrom matrix; that also keeps it apart from
+    the odd lambda_1, which nears it as c -> 1. The loop takes eigenvalues
+    only (eigvalsh); prolate_top_eigenfunction gives the eigenfunction.
     """
     lam, order, _, converged = _doubling(delta_q, delta_p)
-    return OverlapResult(float(min(lam, 1.0)), delta_q, delta_p, order, converged)
+    return OverlapResult(float(min(lam, 1.0)), order, converged)
 
 
 def prolate_top_eigenfunction(delta_q: float, delta_p: float) -> ProlateEigenfunction:

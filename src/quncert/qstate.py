@@ -248,7 +248,7 @@ class GridWaveFunction:
     samples[i, j] is the j-th memory component at q_i = q0 + i*dq, held
     C-contiguous (copied only when the input is not), so that its real
     (N, 2d) view samples.view(float) always exists.
-    Normalization: dq * sum_i ||psi(q_i)||^2 = 1.
+    Normalization: dq * sum_i ||psi(q_i)||^2 = 1 (diagnostics, to NORM_TOL).
     """
 
     q0: float
@@ -289,9 +289,9 @@ class GridWaveFunction:
     def normalized(self) -> "GridWaveFunction":
         return GridWaveFunction(self.q0, self.dq, self.samples / np.sqrt(self.norm_sq()))
 
-    def is_valid(self) -> bool:
-        """Normalized to within NORM_TOL."""
-        return abs(self.norm_sq() - 1.0) <= NORM_TOL
+    def diagnostics(self) -> dict:
+        norm_sq = self.norm_sq()
+        return {"normalization": (abs(norm_sq - 1.0) <= NORM_TOL, norm_sq)}
 
 
 def sample_outer_sum(samples: np.ndarray, dq: float) -> np.ndarray:
@@ -315,7 +315,7 @@ def sample_outer_sum(samples: np.ndarray, dq: float) -> np.ndarray:
 
 
 def validate(obj) -> dict:
-    """Diagnostics report for a state/measurement object. Reporting only."""
+    """Diagnostics report for a state, measurement or wavefunction. Reporting only."""
     report = dict(obj.diagnostics())
     report["pass"] = all(ok for ok, _ in report.values())
     return report

@@ -5,11 +5,13 @@ CQState:       {"type": "cq", "outcomes": [{"label": s, "state": {...}}]}
 Wavefunction:  {"type": "wavefunction", "q0": float, "dq": float, "d": int,
                 "re": [[..]], "im": [[..]]}  (N x d sample arrays)
 
-Readers validate invariants and raise StateFormatError naming the violated
-one; every other error that malformed content raises while it is read
-(KeyError, TypeError, ValueError, AttributeError) is mapped to
+Readers check each state's invariants (its diagnostics(), through
+_checked) and raise StateFormatError naming the violated one and its
+measured value; every other error that malformed content raises while it is
+read (KeyError, TypeError, ValueError, AttributeError) is mapped to
 StateFormatError in one place, _reading. A density's declared "dim" and a
-wavefunction's declared "d" must match the data. save_state writes atomically (temp file + rename), like the CLI.
+wavefunction's declared "d" must match the data. save_state writes
+atomically (temp file + rename), like the CLI.
 """
 
 from __future__ import annotations
@@ -60,33 +62,33 @@ def _checked(state, what: str):
     return state
 
 
-# what the fields of each kind of state outside its matrix data are called
-_FIELDS = {"density": "density matrix", "cq": "cq outcome list",
-           "wavefunction": "wavefunction header"}
+# each kind of state: what its fields outside its matrix data are called, and
+# what the state is called when it violates an invariant
+_KINDS = {"density": ("density matrix", "density matrix"), "cq": ("cq outcome list", "cq state"),
+          "wavefunction": ("wavefunction header", "wavefunction")}
 
 
 def loads_state(text: str):
     obj = json.loads(text)
     with _reading("state file"):
         kind = obj.get("type")
-        if kind not in _FIELDS:
+        if kind not in _KINDS:
             raise StateFormatError(f"unknown or missing type tag {kind!r}")
-    with _reading(_FIELDS[kind]):
+    fields, what = _KINDS[kind]
+    with _reading(fields):
         if kind == "density":
-            dm = DensityMatrix(_matrix_from(obj, "density matrix"))
-            if "dim" in obj and int(obj["dim"]) != dm.dim:
-                raise StateFormatError(f"declared dim {obj['dim']} != matrix dim {dm.dim}")
-            return _checked(dm, "density matrix")
-        if kind == "cq":
-            return _checked(CQState((o["label"], _matrix_from(o["state"], f"outcome {o['label']}"))
-                                    for o in obj["outcomes"]), "cq state")
-        psi = GridWaveFunction(float(obj["q0"]), float(obj["dq"]),
-                               _matrix_from(obj, "wavefunction"))
-        if "d" in obj and int(obj["d"]) != psi.memory_dim:
-            raise StateFormatError("declared memory dimension does not match samples")
-    if not psi.is_valid():
-        raise StateFormatError(f"wavefunction violates normalization (norm^2 {psi.norm_sq()})")
-    return psi
+            state = DensityMatrix(_matrix_from(obj, "density matrix"))
+            if "dim" in obj and int(obj["dim"]) != state.dim:
+                raise StateFormatError(f"declared dim {obj['dim']} != matrix dim {state.dim}")
+        elif kind == "cq":
+            state = CQState((o["label"], _matrix_from(o["state"], f"outcome {o['label']}"))
+                            for o in obj["outcomes"])
+        else:
+            state = GridWaveFunction(float(obj["q0"]), float(obj["dq"]),
+                                     _matrix_from(obj, "wavefunction"))
+            if "d" in obj and int(obj["d"]) != state.memory_dim:
+                raise StateFormatError("declared memory dimension does not match samples")
+        return _checked(state, what)
 
 
 def load_state(path):

@@ -351,11 +351,11 @@ def _lemma_slacks(rng: np.random.Generator):
     return None
 
 
-def _random_unital_kraus(dim: int, rng: np.random.Generator, n: int = 3):
-    """Kraus set of a random unital channel: mixture of Haar unitaries."""
-    p = rng.dirichlet(np.ones(n))
+def _random_unital_kraus(dim: int, rng: np.random.Generator):
+    """Kraus set of a random unital channel: mixture of three Haar unitaries."""
+    p = rng.dirichlet(np.ones(3))
     kraus = []
-    for i in range(n):
+    for i in range(3):
         q, r = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
         kraus.append(math.sqrt(p[i]) * (q * (np.diag(r) / np.abs(np.diag(r)))))
     return kraus

@@ -63,6 +63,13 @@ class TestSerialize:
         with pytest.raises(StateFormatError, match=f"bad wavefunction header .*{field}"):
             loads_state(json.dumps(obj))
 
+    def test_rejects_unnormalized_wavefunction(self):
+        bad = {"type": "wavefunction", "q0": 0.0, "dq": 0.5, "d": 1,
+               "re": [[1.0]] * 4, "im": [[0.0]] * 4}
+        with pytest.raises(StateFormatError,
+                           match=r"wavefunction violates normalization \(measured 2\.0\)"):
+            loads_state(json.dumps(bad))
+
     def test_rejects_unknown_type(self):
         with pytest.raises(StateFormatError):
             loads_state(json.dumps({"type": "mystery"}))
@@ -210,6 +217,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert '"value": 0.0' in out
         assert math.copysign(1.0, json.loads(out)["value"]) == 1.0
+
+    def test_entropy_vn_of_pure_density_prints_plus_zero(self, tmp_path, capsys):
+        state = tmp_path / "rho.json"
+        state.write_text('{"type": "density", "re": [[1]]}')
+        assert main(["entropy", "--state", str(state), "--measure", "vn"]) == 0
+        out = capsys.readouterr().out
+        assert '"value": 0.0' in out and "-0.0" not in out
 
     def test_entropy_hmax_one_outcome_prints_zero(self, tmp_path, capsys):
         state = tmp_path / "cq.json"
@@ -444,6 +458,8 @@ class TestCLI:
         (["ladder", "--input", "{cq}"], "ladder input must be a wavefunction"),
         (["overlap", "--delta-q", "nan", "--delta-p", "1"], "spacings must be positive and finite"),
         (["overlap", "--delta-q", "1", "--delta-p", "inf"], "spacings must be positive and finite"),
+        (["overlap", "--delta-q", "1e-300", "--delta-p", "1e-300"],
+         "spacings 1e-300 and 1e-300 too small"),
         (["ladder", "--n-points", "256", "--alpha0", "nan"], "alpha0 must be positive and finite"),
         (["ladder", "--n-points", "256", "--alpha0", "inf"], "alpha0 must be positive and finite"),
         (["ladder", "--sigma", "inf", "--n-max", "0"], "sigma must be positive and finite"),
@@ -460,10 +476,10 @@ class TestCLI:
         (["epr-gap", "--r-max", "inf"], "squeezing r must be finite, got r_lo=0.0, r_hi=inf"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
             "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
-            "ladder-cq", "overlap-nan", "overlap-inf", "ladder-alpha0-nan", "ladder-alpha0-inf",
-            "ladder-sigma-inf", "verify-dims-0", "verify-dims-negative", "verify-seed-negative",
-            "sweep-count-0", "epr-gap-n-0", "epr-gap-nan", "epr-gap-r-overflow",
-            "epr-gap-r-inf"])
+            "ladder-cq", "overlap-nan", "overlap-inf", "overlap-underflow", "ladder-alpha0-nan",
+            "ladder-alpha0-inf", "ladder-sigma-inf", "verify-dims-0", "verify-dims-negative",
+            "verify-seed-negative", "sweep-count-0", "epr-gap-n-0", "epr-gap-nan",
+            "epr-gap-r-overflow", "epr-gap-r-inf"])
     def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
         from quncert.discretize import gaussian_wavefunction
 

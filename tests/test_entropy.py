@@ -321,6 +321,17 @@ class TestClassicalAndDifferential:
         h = differential_entropy(psi.density(), psi.dq)
         assert hmin.value <= h.value + 1e-9 <= hmax.value + 2e-9
 
+    @pytest.mark.parametrize("value", [
+        lambda: von_neumann([[1.0]]),
+        lambda: von_neumann(np.diag([1.0, 0.0])),
+        lambda: shannon([1.0, 0.0]),
+        lambda: differential_entropy([1.0], 1.0),
+        lambda: classical_hmin_hmax([1.0], 1.0)[0],
+    ], ids=["vn-1", "vn-diag", "shannon", "differential", "hmin"])
+    def test_exact_zero_is_plus_zero(self, value):
+        v = value().value
+        assert v == 0.0 and math.copysign(1.0, v) == 1.0
+
     def test_rejects_unnormalized_density(self):
         with pytest.raises(ValueError):
             differential_entropy(np.ones(10), 1.0)

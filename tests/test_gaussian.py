@@ -103,12 +103,7 @@ class TestEPRWavefunction:
         ({"n_points": 0}, "n_points must be at least 1, got 0"),
         ({"n_points": -4}, "n_points must be at least 1, got -4"),
         ({"memory_dim": 0}, "memory_dim must be at least 1, got 0"),
-        ({"width_sigmas": 0.0}, "width_sigmas must be positive and finite, got 0.0"),
-        ({"width_sigmas": -2.0}, "width_sigmas must be positive and finite, got -2.0"),
-        ({"width_sigmas": math.inf}, "width_sigmas must be positive and finite, got inf"),
-        ({"width_sigmas": math.nan}, "width_sigmas must be positive and finite, got nan"),
-    ], ids=["n_points-0", "n_points-negative", "memory_dim-0", "width-0", "width-negative",
-            "width-inf", "width-nan"])
+    ], ids=["n_points-0", "n_points-negative", "memory_dim-0"])
     def test_rejects_degenerate_grid(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             epr_grid_wavefunction(1.5, **kwargs)

@@ -50,6 +50,16 @@ class TestProlateOverlap:
         assert res.converged
         assert res.nystrom_order >= 64
 
+    def test_smallest_spacings_follow_the_small_spacing_law(self):
+        # c = dq dp / (2 pi) while that product is a normal double
+        d = 1e-153
+        assert math.isclose(prolate_overlap(d, d).c, d * d / (2.0 * math.pi), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("d", [1e-160, 1e-300])
+    def test_rejects_spacings_whose_overlap_underflows(self, d):
+        with pytest.raises(ValueError, match=f"spacings {d} and {d} too small"):
+            prolate_overlap(d, d)
+
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
             prolate_overlap(0.0, 1.0)

@@ -217,6 +217,12 @@ class TestGridWaveFunction:
         with pytest.raises(ValueError, match="q0 must be finite"):
             GridWaveFunction(q0, 0.5, np.ones(4, dtype=complex))
 
+    def test_validate_flags_unnormalized(self):
+        psi = GridWaveFunction(0.0, 0.5, np.ones(4, dtype=complex))
+        report = validate(psi)
+        assert not report["pass"]
+        assert report["normalization"] == (False, 2.0)
+
     def test_memory_columns(self):
         samples = np.zeros((4, 2), dtype=complex)
         samples[0, 0] = samples[1, 1] = 1.0
