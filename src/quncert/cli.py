@@ -25,6 +25,9 @@ from . import discretize, entropy as entropy_mod, gaussian, minmax, overlap as o
 from .serialize import atomic_write, load_state
 from .qstate import CQState, DensityMatrix, GridWaveFunction
 
+# each point of an overlap sweep is one Nystrom solve
+MAX_SWEEP_POINTS = 1000
+
 
 def _header(args: argparse.Namespace, base: str) -> str:
     echo = " ".join(f"{k}={v}" for k, v in sorted(vars(args).items())
@@ -55,6 +58,8 @@ def _emit_json(args, base: str, obj) -> None:
 
 
 def _parse_sweep(spec: str):
+    """The deltas of a log:lo:hi:n or lin:lo:hi:n sweep, once checked that
+    both ends are positive and finite and that 1 <= n <= MAX_SWEEP_POINTS."""
     try:
         kind, lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -62,6 +67,11 @@ def _parse_sweep(spec: str):
         raise ValueError(f"bad sweep spec {spec!r}: expected log:lo:hi:n") from exc
     if n < 1:
         raise ValueError(f"sweep count n must be at least 1, got {n}")
+    if n > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep count n must be at most {MAX_SWEEP_POINTS}, got {n}")
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ValueError(f"sweep ends must be positive and finite, got {lo} and {hi} "
+                         f"in {spec!r}")
     if kind == "log":
         return np.geomspace(lo, hi, n)
     if kind == "lin":
@@ -71,6 +81,8 @@ def _parse_sweep(spec: str):
 
 def cmd_overlap(args) -> int:
     if args.sweep:
+        if args.delta_q is not None or args.delta_p is not None:
+            raise ValueError("--sweep sets both spacings and takes no --delta-q or --delta-p")
         points = [(d, d, d) for d in _parse_sweep(args.sweep)]
     else:
         if args.delta_q is None or args.delta_p is None:
@@ -137,8 +149,7 @@ def cmd_entropy(args) -> int:
         kind = "min" if args.measure == "hmin" else "max"
         res = (minmax.guessing_probability if kind == "min" else minmax.decoupling_fidelity)(
             state, args.tol)
-        out.update(entropy_mod._as_base(minmax._entropy_nats(kind, res.value),
-                                        args.base).to_json())
+        out.update(minmax._entropy(kind, res, args.base).to_json())
         out.update({"gap": res.gap, "iterations": res.iterations, "converged": res.converged})
         if not res.converged:
             print(json.dumps(out, sort_keys=True), file=sys.stderr)

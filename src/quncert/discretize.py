@@ -31,9 +31,11 @@ import numpy as np
 
 from . import entropy
 from . import minmax
-from .qstate import CQState, GridWaveFunction, kept_cells, sample_outer_sum
+from .qstate import CQState, GridWaveFunction, herm, kept_cells, sample_outer_sum
 
 log = logging.getLogger("quncert")
+
+MAX_POINTS = 1 << 20
 
 __all__ = [
     "Partition",
@@ -232,12 +234,13 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     cond_vn_cq applies to the full binned state, so it equals
     cond_vn_cq(discretize_position(psi, part)) up to rounding (within
     1e-14 nats on the 19-level EPR state). A min or max rung forms
-    only the kept cells' operators and passes them, with the traces of the
-    skipped cells, to minmax._guess or minmax._fdec_ascent, the solvers
-    that guessing_probability and decoupling_fidelity run on the full
-    binned state; each charges the skipped cells in its one certificate.
-    The rung is that solve of discretize_position's state, bit for bit on
-    the 19-level EPR state, read through minmax._entropy_nats. Each rung
+    only the kept cells' operators, symmetrized but in no CQState, and
+    passes them, with the traces of the skipped cells, to minmax._guess or
+    minmax._fdec_ascent, the solvers that guessing_probability and
+    decoupling_fidelity run on the full binned state; each charges the
+    skipped cells in its one certificate. The rung is that solve of
+    discretize_position's state, bit for bit on the 19-level EPR state,
+    read through minmax._entropy, which takes the whole result. Each rung
     logs one DEBUG record to the "quncert" logger: alpha, cells, cells
     kept, the total trace of the cells not formed ("skipped trace") and
     seconds.
@@ -276,7 +279,7 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     for n in range(n_max + 1):
         began = time.perf_counter()
         alpha = alpha0 * 2.0 ** (-n)
-        starts, labels, traces = _cells(psi, Partition.centered(alpha, q[0], q[-1]), norms)
+        starts, _, traces = _cells(psi, Partition.centered(alpha, q[0], q[-1]), norms)
         converged = True
         if psi.memory_dim == 1:
             keep = traces > 0.0
@@ -286,11 +289,10 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
             if kind == "vn":
                 val = _vn_cells(psi, memory, starts, traces, keep)
             else:
-                kept = CQState.from_stack(labels[keep],
-                                          _cell_stack(psi, starts, np.flatnonzero(keep)))
                 solve = minmax._guess if kind == "min" else minmax._fdec_ascent
-                res = solve(kept.ops, traces[~keep], tol)
-                val, converged = minmax._entropy_nats(kind, res.value), res.converged
+                res = solve(herm(_cell_stack(psi, starts, np.flatnonzero(keep))),
+                            traces[~keep], tol)
+                val, converged = minmax._entropy(kind, res, "nats").value, res.converged
         val = entropy._as_base(val + math.log(alpha), base).value
         rows.append((alpha, val))
         if not converged:
@@ -308,9 +310,12 @@ def gaussian_wavefunction(sigma: float = 1.0, n_points: int = 4096) -> GridWaveF
     two (as at the default sigma = 1) do dyadic cells hold equal point
     counts, so ladder rungs converge smoothly instead of oscillating with
     bin alignment: at sigma = 0.3 a cell of width 1 holds 426.67 points.
+    n_points is at most MAX_POINTS.
     """
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if n_points > MAX_POINTS:
+        raise ValueError(f"n_points must be at most {MAX_POINTS}, got {n_points}")
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     half = 16.0 * sigma

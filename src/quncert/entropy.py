@@ -185,12 +185,10 @@ def cond_vn_cq(omega: CQState, base: str = "bits") -> EntropyValue:
     leak is at most its trace, below 3e-17, so it cannot fail the support
     test.
     """
-    ops, probs = omega.ops, omega.probs
-    keep = kept_cells(probs, "vn")
-    if not keep.all():
-        ops, probs = ops[keep], probs[keep]
+    keep = kept_cells(omega.probs, "vn")
+    ops = omega.ops[keep]
     svals, _, on_support, diag = _support(omega.marginal(), ops)
-    return _as_base(_cond_vn_nats(svals, on_support, diag, probs, ops), base)
+    return _as_base(_cond_vn_nats(svals, on_support, diag, omega.probs[keep], ops), base)
 
 
 def shannon(p: np.ndarray, base: str = "bits") -> EntropyValue:

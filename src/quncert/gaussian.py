@@ -19,6 +19,7 @@ import numpy as np
 from .entropy import _as_base
 
 GAP_SERIES_NU = 2.0
+FIG2_MAX_ROWS = 10_000
 
 __all__ = [
     "epr_gap",
@@ -89,9 +90,11 @@ def fig2_table(r_lo: float = 0.0, r_hi: float = 3.0, n: int = 61):
 
     The per-mode mean energy in vacuum units, 1 + 2 sinh(r)^2, is nu itself,
     so a row carries no separate energy column. cosh(2r) must fit a double
-    (|r| up to about 355)."""
+    (|r| up to about 355), and n is at most FIG2_MAX_ROWS."""
     if n < 1:
         raise ValueError(f"row count n must be at least 1, got {n}")
+    if n > FIG2_MAX_ROWS:
+        raise ValueError(f"row count n must be at most {FIG2_MAX_ROWS}, got {n}")
     if not (math.isfinite(r_lo) and math.isfinite(r_hi)):
         raise ValueError(f"squeezing r must be finite, got r_lo={r_lo}, r_hi={r_hi}")
     rows = []

@@ -134,10 +134,12 @@ def _tensor_embedding(dim_a: int, dim_c: int) -> _Embedding:
                       dim_a)
 
 
-def _entropy_nats(kind: str, value: float) -> float:
+def _entropy(kind: str, result: SDPResult, base: str) -> EntropyValue:
     """H_min = -log P_guess (kind "min") or H_max = log F_dec (kind "max")
-    in nats from a solve's value; 0.0 - keeps a certain guess at +0.0."""
-    return 0.0 - math.log(value) if kind == "min" else math.log(value)
+    of a solve, in base "bits" or "nats": the one map from a certified
+    result to the entropy it gives. 0.0 - keeps a certain guess at +0.0."""
+    nats = math.log(result.value)
+    return _as_base(0.0 - nats if kind == "min" else nats, base)
 
 
 def _check_tol(tol: float) -> None:
@@ -288,8 +290,6 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     _check_tol(tol)
     ops, t = omega.ops, omega.probs
     keep = kept_cells(t, "min", tol)
-    if keep.all():
-        return _guess(ops, t[~keep], tol)
     res = _guess(ops[keep], t[~keep], tol)
     elements = np.zeros(ops.shape, dtype=complex)
     elements[keep] = res.primal_povm.elements
@@ -299,7 +299,7 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
 
 def h_min_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
     """H_min(X|B) = -log P_guess(X|B)."""
-    return _as_base(_entropy_nats("min", guessing_probability(omega, tol).value), base)
+    return _entropy("min", guessing_probability(omega, tol), base)
 
 
 def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
@@ -497,10 +497,10 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     _check_tol(tol)
     ops, t = omega.ops, omega.probs
     keep = kept_cells(t, "max", tol)
-    return _fdec_ascent(ops if keep.all() else ops[keep], t[~keep], tol)
+    return _fdec_ascent(ops[keep], t[~keep], tol)
 
 
 def h_max_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:
     """H_max(X|B) = log F_dec(X|B), with F_dec the certified upper bound of
     decoupling_fidelity's unitary block ascent."""
-    return _as_base(_entropy_nats("max", decoupling_fidelity(omega, tol).value), base)
+    return _entropy("max", decoupling_fidelity(omega, tol), base)

@@ -164,10 +164,10 @@ def _povm_pair(d_a: int, rng: np.random.Generator, use_mub: bool):
     return random_povm(d_a, d_a, rng), random_povm(d_a, d_a, rng)
 
 
-def _bits(kind: str, value: float) -> float:
-    """H_min (kind "min") or H_max (kind "max") in bits from a solve's
-    value, as h_min_cq and h_max_cq give them."""
-    return entropy._as_base(minmax._entropy_nats(kind, value), "bits").value
+def _bits(kind: str, result: minmax.SDPResult) -> float:
+    """H_min (kind "min") or H_max (kind "max") in bits from a solve, as
+    h_min_cq and h_max_cq give them."""
+    return minmax._entropy(kind, result, "bits").value
 
 
 def _tripartite(relation: str, dims: tuple, trials: int, seed: int, use_mub: bool,
@@ -196,7 +196,7 @@ def check_minmax_tripartite(dims=(2, 2, 2), trials: int = 50, seed: int = 0,
         fdec = minmax.decoupling_fidelity(cq_xb)
         pguess = minmax.guessing_probability(cq_yc)
         if fdec.converged and pguess.converged:
-            return _bits("max", fdec.value) + _bits("min", pguess.value)
+            return _bits("max", fdec) + _bits("min", pguess)
         return None
 
     return _tripartite("minmax_tripartite", dims, trials, seed, use_mub, hmax_hmin)
@@ -338,12 +338,12 @@ def _lemma_slacks(rng: np.random.Generator):
     cq_b = CQState.from_stack(cq_bc.labels, partial_trace(cq_bc.ops, [2, 2], [0]))
     p_b, p_bc = (minmax.guessing_probability(cq) for cq in (cq_b, cq_bc))
     f_b, f_bc = (minmax.decoupling_fidelity(cq) for cq in (cq_b, cq_bc))
-    trial.append(_bits("min", p_b.value) - _bits("min", p_bc.value) + 2 * tol)
-    trial.append(_bits("max", f_b.value) - _bits("max", f_bc.value) + 2 * tol)
+    trial.append(_bits("min", p_b) - _bits("min", p_bc) + 2 * tol)
+    trial.append(_bits("max", f_b) - _bits("max", f_bc) + 2 * tol)
     # min/max duality H_max(X|B) = -H_min(X|C), C = X'B' purifying cq_b:
     # the unitary ascent against the interior-point core, both read as H_max
     c_xc = _purified_min_entropy_value(cq_b)
-    trial.append(2 * tol - abs(_bits("max", f_b.value) - _bits("max", c_xc.value)))
+    trial.append(2 * tol - abs(_bits("max", f_b) - _bits("max", c_xc)))
     # von Neumann duality H(A|C) = -H(A|B) for a purified two-qubit state
     trial.append(1e-9 - abs(_vn_duality_defect(rho)))
     if all(res.converged for res in (p_b, p_bc, f_b, f_bc, c_xc)):

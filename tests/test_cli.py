@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from quncert.cli import main
+from quncert.cli import MAX_SWEEP_POINTS, main
+from quncert.discretize import MAX_POINTS
+from quncert.gaussian import FIG2_MAX_ROWS
 from quncert.qstate import CQState, DensityMatrix, GridWaveFunction
 from quncert.serialize import StateFormatError, load_state, loads_state, save_state
 from quncert.verify import _trial_rng
@@ -270,6 +272,25 @@ class TestCLI:
         assert payload["gap"] <= 1e-7
         assert 0.0 < payload["value"] < 1e-3
 
+    @pytest.mark.parametrize("measure, base, tol", [
+        ("hmin", "bits", 1e-7), ("hmin", "nats", 1e-9), ("hmax", "bits", 1e-7),
+        ("hmax", "nats", 1e-9)])
+    def test_entropy_matches_library(self, tmp_path, capsys, measure, base, tol):
+        # the command and h_min_cq / h_max_cq take one route from the solve
+        from quncert.discretize import Partition, discretize_position
+        from quncert.gaussian import epr_grid_wavefunction
+        from quncert.minmax import h_max_cq, h_min_cq
+
+        psi = epr_grid_wavefunction(1.5, memory_dim=3)
+        state = tmp_path / "epr.json"
+        save_state(discretize_position(psi, Partition.centered(2.0, psi.grid[0], psi.grid[-1])),
+                   state)
+        assert main(["entropy", "--state", str(state), "--measure", measure, "--base", base,
+                     "--tol", str(tol)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = (h_min_cq if measure == "hmin" else h_max_cq)(load_state(state), tol, base)
+        assert payload["value"] == want.value and payload["base"] == want.base
+
     @staticmethod
     def _epr_ladder_argv(tmp_path, kind):
         from quncert.gaussian import epr_grid_wavefunction
@@ -474,12 +495,30 @@ class TestCLI:
         (["epr-gap", "--r-min", "nan", "--n", "3"], "squeezing r must be finite, got r_lo=nan"),
         (["epr-gap", "--r-max", "400", "--n", "2"], "squeezing r=400.0 too large"),
         (["epr-gap", "--r-max", "inf"], "squeezing r must be finite, got r_lo=0.0, r_hi=inf"),
+        (["overlap", "--sweep", "log:-1:1:3"],
+         "sweep ends must be positive and finite, got -1.0 and 1.0 in 'log:-1:1:3'"),
+        (["overlap", "--sweep", "log:0:1:3"],
+         "sweep ends must be positive and finite, got 0.0 and 1.0 in 'log:0:1:3'"),
+        (["overlap", "--sweep", "lin:1:inf:3"],
+         "sweep ends must be positive and finite, got 1.0 and inf in 'lin:1:inf:3'"),
+        (["overlap", "--sweep", "log:1:2:3", "--delta-q", "1"],
+         "--sweep sets both spacings and takes no --delta-q or --delta-p"),
+        (["overlap", "--sweep", "log:1:2:3", "--delta-p", "1"],
+         "--sweep sets both spacings and takes no --delta-q or --delta-p"),
+        (["overlap", "--sweep", f"log:1:2:{MAX_SWEEP_POINTS + 1}"],
+         f"sweep count n must be at most {MAX_SWEEP_POINTS}, got {MAX_SWEEP_POINTS + 1}"),
+        (["epr-gap", "--n", str(FIG2_MAX_ROWS + 1)],
+         f"row count n must be at most {FIG2_MAX_ROWS}, got {FIG2_MAX_ROWS + 1}"),
+        (["ladder", "--n-points", str(MAX_POINTS + 1)],
+         f"n_points must be at most {MAX_POINTS}, got {MAX_POINTS + 1}"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
             "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
             "ladder-cq", "overlap-nan", "overlap-inf", "overlap-underflow", "ladder-alpha0-nan",
             "ladder-alpha0-inf", "ladder-sigma-inf", "verify-dims-0", "verify-dims-negative",
             "verify-seed-negative", "sweep-count-0", "epr-gap-n-0", "epr-gap-nan",
-            "epr-gap-r-overflow", "epr-gap-r-inf"])
+            "epr-gap-r-overflow", "epr-gap-r-inf", "sweep-log-negative", "sweep-log-zero",
+            "sweep-lin-inf", "sweep-with-delta-q", "sweep-with-delta-p", "sweep-count-cap",
+            "epr-gap-n-cap", "ladder-n-points-cap"])
     def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
         from quncert.discretize import gaussian_wavefunction
 

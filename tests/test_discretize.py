@@ -382,15 +382,17 @@ class TestTraceFirstLadder:
         # a vn rung with a memory forms no operator stack
         convergence_ladder(EPR, "momentum", "vn", n_max=0)
         assert built == [] and stacked == []
-        # a min or max rung forms the kept cells only
+        # a min or max rung forms the kept cells only, and builds no cq state
+        # around them
         phi = momentum_transform(EPR)
         full = discretize_position(phi, Partition.centered(2.0, phi.grid[0], phi.grid[-1]))
         for kind in ("min", "max"):
             kept = int(kept_cells(full.probs, kind, DEFAULT_TOL).sum())
             assert kept < len(full.labels)
             built.clear()
+            stacked.clear()
             convergence_ladder(EPR, "momentum", kind, n_max=0, alpha0=2.0)
-            assert built == [kept]
+            assert built == [] and stacked == [kept]
         # trivial memory takes the cell traces and forms no operator
         built.clear()
         convergence_ladder(gaussian_wavefunction(1.0, n_points=1024), "position", "vn", n_max=2)
