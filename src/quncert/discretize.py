@@ -245,14 +245,14 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     kept, the total trace of the cells not formed ("skipped trace") and
     seconds.
 
-    On the 19-level EPR memory (one BLAS thread, 2-core x86-64 host) the
-    position vn ladder alpha = 1 .. 2^-6 on 4096 points takes about 20 ms,
-    and the momentum ladder alpha = 1, 1/2 on 32768 points about 27 ms, of
-    which the in-place FFT (momentum_transform) is about 16 ms and omega_B
-    (qstate.sample_outer_sum) about 3 ms; the momentum ladder's traced
-    peak is below 1.25 times one (N, d) complex array. The max ladder on
-    the same grid keeps 15 of 6,435 and 31 of 12,869 cells and takes about
-    0.15 s.
+    On the 19-level EPR memory (one BLAS thread, 2-core x86-64 host,
+    medians of 15 runs) the position vn ladder alpha = 1 .. 2^-6 on 4096
+    points takes about 25 ms, and the momentum ladder alpha = 1, 1/2 on
+    32768 points about 25 ms, of which the in-place FFT (momentum_transform)
+    is about 14 ms and omega_B (qstate.sample_outer_sum) about 3 ms; the
+    momentum ladder's traced peak is below 1.25 times one (N, d) complex
+    array. The max ladder on the same grid keeps 15 of 6,435 and 31 of
+    12,869 cells and takes about 0.14 s.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")

@@ -35,10 +35,12 @@ with primal max { sum_j tr[rho_j X_j] : X >= 0, adjoint(X) = 1 }: sigma
 against each of the m outcome blocks, or 1_A (x) Y against one block
 rho_AC. One primal-dual interior-point core solves both: HKM direction
 (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6, 1996) with
-Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992), one Schur system in
-the entries of Y per iteration. Its result is a certificate: Y shifted until
-feasible, X scaled until adjoint(X) = 1 to rounding, and the gap between
-their values.
+Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992). An iteration makes
+one Cholesky factorization of X and Z as one stack and one Schur system in
+the entries of Y, and takes the steps of both cones by one rule, from one
+eigvalsh per direction. rho is exactly Hermitian, so Z = embed(Y) - rho is
+too. Its result is a certificate: Y shifted until feasible, X scaled until
+adjoint(X) = 1 to rounding, and the gap between their values.
 """
 
 from __future__ import annotations
@@ -148,8 +150,9 @@ def _check_tol(tol: float) -> None:
 
 
 def _feasible_shift(ops: np.ndarray, sigma: np.ndarray) -> float:
-    """Smallest mu >= 0 with sigma + mu*I >= op for every op of the stack."""
-    return max(0.0, float(np.linalg.eigvalsh(herm(ops - sigma)).max()))
+    """Smallest mu >= 0 with sigma + mu*I >= op for every op of the stack,
+    all exactly Hermitian."""
+    return max(0.0, float(np.linalg.eigvalsh(ops - sigma).max()))
 
 
 def _primal_value(ops: np.ndarray, elements: np.ndarray) -> float:
@@ -177,22 +180,17 @@ def _schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.transpose(0, 2, 1, 3, 5, 4).conj()).reshape(n, n)
 
 
-def _step(inv_chol: np.ndarray, direction: np.ndarray, fraction: float = 1.0) -> float:
-    """min(1, fraction * the largest t with P + t*direction >= 0) for the PD
-    stack P = L L^H, given L^{-1}; the bound is -1/lambda_min(L^{-1} dP L^{-H})."""
-    scaled = inv_chol @ direction @ inv_chol.conj().transpose(0, 2, 1)
-    low = float(np.linalg.eigvalsh(herm(scaled)).min())
-    return min(1.0, -fraction / low) if low < 0.0 else 1.0
-
-
 def _ipm(rho: np.ndarray, emb: _Embedding, tol: float):
     """Interior-point solve of min { tr Y : Z = embed(Y) - rho >= 0 } and its
-    primal. The Schur matrix from emb.pairs(X, Z^{-1}) serves predictor and
-    corrector; steps go 0.98 of the way to the cone's boundary. Stops when
-    <X, Z> < tol/100 and |1 - adjoint(X)| < 1e-8, after IPM_MAX_ITER steps
-    (read at call time), or when rounding breaks a Cholesky factorization.
-    Returns (Y shifted until feasible, X repaired by _pgm, iterations); Y is a
-    (q, c, c) stack.
+    primal; rho is exactly Hermitian and Y moves by Hermitian steps, so Z is
+    too. Each iteration factors [X; Z] = L L^H as one stack, and one Schur
+    matrix from emb.pairs(X, Z^{-1}) serves predictor and corrector. Each
+    direction comes with both cones' steps min(1, -f / lambda_min), f = 1
+    (predictor) or 0.98 (corrector), lambda_min over the cone's blocks of
+    one eigvalsh of L^{-1} [dX; dZ] L^{-H}. Stops when <X, Z> < tol/100 and
+    |1 - adjoint(X)| < 1e-8, after IPM_MAX_ITER steps (read at call time),
+    or when rounding breaks the factorization. Returns (Y shifted until
+    feasible, X repaired by _pgm, iterations); Y is a (q, c, c) stack.
     """
     shape = emb.adjoint(rho).shape
     eye = np.broadcast_to(np.eye(shape[-1]), shape)
@@ -201,35 +199,38 @@ def _ipm(rho: np.ndarray, emb: _Embedding, tol: float):
     size = rho.shape[0] * rho.shape[1]
     it = 0
     while True:
-        z = herm(emb.embed(y) - rho)
+        z = emb.embed(y) - rho
         gap = _primal_value(x, z)
         if it == IPM_MAX_ITER or (gap < 1e-2 * tol
                                   and np.abs(eye - emb.adjoint(x)).max() < 1e-8):
             break
         try:
-            lx = np.linalg.inv(np.linalg.cholesky(x))
-            lz = np.linalg.inv(np.linalg.cholesky(z))
+            inv_chol = np.linalg.inv(np.linalg.cholesky(np.concatenate([x, z])))
         except np.linalg.LinAlgError:
             break
         it += 1
-        zinv = lz.conj().transpose(0, 2, 1) @ lz
+        inv_h = inv_chol.conj().transpose(0, 2, 1)
+        zinv = inv_h[len(x):] @ inv_chol[len(x):]
         schur = _schur(*emb.pairs(x, zinv))
 
-        def direction(rhs, x_term):
+        def direction(rhs, x_term, fraction):
             dy = herm(np.linalg.solve(schur, rhs.reshape(-1)).reshape(shape))
             dz = emb.embed(dy)
-            return dy, dz, herm(x_term - x @ dz @ zinv)
+            dx = herm(x_term - x @ dz @ zinv)
+            scaled = inv_chol @ np.concatenate([dx, np.broadcast_to(dz, dx.shape)]) @ inv_h
+            low = np.linalg.eigvalsh(herm(scaled)).reshape(2, -1).min(1)
+            return dy, dz, dx, -fraction / np.minimum(low, -fraction)
 
         # predictor: the affine-scaling direction, towards <X, Z> = 0
-        _, dz_a, dx_a = direction(-eye, -x)
-        shrink = _primal_value(x + _step(lx, dx_a) * dx_a, z + _step(lz, dz_a) * dz_a) / gap
+        _, dz_a, dx_a, (step_x, step_z) = direction(-eye, -x, 1.0)
+        shrink = _primal_value(x + step_x * dx_a, z + step_z * dz_a) / gap
         mu = shrink ** 3 * gap / size
         # corrector: towards the central point at mu, with the second-order term
         second = dx_a @ dz_a @ zinv
-        dy, dz, dx = direction(mu * emb.adjoint(zinv) - eye - emb.adjoint(herm(second)),
-                               mu * zinv - x - second)
-        x = x + _step(lx, dx, 0.98) * dx
-        y = y + _step(lz, dz, 0.98) * dy
+        dy, _, dx, (step_x, step_z) = direction(
+            mu * emb.adjoint(zinv) - eye - emb.adjoint(herm(second)), mu * zinv - x - second, 0.98)
+        x = x + step_x * dx
+        y = y + step_z * dy
     cert = y + _feasible_shift(rho, emb.embed(y)) * eye
     return cert, _pgm(x, emb), it
 
@@ -311,10 +312,12 @@ def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
     the value of the primal X >= 0 with tr_A X = 1_C, a lower bound.
     """
     _check_tol(tol)
-    rho = herm(np.asarray(rho, dtype=complex))
+    rho = np.asarray(rho, dtype=complex)
+    if not np.isfinite(rho).all():
+        raise ValueError("rho must have finite entries")
     if rho.shape[0] != dim_a * dim_c:
         raise ValueError("dims do not match rho")
-    return _ipm_value(rho[None], _tensor_embedding(dim_a, dim_c), tol)
+    return _ipm_value(herm(rho)[None], _tensor_embedding(dim_a, dim_c), tol)
 
 
 def _polar(b: np.ndarray) -> np.ndarray:

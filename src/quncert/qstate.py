@@ -177,13 +177,16 @@ class CQState:
         return obj
 
     def _adopt(self, labels, ops: np.ndarray) -> None:
-        """The one validation and symmetrization step of both constructors."""
+        """The one validation and symmetrization step of both constructors;
+        a NaN or infinite entry fails before the stack is symmetrized."""
         labels = [str(lbl) for lbl in labels]
         if ops.ndim != 3 or not len(ops) or ops.shape[1] != ops.shape[2]:
             raise ValueError("a cq state needs at least one outcome and square "
                              f"operators, got a stack of shape {ops.shape}")
         if len(labels) != len(ops):
             raise ValueError(f"{len(labels)} labels for {len(ops)} conditional operators")
+        if not np.isfinite(ops).all():
+            raise ValueError("conditional operators must have finite entries")
         ops += np.swapaxes(ops.conj(), 1, 2)
         ops *= 0.5
         ops.flags.writeable = False

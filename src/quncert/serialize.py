@@ -5,9 +5,10 @@ CQState:       {"type": "cq", "outcomes": [{"label": s, "state": {...}}]}
 Wavefunction:  {"type": "wavefunction", "q0": float, "dq": float, "d": int,
                 "re": [[..]], "im": [[..]]}  (N x d sample arrays)
 
-Readers check each state's invariants (its diagnostics(), through
-_checked) and raise StateFormatError naming the violated one and its
-measured value; every other error that malformed content raises while it is
+Readers reject non-finite matrix entries (NaN or Infinity in "re" or "im")
+before forming a matrix, check each state's invariants (its diagnostics(),
+through _checked) and raise StateFormatError naming the violated one and
+its measured value; every other error that malformed content raises while it is
 read (KeyError, TypeError, ValueError, AttributeError) is mapped to
 StateFormatError in one place, _reading. A density's declared "dim" and a
 wavefunction's declared "d" must match the data. save_state writes
@@ -52,6 +53,8 @@ def _matrix_from(obj, what: str) -> np.ndarray:
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape:
         raise StateFormatError(f"{what}: re/im shape mismatch")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise StateFormatError(f"{what}: non-finite entries in re or im")
     return re + 1j * im
 
 

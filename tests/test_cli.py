@@ -65,6 +65,23 @@ class TestSerialize:
         with pytest.raises(StateFormatError, match=f"bad wavefunction header .*{field}"):
             loads_state(json.dumps(obj))
 
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["density", "cq", "wavefunction"])
+    def test_rejects_non_finite_matrix_entry(self, tmp_path, kind, value, part):
+        # rejected before re + 1j*im is formed: an Infinity there would warn
+        from quncert.discretize import gaussian_wavefunction
+
+        state, name = {"density": (DensityMatrix(np.eye(2) / 2.0), "density matrix"),
+                       "cq": (BB84, "outcome 0"),
+                       "wavefunction": (gaussian_wavefunction(n_points=16), "wavefunction")}[kind]
+        p = tmp_path / "state.json"
+        save_state(state, p)
+        obj = json.loads(p.read_text())
+        (obj["outcomes"][0]["state"] if kind == "cq" else obj)[part][1][0] = value
+        with pytest.raises(StateFormatError, match=f"^{name}: non-finite entries in re or im$"):
+            loads_state(json.dumps(obj))
+
     def test_rejects_unnormalized_wavefunction(self):
         bad = {"type": "wavefunction", "q0": 0.0, "dq": 0.5, "d": 1,
                "re": [[1.0]] * 4, "im": [[0.0]] * 4}
@@ -511,6 +528,8 @@ class TestCLI:
          f"row count n must be at most {FIG2_MAX_ROWS}, got {FIG2_MAX_ROWS + 1}"),
         (["ladder", "--n-points", str(MAX_POINTS + 1)],
          f"n_points must be at most {MAX_POINTS}, got {MAX_POINTS + 1}"),
+        (["entropy", "--state", "{inf}", "--measure", "vn"],
+         "density matrix: non-finite entries in re or im"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
             "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
             "ladder-cq", "overlap-nan", "overlap-inf", "overlap-underflow", "ladder-alpha0-nan",
@@ -518,15 +537,16 @@ class TestCLI:
             "verify-seed-negative", "sweep-count-0", "epr-gap-n-0", "epr-gap-nan",
             "epr-gap-r-overflow", "epr-gap-r-inf", "sweep-log-negative", "sweep-log-zero",
             "sweep-lin-inf", "sweep-with-delta-q", "sweep-with-delta-p", "sweep-count-cap",
-            "epr-gap-n-cap", "ladder-n-points-cap"])
+            "epr-gap-n-cap", "ladder-n-points-cap", "entropy-infinity"])
     def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
         from quncert.discretize import gaussian_wavefunction
 
         files = {"psi": tmp_path / "psi.json", "rho": tmp_path / "rho.json",
-                 "cq": tmp_path / "cq.json"}
+                 "cq": tmp_path / "cq.json", "inf": tmp_path / "inf.json"}
         save_state(gaussian_wavefunction(n_points=256), files["psi"])
         save_state(DensityMatrix(np.eye(2) / 2.0), files["rho"])
         save_state(BB84, files["cq"])
+        files["inf"].write_text('{"type": "density", "re": [[Infinity, 0], [0, 0.5]]}')
         assert main([a.format(**files) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

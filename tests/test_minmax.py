@@ -514,6 +514,91 @@ class TestCondMinEntropyGeneral:
             assert gap < 1e-7
 
 
+def _spy_ipm(monkeypatch):
+    """The list of the rho of every _ipm call, copied as it arrives."""
+    seen, real = [], minmax._ipm
+
+    def spy(rho, emb, tol):
+        seen.append(rho.copy())
+        return real(rho, emb, tol)
+    monkeypatch.setattr(minmax, "_ipm", spy)
+    return seen
+
+
+def _exactly_hermitian(rho):
+    return np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+
+
+def _rounded_density(seed, n):
+    """A density matrix U diag(p) U^H that is Hermitian only to rounding."""
+    rng = _trial_rng(seed, 0)
+    u = np.linalg.qr(_complex_normal(rng, (n, n)))[0]
+    p = rng.random(n)
+    return (u * (p / p.sum())) @ u.conj().T
+
+
+class TestInteriorPointInput:
+    """_ipm takes Z = embed(Y) - rho without symmetrizing it, which is exact
+    only for an exactly Hermitian rho: every route hands it one."""
+
+    @pytest.mark.parametrize("route", ["measure_to_cq", "ladder-min-rung",
+                                       "cond_min_entropy_value", "fdec_block_sdp"])
+    def test_rho_arrives_exactly_hermitian(self, monkeypatch, route):
+        rounded = _rounded_density(82, 6)
+        assert not _exactly_hermitian(rounded)
+        _, f = mub_pair(3)
+        psi = haar_state(27, _trial_rng(81, 0))
+        cq = measure_to_cq(np.outer(psi, psi.conj()), [3, 3, 3], f, keep=2)
+        seen = _spy_ipm(monkeypatch)
+        res = {
+            "measure_to_cq": lambda: guessing_probability(cq),
+            "ladder-min-rung": lambda: discretize.convergence_ladder(
+                gaussian.epr_grid_wavefunction(1.5, n_points=2048), kind="min", n_max=0,
+                alpha0=2.0),
+            "cond_min_entropy_value": lambda: cond_min_entropy_value(rounded, 2, 3),
+            "fdec_block_sdp": lambda: fdec_block_sdp(cq, 1e-7),
+        }[route]()
+        assert res.converged
+        assert seen and all(_exactly_hermitian(rho) for rho in seen)
+
+    def test_pguess_does_not_depend_on_the_stack_layout(self):
+        # measure_to_cq adopts a stack that is not C-ordered; the kept cells
+        # are copied before the solve, so its layout changes no bit
+        _, f = mub_pair(3)
+        for trial in range(10):
+            psi = haar_state(27, _trial_rng(83, trial))
+            cq = measure_to_cq(np.outer(psi, psi.conj()), [3, 3, 3], f, keep=2)
+            assert not cq.ops.flags.c_contiguous
+            ordered = guessing_probability(CQState.from_stack(cq.labels,
+                                                              np.ascontiguousarray(cq.ops)))
+            res = guessing_probability(cq)
+            assert res.iterations > 0
+            assert (res.value, res.gap, res.iterations) == (ordered.value, ordered.gap,
+                                                            ordered.iterations)
+            assert np.array_equal(res.dual_certificate, ordered.dual_certificate)
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite operator entry fails when the input is made, with
+    one ValueError, not inside a solver."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("functional", [guessing_probability, decoupling_fidelity, cond_vn_cq],
+                             ids=["guessing_probability", "decoupling_fidelity", "cond_vn_cq"])
+    def test_cq_functional(self, functional, value):
+        ops = random_cq(_trial_rng(84, 0), 3, 2).ops.copy()
+        ops[1, 0, 1] = value
+        with pytest.raises(ValueError, match="conditional operators must have finite entries"):
+            functional(CQState.from_stack(range(3), ops))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1j * np.inf])
+    def test_cond_min_entropy_value(self, value):
+        rho = np.kron(np.eye(2) / 2.0, np.diag([0.6, 0.4])).astype(complex)
+        rho[0, 3] = value
+        with pytest.raises(ValueError, match="rho must have finite entries"):
+            cond_min_entropy_value(rho, 2, 2)
+
+
 class TestHmax:
     def test_classical_closed_form(self):
         # H_max = 2 log2 sum_x sqrt(p_x) for trivial memory
