@@ -9,19 +9,14 @@ edges at (k - 1/2)*alpha, so the edges of the 2*alpha rung fall on cell
 centers of the alpha rung, and the partitions do not nest (those of one
 fixed offset do).
 
-Cells are found trace first: every cell is one run of consecutive samples,
-and its trace comes from the samples' norms before any operator is formed.
-A von Neumann ladder with a memory forms no cell operator: omega_B comes
-once per ladder from all samples, and each rung takes its entropy from the
-kept cells' samples (their diagonals in omega_B's eigenbasis, and the
-spectra of their Gram matrices when a cell holds fewer samples than the
-memory has levels). A min or max ladder forms the operators of the cells
-its entropy keeps and hands them, with the traces of the others, to the
-solver that charges for those (minmax._guess or minmax._fdec_ascent).
+Every rung and discretize_position bin through one cell source
+(_grid_cells): cells are found trace first, and only the operators of the
+cells an entropy keeps are formed; a von Neumann rung forms none.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -141,7 +136,7 @@ def _cells(psi: GridWaveFunction, part: Partition, norms: np.ndarray):
     """The cells of psi's samples under part, as runs of consecutive samples
     (cell indices never decrease along the grid): (start of each run, its
     cell index k, its trace dq * sum ||psi(q_i)||^2). norms holds the
-    ||psi(q_i)||^2, so a ladder computes them once."""
+    ||psi(q_i)||^2, so a cell source computes them once."""
     idx = part.cell_index(psi.grid)
     if idx[0] < part.k_min or idx[-1] > part.k_max:
         raise ValueError("partition does not cover the grid support")
@@ -170,47 +165,62 @@ def _cell_stack(psi: GridWaveFunction, starts: np.ndarray, runs: np.ndarray) -> 
     return ops
 
 
+def _grid_cells(psi: GridWaveFunction):
+    """The cell source of psi's grid: a map from a Partition to (labels,
+    traces, stack, vn) of its cells.
+
+    Cells are runs of consecutive samples, found trace first (_cells) from
+    psi's density, formed once per source. stack(keep) forms the kept
+    cells' operators (_cell_stack). vn(keep) is their H(X|B) in nats from
+    their samples S_x, forming no cell operator, against omega_B of all
+    samples (qstate.sample_outer_sum), whose spectrum (entropy._spectrum)
+    the source forms once, on first use. The cross term and the support
+    test take each cell's diagonal in omega_B's eigenbasis V, dq * sum_i
+    |(S_x conj(V))_ij|^2, and the self term the spectrum of the Gram matrix
+    dq * conj(S_x) S_x^T when the longest kept run has fewer samples than
+    the memory has levels (else of the d x d operator): the two share their
+    nonzero eigenvalues. This is the rule cond_vn_cq applies to the cq state
+    of all cells.
+    """
+    norms = psi.density()
+    memory = functools.cache(lambda: entropy._spectrum(sample_outer_sum(psi.samples, psi.dq)))
+
+    def cells(part: Partition):
+        starts, labels, traces = _cells(psi, part, norms)
+
+        def stack(keep: np.ndarray) -> np.ndarray:
+            return _cell_stack(psi, starts, np.flatnonzero(keep))
+
+        def vn(keep: np.ndarray) -> float:
+            svals, vecs, on_support = memory()
+            s = _gather(psi, starts, np.flatnonzero(keep))
+            proj = (s.reshape(-1, psi.memory_dim) @ vecs.conj()).reshape(s.shape)
+            diag = psi.dq * (proj.real ** 2 + proj.imag ** 2).sum(1)
+            s_t = np.swapaxes(s, 1, 2)
+            grams = s.conj() @ s_t if s.shape[1] < psi.memory_dim else s_t @ s.conj()
+            grams *= psi.dq
+            return entropy._cond_vn_nats(svals, on_support, diag, traces[keep], grams)
+
+        return labels, traces, stack, vn
+
+    return cells
+
+
 def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
     """Bin a grid wavefunction into the cq state of a partitioned measurement.
 
     omega_B^k = dq * sum_{q_i in I_k} psi(q_i) psi(q_i)^dagger; for trivial
     memory this reduces to binned |psi|^2 probabilities. Cells of zero trace
     are dropped before any operator is formed; the others are formed by one
-    batched product, and the state adopts that stack without a copy: the
-    outcome operators are views of it.
+    batched product (_grid_cells), and the state adopts that stack without
+    a copy: the outcome operators are views of it.
     """
     if part.alpha < 2.0 * psi.dq:
         raise ValueError(
             f"cell width {part.alpha} undersampled by grid spacing {psi.dq}")
-    starts, labels, traces = _cells(psi, part, psi.density())
-    live = np.flatnonzero(traces > 0.0)
-    return CQState.from_stack([str(k) for k in labels[live]], _cell_stack(psi, starts, live))
-
-
-def _vn_cells(psi: GridWaveFunction, memory, starts: np.ndarray,
-              traces: np.ndarray, keep: np.ndarray) -> float:
-    """H(X|B) in nats of the kept cells, from their samples: no cell
-    operator is formed.
-
-    memory is entropy._spectrum of omega_B = dq * S^T conj(S) over all
-    samples: clipped spectrum, eigenvectors V and support mask. The cross
-    term and the support test take cell x's diagonal in omega_B's
-    eigenbasis, diag_xj = dq * sum_i |(S_x conj(V))_ij|^2, and the self term
-    the spectrum of the Gram matrix dq * conj(S_x) S_x^T when the longest
-    kept run has fewer samples than the memory has levels (else of the
-    d x d operator): the two share their nonzero eigenvalues.
-    """
-    svals, vecs, on_support = memory
-    runs = np.flatnonzero(keep)
-    s = _gather(psi, starts, runs)
-    proj = (s.reshape(-1, psi.memory_dim) @ vecs.conj()).reshape(s.shape)
-    diag = psi.dq * (proj.real ** 2 + proj.imag ** 2).sum(1)
-    if s.shape[1] < psi.memory_dim:
-        cells = s.conj() @ np.swapaxes(s, 1, 2)
-    else:
-        cells = np.swapaxes(s, 1, 2) @ s.conj()
-    cells *= psi.dq
-    return entropy._cond_vn_nats(svals, on_support, diag, traces[runs], cells)
+    labels, traces, stack, _ = _grid_cells(psi)(part)
+    live = traces > 0.0
+    return CQState.from_stack([str(k) for k in labels[live]], stack(live))
 
 
 def convergence_ladder(psi: GridWaveFunction, which: str = "position",
@@ -224,35 +234,29 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     tol, which min and max ladders check as the solvers do (in (0, 1e-3]);
     the table's converged flag is False when some rung's gap exceeds tol.
 
-    Each rung bins trace first (_cells). Trivial memory takes the entropy of
-    the cell traces (entropy._classical_nats). With a memory, the
+    Every rung reads its cells from one source of psi's grid (_grid_cells).
+    Trivial memory takes the entropy of the cell traces. With a memory, the
     functional's own skip rule (qstate.kept_cells at tol: a budget of 1e-15
     nats for vn, and tol/10 of the certificate's gap for min and max) picks
-    the cells that enter. A vn rung then takes H(X|B) from the kept cells'
-    samples against omega_B of all samples, formed once per ladder
-    (_vn_cells): it forms no cell operator, and applies the very rule
-    cond_vn_cq applies to the full binned state, so it equals
-    cond_vn_cq(discretize_position(psi, part)) up to rounding (within
-    1e-14 nats on the 19-level EPR state). A min or max rung forms
-    only the kept cells' operators, symmetrized but in no CQState, and
-    passes them, with the traces of the skipped cells, to minmax._guess or
-    minmax._fdec_ascent, the solvers that guessing_probability and
-    decoupling_fidelity run on the full binned state; each charges the
-    skipped cells in its one certificate. The rung is that solve of
-    discretize_position's state, bit for bit on the 19-level EPR state,
-    read through minmax._entropy, which takes the whole result. Each rung
-    logs one DEBUG record to the "quncert" logger: alpha, cells, cells
-    kept, the total trace of the cells not formed ("skipped trace") and
-    seconds.
+    the cells that enter. A vn rung is the source's vn of them, equal to
+    cond_vn_cq(discretize_position(psi, part)) up to rounding (within 1e-14
+    nats on the 19-level EPR state). A min or max rung hands the source's
+    stack of them, symmetrized, with the traces of the skipped cells, to
+    minmax._guess or minmax._fdec_ascent, which charge the skipped cells in
+    their one certificate: the rung is guessing_probability or
+    decoupling_fidelity of discretize_position's state, bit for bit on the
+    19-level EPR state, read through minmax._entropy. Each rung logs one
+    DEBUG record to the "quncert" logger: alpha, cells, cells kept, the
+    total trace of the cells not formed ("skipped trace") and seconds.
 
     On the 19-level EPR memory (one BLAS thread, 2-core x86-64 host,
     medians of 15 runs) the position vn ladder alpha = 1 .. 2^-6 on 4096
-    points takes about 25 ms, and the momentum ladder alpha = 1, 1/2 on
-    32768 points about 25 ms, of which the in-place FFT (momentum_transform)
-    is about 14 ms and omega_B (qstate.sample_outer_sum) about 3 ms; the
+    points takes about 15 ms, and the momentum ladder alpha = 1, 1/2 on
+    32768 points about 18 ms, of which the in-place FFT (momentum_transform)
+    is about 11 ms and omega_B (qstate.sample_outer_sum) about 2.2 ms; the
     momentum ladder's traced peak is below 1.25 times one (N, d) complex
     array. The max ladder on the same grid keeps 15 of 6,435 and 31 of
-    12,869 cells and takes about 0.14 s.
+    12,869 cells and takes about 0.09 s.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be at least 0, got {n_max}")
@@ -270,29 +274,23 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
         raise ValueError(f"unknown observable {which!r}")
     finest = alpha0 * 2.0 ** (-n_max)
     if finest < 2.0 * psi.dq:
-        raise ValueError(
-            f"finest cell {finest} below twice the grid spacing {psi.dq}")
-    q, norms = psi.grid, psi.density()
-    if kind == "vn" and psi.memory_dim > 1:
-        memory = entropy._spectrum(sample_outer_sum(psi.samples, psi.dq))
+        raise ValueError(f"finest cell {finest} below twice the grid spacing {psi.dq}")
+    cells, (lo, hi) = _grid_cells(psi), psi.grid[[0, -1]]
     rows, unconverged = [], []
     for n in range(n_max + 1):
         began = time.perf_counter()
         alpha = alpha0 * 2.0 ** (-n)
-        starts, _, traces = _cells(psi, Partition.centered(alpha, q[0], q[-1]), norms)
+        _, traces, stack, vn = cells(Partition.centered(alpha, lo, hi))
+        keep = traces > 0.0 if psi.memory_dim == 1 else kept_cells(traces, kind, tol)
         converged = True
         if psi.memory_dim == 1:
-            keep = traces > 0.0
             val = entropy._classical_nats(traces[keep], kind)
+        elif kind == "vn":
+            val = vn(keep)
         else:
-            keep = kept_cells(traces, kind, tol)
-            if kind == "vn":
-                val = _vn_cells(psi, memory, starts, traces, keep)
-            else:
-                solve = minmax._guess if kind == "min" else minmax._fdec_ascent
-                res = solve(herm(_cell_stack(psi, starts, np.flatnonzero(keep))),
-                            traces[~keep], tol)
-                val, converged = minmax._entropy(kind, res, "nats").value, res.converged
+            solve = minmax._guess if kind == "min" else minmax._fdec_ascent
+            res = solve(herm(stack(keep)), traces[~keep], tol)
+            val, converged = minmax._entropy(kind, res, "nats").value, res.converged
         val = entropy._as_base(val + math.log(alpha), base).value
         rows.append((alpha, val))
         if not converged:

@@ -72,9 +72,17 @@ def _classical_nats(p: np.ndarray, kind: str) -> float:
     return 2.0 * math.log(float(np.sum(np.sqrt(p))))
 
 
+def _finite(name: str, a) -> np.ndarray:
+    """a as a complex array, once checked to have finite entries."""
+    a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must have finite entries")
+    return a
+
+
 def von_neumann(rho: np.ndarray, base: str = "bits") -> EntropyValue:
     """H(rho) = -tr[rho log rho] for a normalized density matrix."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = _finite("rho", rho)
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"state not normalized: trace = {tr}")
@@ -115,8 +123,7 @@ def relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits") -> 
     (the support test of _leaks); once it is, the cross term runs over
     every positive eigenvalue of sigma.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho, sigma = _finite("rho", rho), _finite("sigma", sigma)
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
     svals, _, on_support, diag = _support(sigma, rho[None])
@@ -131,8 +138,7 @@ def max_relative_entropy(rho: np.ndarray, sigma: np.ndarray, base: str = "bits")
     Evaluated as log of the largest eigenvalue of sigma^{-1/2} rho sigma^{-1/2}
     restricted to supp(sigma); +inf on support violation.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho, sigma = _finite("rho", rho), _finite("sigma", sigma)
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
     svals, svecs, on_support, diag = _support(sigma, rho)

@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .entropy import EntropyValue, _as_base
+from .entropy import EntropyValue, _as_base, _finite
 from .qstate import CQState, POVM, _root_share, herm, kept_cells, psd_eigh, psd_funcm
 # unused here; perfbench/spans.py traces these two bindings of this module by name
 from .qstate import partial_trace, purify_cq  # noqa: F401
@@ -312,9 +312,7 @@ def cond_min_entropy_value(rho: np.ndarray, dim_a: int, dim_c: int,
     the value of the primal X >= 0 with tr_A X = 1_C, a lower bound.
     """
     _check_tol(tol)
-    rho = np.asarray(rho, dtype=complex)
-    if not np.isfinite(rho).all():
-        raise ValueError("rho must have finite entries")
+    rho = _finite("rho", rho)
     if rho.shape[0] != dim_a * dim_c:
         raise ValueError("dims do not match rho")
     return _ipm_value(herm(rho)[None], _tensor_embedding(dim_a, dim_c), tol)

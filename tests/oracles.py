@@ -205,6 +205,68 @@ def nystrom_lambda0(delta_q, delta_p, order):
     return float(np.linalg.eigvalsh(sw[:, None] * k * sw[None, :])[-1])
 
 
+
+def normal_cells(mean, sd, alpha, k):
+    """Probabilities of N(mean, sd^2) in the cells ((k - 1/2) alpha,
+    (k + 1/2) alpha], by scipy's normal CDF. Each is a difference of the
+    tail beyond the cell on the far side from the mean, so cells far out
+    keep their relative precision. mean and k broadcast."""
+    from scipy.special import ndtr
+
+    lo = ((k - 0.5) * alpha - mean) / sd
+    hi = ((k + 0.5) * alpha - mean) / sd
+    return np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
+
+
+def epr_rung_brackets_bits(nu, alpha, nodes=16, reach=14.0):
+    """SDP-free brackets {"min": (lower, upper), "max": (lower, upper)} on
+    H_min(Q_alpha|B) + log2 alpha and H_max(Q_alpha|B) + log2 alpha of the
+    EPR state of parameter nu, in bits, for the centered cells of width
+    alpha (edges at (k +- 1/2) alpha).
+
+    Lower bounds, the uncertainty relation with a trivial third party:
+    H_min(Q|B) >= -log2 c - H_max(P) and H_max(Q|B) >= -log2 c - H_min(P),
+    with c = prolate_lambda0(alpha^2 / 4) and P_alpha the cells of the
+    momentum marginal N(0, nu/2). Upper bounds, data processing by homodyne
+    of B: H_min(Q|B) <= H_min(Q|X_B) and H_max(Q|B) <= H_max(Q|X_B), where
+    x_B ~ N(0, nu/2) and x_A | x_B ~ N(t x_B, 1/(2 nu)), t = sqrt(nu^2 - 1)/nu.
+    Those are integrals over x_B of max_k P(k|x_B) and of
+    (sum_k sqrt P(k|x_B))^2 against the density of x_B, taken over
+    |x_B| <= reach sd by Gauss-Legendre rules of `nodes` points on pieces
+    between the kinks of the max, where t x_B crosses a cell edge (and on
+    a uniform subdivision, so no piece is wide). Gauss-Hermite over the
+    whole line converges slowly across the kinks: at nu = 1.5 and alpha = 1,
+    100 and 200 nodes give H_min upper bounds 3e-3 apart, the 200-node one
+    still 4.4e-3 above this rule's (which a 2e6-point trapezoid rule
+    confirms to 1e-9), and numpy's 400-node rule overflows.
+    """
+    sd = math.sqrt(nu / 2.0)
+    t, s = math.sqrt(nu * nu - 1.0) / nu, 1.0 / math.sqrt(2.0 * nu)
+    span = reach * sd
+
+    def cells_over(lo, hi):
+        return np.arange(math.floor(lo / alpha) - 1, math.ceil(hi / alpha) + 2)
+
+    p = normal_cells(0.0, sd, alpha, cells_over(-span, span))
+    neg_log_c = -math.log2(prolate_lambda0(alpha * alpha / 4.0))
+    kinks = (cells_over(-t * span, t * span) + 0.5) * alpha / t
+    edges = np.union1d(kinks[np.abs(kinks) < span], np.linspace(-span, span, 65))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = 0.5 * np.diff(edges)
+    y = ((edges[:-1] + half)[:, None] + half[:, None] * x).ravel()
+    density = np.exp(-0.5 * (y / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
+    weight = (half[:, None] * w).ravel() * density
+    reach_q = t * span + reach * s
+    cond = normal_cells(t * y[:, None], s, alpha, cells_over(-reach_q, reach_q))
+    log_alpha = math.log2(alpha)
+    return {
+        "min": (neg_log_c - 2.0 * math.log2(np.sqrt(p).sum()) + log_alpha,
+                -math.log2(weight @ cond.max(1)) + log_alpha),
+        "max": (neg_log_c + math.log2(p.max()) + log_alpha,
+                math.log2(weight @ np.sqrt(cond).sum(1) ** 2) + log_alpha),
+    }
+
+
 FOCK_TERMS_MAX = 1e7
 
 

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -93,6 +94,24 @@ class TestSerialize:
         with pytest.raises(StateFormatError):
             loads_state(json.dumps({"type": "mystery"}))
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"type": "density", "re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0]]},
+         "density matrix: re/im shape mismatch"),
+        ({"type": "density", "dim": 3, "re": [[1.0, 0.0], [0.0, 0.0]]},
+         "declared dim 3 != matrix dim 2"),
+        ({"type": "wavefunction", "q0": 0.0, "dq": 0.5, "d": 2, "re": [[1.0]] * 2},
+         "declared memory dimension does not match samples"),
+    ], ids=["re-im-shape", "density-dim", "wavefunction-d"])
+    def test_rejects_shape_mismatch(self, obj, message):
+        with pytest.raises(StateFormatError, match=re.escape(message)):
+            loads_state(json.dumps(obj))
+
+    def test_save_rejects_unsupported_object(self, tmp_path):
+        path = tmp_path / "state.json"
+        with pytest.raises(TypeError, match="cannot serialize list"):
+            save_state([1.0], path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_missing_fields(self):
         with pytest.raises(StateFormatError):
             loads_state(json.dumps({"type": "density", "dim": 2}))
@@ -160,6 +179,11 @@ class TestCLI:
         assert len(rows) == 10
         cs = [float(r.split(",")[1]) for r in rows]
         assert all(np.diff(cs) > 0)
+
+    def test_overlap_lin_sweep(self, capsys):
+        assert main(["overlap", "--sweep", "lin:1:2:3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[-3:]
+        assert [float(r.split(",")[0]) for r in rows] == [1.0, 1.5, 2.0]
 
     @pytest.mark.parametrize("argv", [
         ["overlap", "--delta-q", "1", "--delta-p", "1"],

@@ -22,10 +22,10 @@ from quncert.minmax import DEFAULT_TOL, decoupling_fidelity, guessing_probabilit
 from quncert.qstate import (NEGLIGIBLE, CQState, GridWaveFunction, kept_cells, sample_outer_sum,
                             validate)
 
-from oracles import (binned_cond_vn_nats, binned_cq, binned_cq_loop, gaussian_h_bits,
-                     gaussian_hmax_bits, gaussian_hmin_bits, momentum_fftshift)
+from oracles import (binned_cond_vn_nats, binned_cq, binned_cq_loop, epr_rung_brackets_bits,
+                     gaussian_h_bits, gaussian_hmax_bits, gaussian_hmin_bits, momentum_fftshift)
 
-# the EPR state at r = 1.5 with its 19-level memory, on a small grid
+# the EPR state at nu = 1.5 with its 19-level memory, on a small grid
 EPR = epr_grid_wavefunction(1.5, n_points=2048)
 
 
@@ -64,6 +64,10 @@ class TestPartition:
     def test_rejects_non_finite_alpha_and_offset(self, alpha, offset, name):
         with pytest.raises(ValueError, match=name):
             Partition(alpha, offset, -100, 100)
+
+    def test_rejects_empty_index_range(self):
+        with pytest.raises(ValueError, match="empty index range"):
+            Partition(1.0, -0.5, 1, 0)
 
     def test_refinement_merges_exactly(self):
         # halving alpha at the same offset nests cells pairwise
@@ -211,6 +215,11 @@ class TestDiscretizePosition:
         part = Partition.centered(psi.dq, psi.grid[0], psi.grid[-1])
         with pytest.raises(ValueError):
             discretize_position(psi, part)
+
+    def test_rejects_partition_narrower_than_the_grid(self):
+        psi = gaussian_wavefunction(sigma=1.0, n_points=256)
+        with pytest.raises(ValueError, match="partition does not cover the grid support"):
+            discretize_position(psi, Partition(1.0, -0.5, -2, 2))
 
     def test_memory_blocks_psd_and_normalized(self):
         from quncert.gaussian import epr_grid_wavefunction
@@ -424,6 +433,53 @@ class TestTraceFirstLadder:
             assert 0 < int(got[3]) < int(got[2])
             assert 0.0 <= float(got[4]) <= NEGLIGIBLE
             assert float(got[5]) >= 0.0
+
+
+@pytest.fixture(scope="module")
+def epr_min_max_ladders():
+    """The 19-level EPR state's position min ladder at alpha = 1, 1/2, 1/4 and
+    max ladder at alpha = 1 .. 1/8 on 4096 points, in bits."""
+    psi = epr_grid_wavefunction(1.5, n_points=4096)
+    return {kind: convergence_ladder(psi, "position", kind, n_max=n_max, alpha0=1.0)
+            for kind, n_max in (("min", 2), ("max", 3))}
+
+
+class TestEprMinMaxBrackets:
+    """The min and max rungs against brackets that need no SDP
+    (oracles.epr_rung_brackets_bits): the uncertainty relation with a
+    trivial third party from below, homodyne of the memory from above. A
+    rung below its lower bound points to the SDP or to the overlap; one
+    above its upper bound points to the SDP or to the cells."""
+
+    NU = 1.5
+
+    @pytest.mark.parametrize("kind, rung", [("min", 0), ("min", 1), ("min", 2),
+                                            ("max", 0), ("max", 1), ("max", 2), ("max", 3)])
+    def test_rung_inside_its_bracket(self, epr_min_max_ladders, kind, rung):
+        # the max rungs sit 5.8e-4, 3.2e-5, 1.1e-5 and 1.1e-5 below the homodyne
+        # bound. The grid's error is on the safe side: at 8192 and 16384 points
+        # the rungs rise by about 7e-6 and then 2e-6 towards it, and a
+        # Richardson step puts the continuum rung at alpha = 1/8 about 1e-8
+        # below the bound.
+        tab = epr_min_max_ladders[kind]
+        assert tab.converged
+        alpha, value = tab.rows[rung]
+        lower, upper = epr_rung_brackets_bits(self.NU, alpha)[kind]
+        assert lower <= value <= upper
+
+    def test_brackets_close_on_the_closed_form_limits(self):
+        # h_min(Q|B) = log2(pi/nu)/2 is the peak of N(0, 1/(2 nu)), x_A's law
+        # given x_B, and h_max(Q|B) = h_min(Q|B) + 1 bit; each bracket
+        # narrows about fourfold per halving of alpha
+        sigma = 1.0 / math.sqrt(2.0 * self.NU)
+        limits = {"min": gaussian_hmin_bits(sigma), "max": gaussian_hmax_bits(sigma)}
+        widths = {"min": [], "max": []}
+        for alpha in 2.0 ** -np.arange(5):
+            for kind, (lower, upper) in epr_rung_brackets_bits(self.NU, alpha).items():
+                assert lower <= limits[kind] <= upper
+                widths[kind].append(upper - lower)
+        for w in widths.values():
+            assert np.all(np.diff(np.log2(w)) < -1.7)
 
 
 class TestConvergenceLadder:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,47 @@ class TestMaxRelativeEntropy:
         lam = 2.0 ** max_relative_entropy(rho, sig).value
         vals = np.linalg.eigvalsh(lam * sig - rho)
         assert vals.min() >= -1e-8
+
+    def test_support_violation_infinite(self):
+        assert max_relative_entropy(np.eye(2) / 2.0, np.diag([1.0, 0.0])).value == math.inf
+
+    def test_zero_rho_is_minus_infinite(self):
+        # rho <= 2^iota sigma for every iota
+        assert max_relative_entropy(np.zeros((2, 2)), np.eye(2) / 2.0).value == -math.inf
+
+
+class TestArrayInput:
+    """What the array entry points do with arrays outside their domain."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("call, name", [
+        (lambda bad: von_neumann(bad), "rho"),
+        (lambda bad: relative_entropy(bad, np.eye(2) / 2.0), "rho"),
+        (lambda bad: max_relative_entropy(np.eye(2) / 2.0, bad), "sigma"),
+    ], ids=["von_neumann", "relative_entropy", "max_relative_entropy"])
+    def test_rejects_non_finite_entries(self, call, name, value):
+        # at [[nan, 0], [0, 1/2]] these returned 0.5 bits, nan and +inf
+        bad = np.diag([0.5, 0.5]).astype(complex)
+        bad[0, 0] = value
+        with pytest.raises(ValueError, match=f"{name} must have finite entries"):
+            call(bad)
+
+    @pytest.mark.parametrize("fn", [relative_entropy, max_relative_entropy])
+    def test_rejects_dimension_mismatch(self, fn):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fn(np.eye(2) / 2.0, np.eye(3) / 3.0)
+
+    @pytest.mark.parametrize("fn", [relative_entropy, max_relative_entropy])
+    def test_sigma_of_zero_rank_is_infinite(self, fn):
+        assert fn(np.eye(2) / 2.0, np.zeros((2, 2))).value == math.inf
+
+    @pytest.mark.parametrize("p, message", [
+        ([1.5, -0.5], "negative probability -0.5"),
+        ([0.5, 0.25], "probabilities sum to 0.75, not 1"),
+    ], ids=["negative", "unnormalized"])
+    def test_shannon_rejects(self, p, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            shannon(p)
 
 
 class TestCondVNcq:

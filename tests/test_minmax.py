@@ -513,6 +513,11 @@ class TestCondMinEntropyGeneral:
             assert abs(val - pg) < 3e-6
             assert gap < 1e-7
 
+    def test_rejects_dims_that_do_not_match_rho(self):
+        rho = np.kron(np.eye(2) / 2.0, np.diag([0.6, 0.4]))
+        with pytest.raises(ValueError, match="dims do not match rho"):
+            cond_min_entropy_value(rho, 3, 2)
+
 
 def _spy_ipm(monkeypatch):
     """The list of the rho of every _ipm call, copied as it arrives."""

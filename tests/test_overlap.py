@@ -195,6 +195,11 @@ class TestFiniteOverlaps:
         with pytest.raises(ValueError, match="F is not positive semidefinite"):
             povm_overlap(e, bad)
 
+    @pytest.mark.parametrize("fn", [povm_overlap, frank_lieb_overlap])
+    def test_rejects_dimension_mismatch(self, fn):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fn(mub_pair(2)[0], mub_pair(3)[0])
+
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_overlap_bounds_random_povms(self, seed):

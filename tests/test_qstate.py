@@ -83,6 +83,12 @@ class TestDensityMatrix:
         diag = validate(DensityMatrix(np.eye(2)))
         assert not diag["trace"][0]
 
+    @pytest.mark.parametrize("mat", [np.ones((2, 3)) / 6.0, np.ones(2) / 2.0, np.ones((1, 1, 1))],
+                             ids=["non-square", "vector", "stack"])
+    def test_rejects_non_square(self, mat):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            DensityMatrix(mat)
+
 
 class TestCQState:
     def test_probs_sum_to_one(self):
