@@ -10,7 +10,7 @@ centers of the alpha rung, and the partitions do not nest (those of one
 fixed offset do).
 
 Every rung and discretize_position bin through one cell source
-(_grid_cells): cells are found trace first, and only the operators of the
+(_GridCells): cells are found trace first, and only the operators of the
 cells an entropy keeps are formed; a von Neumann rung forms none.
 """
 
@@ -21,6 +21,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,16 +133,24 @@ def momentum_transform(psi: GridWaveFunction) -> GridWaveFunction:
     return GridWaveFunction(p0, dp, buf)
 
 
-def _cells(psi: GridWaveFunction, part: Partition, norms: np.ndarray):
-    """The cells of psi's samples under part, as runs of consecutive samples
-    (cell indices never decrease along the grid): (start of each run, its
-    cell index k, its trace dq * sum ||psi(q_i)||^2). norms holds the
+class _Cells(NamedTuple):
+    """The cells of a grid's samples under one partition, as runs of
+    consecutive samples (cell indices never decrease along the grid): the
+    start of each run, its cell index k and its trace dq * sum ||psi(q_i)||^2."""
+
+    starts: np.ndarray
+    labels: np.ndarray
+    traces: np.ndarray
+
+
+def _cells(psi: GridWaveFunction, part: Partition, norms: np.ndarray) -> _Cells:
+    """The cells of psi's samples under part. norms holds the
     ||psi(q_i)||^2, so a cell source computes them once."""
     idx = part.cell_index(psi.grid)
     if idx[0] < part.k_min or idx[-1] > part.k_max:
         raise ValueError("partition does not cover the grid support")
     starts = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
-    return starts, idx[starts], psi.dq * np.add.reduceat(norms, starts)
+    return _Cells(starts, idx[starts], psi.dq * np.add.reduceat(norms, starts))
 
 
 def _gather(psi: GridWaveFunction, starts: np.ndarray, runs: np.ndarray) -> np.ndarray:
@@ -165,45 +174,49 @@ def _cell_stack(psi: GridWaveFunction, starts: np.ndarray, runs: np.ndarray) -> 
     return ops
 
 
-def _grid_cells(psi: GridWaveFunction):
-    """The cell source of psi's grid: a map from a Partition to (labels,
-    traces, stack, vn) of its cells.
+class _GridCells:
+    """The cell source of psi's grid: the cells of a Partition, and the two
+    readers of a mask of the cells an entropy keeps.
 
     Cells are runs of consecutive samples, found trace first (_cells) from
-    psi's density, formed once per source. stack(keep) forms the kept
-    cells' operators (_cell_stack). vn(keep) is their H(X|B) in nats from
-    their samples S_x, forming no cell operator, against omega_B of all
-    samples (qstate.sample_outer_sum), whose spectrum (entropy._spectrum)
-    the source forms once, on first use. The cross term and the support
-    test take each cell's diagonal in omega_B's eigenbasis V, dq * sum_i
+    psi's density, formed once per source. stack forms the kept cells'
+    operators (_cell_stack). vn is their H(X|B) in nats from their samples
+    S_x, forming no cell operator, against omega_B of all samples
+    (qstate.sample_outer_sum), whose spectrum (entropy._spectrum) the
+    source forms once, on first use. The cross term and the support test
+    take each cell's diagonal in omega_B's eigenbasis V, dq * sum_i
     |(S_x conj(V))_ij|^2, and the self term the spectrum of the Gram matrix
     dq * conj(S_x) S_x^T when the longest kept run has fewer samples than
     the memory has levels (else of the d x d operator): the two share their
     nonzero eigenvalues. This is the rule cond_vn_cq applies to the cq state
     of all cells.
     """
-    norms = psi.density()
-    memory = functools.cache(lambda: entropy._spectrum(sample_outer_sum(psi.samples, psi.dq)))
 
-    def cells(part: Partition):
-        starts, labels, traces = _cells(psi, part, norms)
+    def __init__(self, psi: GridWaveFunction):
+        self.psi, self.norms = psi, psi.density()
 
-        def stack(keep: np.ndarray) -> np.ndarray:
-            return _cell_stack(psi, starts, np.flatnonzero(keep))
+    def cells(self, part: Partition) -> _Cells:
+        return _cells(self.psi, part, self.norms)
 
-        def vn(keep: np.ndarray) -> float:
-            svals, vecs, on_support = memory()
-            s = _gather(psi, starts, np.flatnonzero(keep))
-            proj = (s.reshape(-1, psi.memory_dim) @ vecs.conj()).reshape(s.shape)
-            diag = psi.dq * (proj.real ** 2 + proj.imag ** 2).sum(1)
-            s_t = np.swapaxes(s, 1, 2)
-            grams = s.conj() @ s_t if s.shape[1] < psi.memory_dim else s_t @ s.conj()
-            grams *= psi.dq
-            return entropy._cond_vn_nats(svals, on_support, diag, traces[keep], grams)
+    def stack(self, cells: _Cells, keep: np.ndarray) -> np.ndarray:
+        return _cell_stack(self.psi, cells.starts, np.flatnonzero(keep))
 
-        return labels, traces, stack, vn
+    @functools.cached_property
+    def memory(self):
+        return entropy._spectrum(sample_outer_sum(self.psi.samples, self.psi.dq))
 
-    return cells
+    def vn(self, cells: _Cells, keep: np.ndarray) -> float:
+        psi = self.psi
+        svals, vecs, on_support = self.memory
+        s = _gather(psi, cells.starts, np.flatnonzero(keep))
+        proj = (s.reshape(-1, psi.memory_dim) @ vecs.conj()).reshape(s.shape)
+        diag = psi.dq * (proj.real ** 2 + proj.imag ** 2).sum(1)
+        if s.shape[1] < psi.memory_dim:
+            grams = s.conj() @ np.swapaxes(s, 1, 2)
+        else:
+            grams = np.swapaxes(s, 1, 2) @ s.conj()
+        grams *= psi.dq
+        return entropy._cond_vn_nats(svals, on_support, diag, cells.traces[keep], grams)
 
 
 def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
@@ -212,15 +225,16 @@ def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
     omega_B^k = dq * sum_{q_i in I_k} psi(q_i) psi(q_i)^dagger; for trivial
     memory this reduces to binned |psi|^2 probabilities. Cells of zero trace
     are dropped before any operator is formed; the others are formed by one
-    batched product (_grid_cells), and the state adopts that stack without
-    a copy: the outcome operators are views of it.
+    batched product (_GridCells.stack), and the state adopts that stack
+    without a copy: the outcome operators are views of it.
     """
     if part.alpha < 2.0 * psi.dq:
         raise ValueError(
             f"cell width {part.alpha} undersampled by grid spacing {psi.dq}")
-    labels, traces, stack, _ = _grid_cells(psi)(part)
-    live = traces > 0.0
-    return CQState.from_stack([str(k) for k in labels[live]], stack(live))
+    source = _GridCells(psi)
+    cells = source.cells(part)
+    live = cells.traces > 0.0
+    return CQState.from_stack([str(k) for k in cells.labels[live]], source.stack(cells, live))
 
 
 def convergence_ladder(psi: GridWaveFunction, which: str = "position",
@@ -234,7 +248,7 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     tol, which min and max ladders check as the solvers do (in (0, 1e-3]);
     the table's converged flag is False when some rung's gap exceeds tol.
 
-    Every rung reads its cells from one source of psi's grid (_grid_cells).
+    Every rung reads its cells from one source of psi's grid (_GridCells).
     Trivial memory takes the entropy of the cell traces. With a memory, the
     functional's own skip rule (qstate.kept_cells at tol: a budget of 1e-15
     nats for vn, and tol/10 of the certificate's gap for min and max) picks
@@ -274,23 +288,27 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
         raise ValueError(f"unknown observable {which!r}")
     finest = alpha0 * 2.0 ** (-n_max)
     if finest < 2.0 * psi.dq:
-        raise ValueError(f"finest cell {finest} below twice the grid spacing {psi.dq}")
-    cells, (lo, hi) = _grid_cells(psi), psi.grid[[0, -1]]
+        raise ValueError(
+            f"finest cell {finest} below twice the grid spacing {psi.dq}")
+    q, source = psi.grid, _GridCells(psi)
     rows, unconverged = [], []
     for n in range(n_max + 1):
         began = time.perf_counter()
         alpha = alpha0 * 2.0 ** (-n)
-        _, traces, stack, vn = cells(Partition.centered(alpha, lo, hi))
-        keep = traces > 0.0 if psi.memory_dim == 1 else kept_cells(traces, kind, tol)
+        cells = source.cells(Partition.centered(alpha, q[0], q[-1]))
+        traces = cells.traces
         converged = True
         if psi.memory_dim == 1:
+            keep = traces > 0.0
             val = entropy._classical_nats(traces[keep], kind)
-        elif kind == "vn":
-            val = vn(keep)
         else:
-            solve = minmax._guess if kind == "min" else minmax._fdec_ascent
-            res = solve(herm(stack(keep)), traces[~keep], tol)
-            val, converged = minmax._entropy(kind, res, "nats").value, res.converged
+            keep = kept_cells(traces, kind, tol)
+            if kind == "vn":
+                val = source.vn(cells, keep)
+            else:
+                solve = minmax._guess if kind == "min" else minmax._fdec_ascent
+                res = solve(herm(source.stack(cells, keep)), traces[~keep], tol)
+                val, converged = minmax._entropy(kind, res, "nats").value, res.converged
         val = entropy._as_base(val + math.log(alpha), base).value
         rows.append((alpha, val))
         if not converged:

@@ -205,7 +205,6 @@ def nystrom_lambda0(delta_q, delta_p, order):
     return float(np.linalg.eigvalsh(sw[:, None] * k * sw[None, :])[-1])
 
 
-
 def normal_cells(mean, sd, alpha, k):
     """Probabilities of N(mean, sd^2) in the cells ((k - 1/2) alpha,
     (k + 1/2) alpha], by scipy's normal CDF. Each is a difference of the
@@ -218,7 +217,7 @@ def normal_cells(mean, sd, alpha, k):
     return np.where(lo > 0.0, ndtr(-lo) - ndtr(-hi), ndtr(hi) - ndtr(lo))
 
 
-def epr_rung_brackets_bits(nu, alpha, nodes=16, reach=14.0):
+def epr_rung_brackets_bits(nu, alpha):
     """SDP-free brackets {"min": (lower, upper), "max": (lower, upper)} on
     H_min(Q_alpha|B) + log2 alpha and H_max(Q_alpha|B) + log2 alpha of the
     EPR state of parameter nu, in bits, for the centered cells of width
@@ -232,14 +231,15 @@ def epr_rung_brackets_bits(nu, alpha, nodes=16, reach=14.0):
     x_B ~ N(0, nu/2) and x_A | x_B ~ N(t x_B, 1/(2 nu)), t = sqrt(nu^2 - 1)/nu.
     Those are integrals over x_B of max_k P(k|x_B) and of
     (sum_k sqrt P(k|x_B))^2 against the density of x_B, taken over
-    |x_B| <= reach sd by Gauss-Legendre rules of `nodes` points on pieces
-    between the kinks of the max, where t x_B crosses a cell edge (and on
-    a uniform subdivision, so no piece is wide). Gauss-Hermite over the
-    whole line converges slowly across the kinks: at nu = 1.5 and alpha = 1,
-    100 and 200 nodes give H_min upper bounds 3e-3 apart, the 200-node one
-    still 4.4e-3 above this rule's (which a 2e6-point trapezoid rule
-    confirms to 1e-9), and numpy's 400-node rule overflows.
+    |x_B| <= 14 sd by 16-point Gauss-Legendre rules on pieces between the
+    kinks of the max, where t x_B crosses a cell edge (and on a uniform
+    subdivision, so no piece is wide). Gauss-Hermite over the whole line
+    converges slowly across the kinks: at nu = 1.5 and alpha = 1, 100 and
+    200 nodes give H_min upper bounds 3e-3 apart, the 200-node one still
+    4.4e-3 above this rule's (which a 2e6-point trapezoid rule confirms to
+    1e-9), and numpy's 400-node rule overflows.
     """
+    nodes, reach = 16, 14.0
     sd = math.sqrt(nu / 2.0)
     t, s = math.sqrt(nu * nu - 1.0) / nu, 1.0 / math.sqrt(2.0 * nu)
     span = reach * sd
