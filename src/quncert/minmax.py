@@ -36,10 +36,11 @@ against each of the m outcome blocks, or 1_A (x) Y against one block
 rho_AC. One primal-dual interior-point core solves both: HKM direction
 (Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 6, 1996) with
 Mehrotra's predictor-corrector (SIAM J. Optim. 2, 1992). An iteration makes
-one Cholesky factorization of X and Z as one stack and one Schur system in
-the entries of Y, and takes the steps of both cones by one rule, from one
-eigvalsh per direction. rho is exactly Hermitian, so Z = embed(Y) - rho is
-too. Its result is a certificate: Y shifted until feasible, X scaled until
+one Cholesky factorization of X and Z as one stack and one real symmetric
+Schur system in the q*c^2 real coordinates Re Y + Im Y of the Hermitian Y,
+and takes the steps of both cones by one rule, from one eigvalsh per
+direction. rho is exactly Hermitian, so Z = embed(Y) - rho is too. Its
+result is a certificate: Y shifted until feasible, X scaled until
 adjoint(X) = 1 to rounding, and the gap between their values.
 """
 
@@ -169,28 +170,39 @@ def _pgm(ops: np.ndarray, emb: _Embedding) -> np.ndarray:
 
 
 def _schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix, on row-major vec(D) of a (q, c, c) stack, of the map whose block
-    x is sum_{p, y} (A_pxy D_y B_pxy + B_pxy^H D_y A_pxy^H) / 2: entry
-    (x, i, j), (y, k, l) is sum_p A_pxy[i, k] B_pxy[l, j] plus its twin."""
+    """Real symmetric matrix R of the map D -> herm(sum_{p, y} A_pxy D_y B_pxy)
+    on Hermitian (q, c, c) stacks D, in the row-major real coordinates
+    K = Re D + Im D: an isometry onto real stacks, D = ((1+i)K + (1-i)K^T)/2.
+    The complex matrix S of the map on vec(D) has entry (x, i, j), (y, k, l)
+    (G[x, i, j, y, k, l] + conj(G[x, j, i, y, l, k])) / 2, with
+    G = sum_p A_pxy[i, k] B_pxy[l, j], and R = Re S + Im S', S' being S with
+    the column indices k and l swapped."""
     p, q, _, c, _ = a.shape
     g = (a.transpose(1, 2, 3, 4, 0).reshape(q, q, c * c, p)
          @ b.transpose(1, 2, 0, 4, 3).reshape(q, q, p, c * c))
     m = g.reshape(q, q, c, c, c, c).transpose(0, 2, 4, 1, 3, 5)
+    re, im = m.real, m.imag.swapaxes(4, 5)
+    r = re + im
+    r += (re - im).transpose(0, 2, 1, 3, 5, 4)
     n = q * c * c
-    return 0.5 * (m + m.transpose(0, 2, 1, 3, 5, 4).conj()).reshape(n, n)
+    return 0.5 * r.reshape(n, n)
 
 
 def _ipm(rho: np.ndarray, emb: _Embedding, tol: float):
     """Interior-point solve of min { tr Y : Z = embed(Y) - rho >= 0 } and its
     primal; rho is exactly Hermitian and Y moves by Hermitian steps, so Z is
-    too. Each iteration factors [X; Z] = L L^H as one stack, and one Schur
-    matrix from emb.pairs(X, Z^{-1}) serves predictor and corrector. Each
-    direction comes with both cones' steps min(1, -f / lambda_min), f = 1
-    (predictor) or 0.98 (corrector), lambda_min over the cone's blocks of
-    one eigvalsh of L^{-1} [dX; dZ] L^{-H}. Stops when <X, Z> < tol/100 and
-    |1 - adjoint(X)| < 1e-8, after IPM_MAX_ITER steps (read at call time),
-    or when rounding breaks the factorization. Returns (Y shifted until
-    feasible, X repaired by _pgm, iterations); Y is a (q, c, c) stack.
+    too. Each iteration factors [X; Z] = L L^H as one stack, and one real
+    Schur matrix from emb.pairs(X, Z^{-1}) (_schur) serves predictor and
+    corrector: each solves it for the real coordinates K of dY against
+    Re r + Im r of its Hermitian right-hand side r, and dY =
+    ((1+i)K + (1-i)K^T)/2 is exactly Hermitian. Each direction comes with
+    both cones' steps min(1, -f / lambda_min), f = 1 (predictor) or 0.98
+    (corrector), lambda_min over the cone's blocks of one eigvalsh of
+    L^{-1} [dX; dZ] L^{-H}, which reads one triangle. Stops when
+    <X, Z> < tol/100 and |1 - adjoint(X)| < 1e-8, after IPM_MAX_ITER steps
+    (read at call time), or when rounding breaks the factorization. Returns
+    (Y shifted until feasible, X repaired by _pgm, iterations); Y is a
+    (q, c, c) stack.
     """
     shape = emb.adjoint(rho).shape
     eye = np.broadcast_to(np.eye(shape[-1]), shape)
@@ -209,16 +221,17 @@ def _ipm(rho: np.ndarray, emb: _Embedding, tol: float):
         except np.linalg.LinAlgError:
             break
         it += 1
-        inv_h = inv_chol.conj().transpose(0, 2, 1)
+        inv_h = inv_chol.conj().mT
         zinv = inv_h[len(x):] @ inv_chol[len(x):]
         schur = _schur(*emb.pairs(x, zinv))
 
         def direction(rhs, x_term, fraction):
-            dy = herm(np.linalg.solve(schur, rhs.reshape(-1)).reshape(shape))
+            k = np.linalg.solve(schur, (rhs.real + rhs.imag).reshape(-1)).reshape(shape)
+            dy = ((1 + 1j) * k + (1 - 1j) * k.mT) / 2
             dz = emb.embed(dy)
             dx = herm(x_term - x @ dz @ zinv)
             scaled = inv_chol @ np.concatenate([dx, np.broadcast_to(dz, dx.shape)]) @ inv_h
-            low = np.linalg.eigvalsh(herm(scaled)).reshape(2, -1).min(1)
+            low = np.linalg.eigvalsh(scaled).reshape(2, -1).min(1)
             return dy, dz, dx, -fraction / np.minimum(low, -fraction)
 
         # predictor: the affine-scaling direction, towards <X, Z> = 0
@@ -226,9 +239,8 @@ def _ipm(rho: np.ndarray, emb: _Embedding, tol: float):
         shrink = _primal_value(x + step_x * dx_a, z + step_z * dz_a) / gap
         mu = shrink ** 3 * gap / size
         # corrector: towards the central point at mu, with the second-order term
-        second = dx_a @ dz_a @ zinv
-        dy, _, dx, (step_x, step_z) = direction(
-            mu * emb.adjoint(zinv) - eye - emb.adjoint(herm(second)), mu * zinv - x - second, 0.98)
+        target = mu * zinv - dx_a @ dz_a @ zinv
+        dy, _, dx, (step_x, step_z) = direction(emb.adjoint(herm(target)) - eye, target - x, 0.98)
         x = x + step_x * dx
         y = y + step_z * dy
     cert = y + _feasible_shift(rho, emb.embed(y)) * eye

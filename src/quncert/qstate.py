@@ -42,7 +42,7 @@ __all__ = [
 
 def herm(mat: np.ndarray) -> np.ndarray:
     """Symmetrized copy (M + M†)/2 of a matrix or of each of a (..., d, d) stack."""
-    return 0.5 * (mat + np.swapaxes(mat.conj(), -1, -2))
+    return 0.5 * (mat + mat.conj().mT)
 
 
 def psd_eigh(mat: np.ndarray):
@@ -57,7 +57,7 @@ def psd_funcm(mat: np.ndarray, fn) -> np.ndarray:
     """fn applied to the spectrum of psd_eigh(mat): V fn(vals) V^dagger, for
     a matrix or for each matrix of a (..., d, d) stack."""
     vals, vecs = psd_eigh(mat)
-    return (vecs * fn(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return (vecs * fn(vals)[..., None, :]) @ vecs.conj().mT
 
 
 # the most a small cell of trace t can contribute to each cq functional, on
@@ -127,6 +127,8 @@ class DensityMatrix:
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("a density matrix must have finite entries")
         object.__setattr__(self, "mat", m)
 
     @property

@@ -16,7 +16,7 @@ from quncert.minmax import (
     h_min_cq,
 )
 from quncert.entropy import cond_vn_cq
-from quncert.qstate import CQState
+from quncert.qstate import CQState, herm
 from quncert.verify import _trial_rng, haar_state, measure_to_cq, mub_pair, random_density
 
 from oracles import (
@@ -427,6 +427,30 @@ class TestPaperScale:
         assert res.value - res.gap <= 1.9565971161 <= res.value
 
 
+class TestIterationPath:
+    """Interior-point iteration counts of fixed instances, so that a change
+    to _ipm cannot trade iterations for time per iteration unseen."""
+
+    @pytest.mark.parametrize("alpha, cells", [(4.0, 9), (2.0, 17)])
+    def test_epr_rungs_with_an_8_level_memory(self, alpha, cells):
+        psi = gaussian.epr_grid_wavefunction(1.5, 4096, memory_dim=8)
+        part = discretize.Partition.centered(alpha, psi.grid[0], psi.grid[-1])
+        cq = discretize.discretize_position(psi, part)
+        assert cq.ops.shape == (cells, 8, 8)
+        res = guessing_probability(cq)
+        assert res.converged and res.iterations == 10
+
+    def test_epr_rung_with_a_19_level_memory(self):
+        psi = gaussian.epr_grid_wavefunction(1.5, 4096)
+        part = discretize.Partition.centered(0.5, psi.grid[0], psi.grid[-1])
+        res = guessing_probability(discretize.discretize_position(psi, part))
+        assert res.converged and res.iterations == 19
+
+    def test_cond_min_entropy_value(self):
+        res = cond_min_entropy_value(random_density(9, _trial_rng(91, 0)), 3, 3)
+        assert res.converged and res.iterations == 11
+
+
 EMBEDDINGS = pytest.mark.parametrize("emb, shape", [
     (_cq_embedding(4), (4, 3, 3)),
     (_tensor_embedding(3, 2), (1, 6, 6)),
@@ -436,6 +460,11 @@ EMBEDDINGS = pytest.mark.parametrize("emb, shape", [
 
 def _complex_normal(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _hermitian(rng, shape):
+    g = _complex_normal(rng, shape)
+    return g + g.conj().swapaxes(-1, -2)
 
 
 class TestEmbeddingPairs:
@@ -458,17 +487,32 @@ class TestEmbeddingPairs:
 
     @EMBEDDINGS
     def test_schur_matrix_is_the_symmetrized_map(self, emb, shape):
-        # _schur(A, B) vec(D) = vec of (L(D) + L(D^H)^H) / 2, L(D) = adjoint(X embed(D) W)
+        # _schur(A, B) (Re D + Im D) = Re H + Im H for Hermitian D, with H the
+        # symmetrized map herm(L(D)), L(D) = adjoint(X embed(D) W)
         rng = np.random.default_rng(53)
         x, w = _complex_normal(rng, (2,) + shape)
-        dmat = _complex_normal(rng, emb.adjoint(x).shape)
+        dmat = _hermitian(rng, emb.adjoint(x).shape)
+        h = herm(emb.adjoint(x @ emb.embed(dmat) @ w))
+        got = _schur(*emb.pairs(x, w)) @ (dmat.real + dmat.imag).reshape(-1)
+        assert np.allclose(got, (h.real + h.imag).reshape(-1), atol=1e-12)
 
-        def lmap(d):
-            return emb.adjoint(x @ emb.embed(d) @ w)
+    @EMBEDDINGS
+    def test_schur_matrix_is_symmetric(self, emb, shape):
+        rng = np.random.default_rng(54)
+        x, w = _hermitian(rng, (2,) + shape)
+        r = _schur(*emb.pairs(x, w))
+        assert r.dtype == float
+        assert np.allclose(r, r.T, atol=1e-12)
 
-        want = 0.5 * (lmap(dmat) + np.swapaxes(lmap(np.swapaxes(dmat.conj(), 1, 2)).conj(), 1, 2))
-        got = _schur(*emb.pairs(x, w)) @ dmat.reshape(-1)
-        assert np.allclose(got, want.reshape(-1), atol=1e-12)
+    @EMBEDDINGS
+    def test_schur_matrix_is_positive_definite(self, emb, shape):
+        # for positive definite X and W
+        rng = np.random.default_rng(55)
+        g = _complex_normal(rng, (2,) + shape)
+        x, w = g @ g.conj().swapaxes(-1, -2) + 0.1 * np.eye(shape[-1])
+        r = _schur(*emb.pairs(x, w))
+        assert np.allclose(r, r.T, atol=1e-12)
+        assert np.linalg.eigvalsh(r).min() > 0.0
 
 
 class TestHmin:

@@ -89,6 +89,13 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="expected a square matrix"):
             DensityMatrix(mat)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1j * np.inf], ids=["nan", "inf", "1j-inf"])
+    def test_rejects_non_finite_entries(self, value):
+        mat = np.diag([0.5, 0.5]).astype(complex)
+        mat[0, 0] = value
+        with pytest.raises(ValueError, match="a density matrix must have finite entries"):
+            DensityMatrix(mat)
+
 
 class TestCQState:
     def test_probs_sum_to_one(self):
