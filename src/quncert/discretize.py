@@ -27,11 +27,9 @@ import numpy as np
 
 from . import entropy
 from . import minmax
-from .qstate import CQState, GridWaveFunction, herm, kept_cells, sample_outer_sum
+from .qstate import MAX_POINTS, CQState, GridWaveFunction, herm, kept_cells, sample_outer_sum
 
 log = logging.getLogger("quncert")
-
-MAX_POINTS = 1 << 20
 
 __all__ = [
     "Partition",
@@ -249,17 +247,16 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     the table's converged flag is False when some rung's gap exceeds tol.
 
     Every rung reads its cells from one source of psi's grid (_GridCells).
-    Trivial memory takes the entropy of the cell traces. With a memory, the
-    functional's own skip rule (qstate.kept_cells at tol: a budget of 1e-15
-    nats for vn, and tol/10 of the certificate's gap for min and max) picks
-    the cells that enter. A vn rung is the source's vn of them, equal to
-    cond_vn_cq(discretize_position(psi, part)) up to rounding (within 1e-14
-    nats on the 19-level EPR state). A min or max rung hands the source's
-    stack of them, symmetrized, with the traces of the skipped cells, to
-    minmax._guess or minmax._fdec_ascent, which charge the skipped cells in
-    their one certificate: the rung is guessing_probability or
-    decoupling_fidelity of discretize_position's state, bit for bit on the
-    19-level EPR state, read through minmax._entropy. Each rung logs one
+    Trivial memory takes the entropy of the cell traces. With a memory, a
+    vn rung is the source's vn of the cells qstate.kept_cells keeps under
+    its 1e-15 nats budget, equal to cond_vn_cq(discretize_position(psi,
+    part)) up to rounding (within 1e-14 nats on the 19-level EPR state). A
+    min or max rung is the solve of minmax._solve, which keeps the cells
+    within tol/10 of the certificate's gap, has the source form their
+    stack, symmetrized, and charges the skipped cells in its one
+    certificate: the rung is guessing_probability or decoupling_fidelity
+    of discretize_position's state, bit for bit on the 19-level EPR state,
+    read through minmax._entropy. Each rung logs one
     DEBUG record to the "quncert" logger: alpha, cells, cells kept, the
     total trace of the cells not formed ("skipped trace") and seconds.
 
@@ -301,14 +298,13 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
         if psi.memory_dim == 1:
             keep = traces > 0.0
             val = entropy._classical_nats(traces[keep], kind)
+        elif kind == "vn":
+            keep = kept_cells(traces, kind)
+            val = source.vn(cells, keep)
         else:
-            keep = kept_cells(traces, kind, tol)
-            if kind == "vn":
-                val = source.vn(cells, keep)
-            else:
-                solve = minmax._guess if kind == "min" else minmax._fdec_ascent
-                res = solve(herm(source.stack(cells, keep)), traces[~keep], tol)
-                val, converged = minmax._entropy(kind, res, "nats").value, res.converged
+            keep, res = minmax._solve(kind, traces,
+                                      lambda keep: herm(source.stack(cells, keep)), tol)
+            val, converged = minmax._entropy(kind, res, "nats").value, res.converged
         val = entropy._as_base(val + math.log(alpha), base).value
         rows.append((alpha, val))
         if not converged:

@@ -115,13 +115,15 @@ def epr_grid_wavefunction(nu: float, n_points: int = 4096, memory_dim: int = Non
     harmonic-oscillator eigenfunctions (vacuum variance 1/2). memory_dim
     defaults to the smallest d with truncated weight below 1e-12, about
     14 nu levels at large nu; past nu of about 1.6e16 tanh(r) rounds to 1
-    and no d qualifies (ValueError).
+    and no d qualifies (ValueError). n_points is at most qstate.MAX_POINTS.
     """
-    from .qstate import GridWaveFunction
+    from .qstate import MAX_POINTS, GridWaveFunction
 
     _check_nu(nu)
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if n_points > MAX_POINTS:
+        raise ValueError(f"n_points must be at most {MAX_POINTS}, got {n_points}")
     if memory_dim is not None and memory_dim < 1:
         raise ValueError(f"memory_dim must be at least 1, got {memory_dim}")
     r = 0.5 * math.acosh(nu)

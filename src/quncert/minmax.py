@@ -25,9 +25,10 @@ decoupling_fidelity climbs it by block-coordinate ascent, one d x d SVD per
 block step, and certifies the result with the dual that complementary
 slackness reads off the unitaries (_ascent_bound).
 
-Both cq solvers, _guess and _fdec_ascent, take the stack of the cells
-kept (qstate.kept_cells at tol) and the traces of the others, and build and
-charge their whole bracket, so converged means a charged gap of at most tol.
+Every cq min or max solve is one _solve call. It skips the smallest cells
+within tol/10 of the gap and hands the stack of the kept ones, with the
+skipped traces, to _guess or _fdec_ascent; these build and charge their
+whole bracket, so converged means a charged gap of at most tol.
 
 The guessing SDP and 2^{-H_min(A|C)} read min { tr Y : embed(Y) >= rho_j
 for every block j } over a (q, c, c) stack Y and a stack of blocks rho,
@@ -53,7 +54,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .entropy import EntropyValue, _as_base, _finite
-from .qstate import CQState, POVM, _root_share, herm, kept_cells, psd_eigh, psd_funcm
+from .qstate import CQState, POVM, herm, kept_cells, psd_eigh, psd_funcm
 # unused here; perfbench/spans.py traces these two bindings of this module by name
 from .qstate import partial_trace, purify_cq  # noqa: F401
 
@@ -294,16 +295,14 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     sigma >= omega_x has tr sigma = value + gap, an upper bound.
 
     The smallest outcomes are skipped while their traces sum to at most
-    tol/10 (qstate.kept_cells at tol, bound t_y per cell) and charged by
-    _guess; the outcome count that picks the solver is that of the
-    outcomes kept. A skipped outcome gets E_y = 0, so the POVM keeps one
+    tol/10 (_solve, bound t_y per cell) and charged by _guess; the outcome
+    count that picks the solver is that of the outcomes kept. A skipped outcome gets E_y = 0, so the POVM keeps one
     element per label and the value is still sum_x tr[omega_x E_x]. The
     certificate is sigma + sum_y omega_y over the skipped y.
     """
     _check_tol(tol)
-    ops, t = omega.ops, omega.probs
-    keep = kept_cells(t, "min", tol)
-    res = _guess(ops[keep], t[~keep], tol)
+    ops = omega.ops
+    keep, res = _solve("min", omega.probs, lambda keep: ops[keep], tol)
     elements = np.zeros(ops.shape, dtype=complex)
     elements[keep] = res.primal_povm.elements
     return replace(res, primal_povm=POVM(elements),
@@ -417,6 +416,12 @@ def _ascent_bound(vals: np.ndarray, vecs: np.ndarray, keep: np.ndarray,
     return None
 
 
+def _root_share(r: float, share: float) -> float:
+    """The root T >= 0 of 2rT + T^2 = share: a charge (sqrt(U) + T)^2 then
+    lies at most share above U <= r^2."""
+    return share / (r + math.sqrt(r * r + share))
+
+
 def _fdec_ascent(ops: np.ndarray, skipped: np.ndarray, tol: float) -> SDPResult:
     """F_dec of the kept cells' stack ops and the skipped traces t_y, by
     block-coordinate ascent over the unitaries of ||A||_F^2,
@@ -445,8 +450,8 @@ def _fdec_ascent(ops: np.ndarray, skipped: np.ndarray, tol: float) -> SDPResult:
     1_d blocks, give F_dec >= ||A||_F^2 + sum_y t_y. Both are clamped to
     R^2, R = sum_x sqrt(t_x) over all cells, since H_max(X|B) <= H_max(X),
     so one outcome gives tr omega exactly. All that is left out may cost
-    2RT + T^2 <= tol/5 (qstate._root_share): the cells take their tol/10
-    first, and the directions split the rest of that root evenly.
+    2RT + T^2 <= tol/5 (_root_share): the cells take their tol/10 first
+    (_solve), and the directions split the rest of that root evenly.
     """
     cap = ASCENT_MAX_SWEEPS
     m, d = ops.shape[:2]
@@ -493,6 +498,24 @@ def _fdec_ascent(ops: np.ndarray, skipped: np.ndarray, tol: float) -> SDPResult:
     return _certified(upper, upper - lower, sweeps, tol)
 
 
+def _solve(kind: str, traces: np.ndarray, form: Callable, tol: float):
+    """(keep-mask, result) of the P_guess (kind "min") or F_dec ("max")
+    solve at tol of a cq state given by its cell traces and form(keep),
+    the Hermitian stack of the cells a mask keeps.
+
+    qstate.kept_cells skips the smallest cells whose charge fits in tol/10
+    of the gap: S = sum_y t_y <= tol/10 for P_guess (_guess), and for
+    sqrt(F_dec) (_fdec_ascent) T = sum_y sqrt(t_y) up to the root of
+    2RT + T^2 = tol/10 (_root_share), R = sum_x sqrt(t_x) over all cells.
+    """
+    budget = 0.1 * tol
+    if kind == "max":
+        budget = _root_share(float(np.sqrt(np.clip(traces, 0.0, None)).sum()), budget)
+    keep = kept_cells(traces, kind, budget)
+    solver = _guess if kind == "min" else _fdec_ascent
+    return keep, solver(form(keep), traces[~keep], tol)
+
+
 def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     """F_dec(X|B) = sup_sigma (sum_x sqrt(F(omega_B^x, sigma)))^2.
 
@@ -504,13 +527,11 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     ascent's lower bound, and iterations the number of sweeps.
 
     The smallest cells are skipped while T = sum_y sqrt(t_y) keeps
-    2RT + T^2, R = sum_x sqrt(t_x), at most tol/10 (qstate.kept_cells at
-    tol, bound sqrt(t_y) per cell) and charged by _fdec_ascent.
+    2RT + T^2, R = sum_x sqrt(t_x), at most tol/10 (_solve, bound
+    sqrt(t_y) per cell) and charged by _fdec_ascent.
     """
     _check_tol(tol)
-    ops, t = omega.ops, omega.probs
-    keep = kept_cells(t, "max", tol)
-    return _fdec_ascent(ops[keep], t[~keep], tol)
+    return _solve("max", omega.probs, lambda keep: omega.ops[keep], tol)[1]
 
 
 def h_max_cq(omega: CQState, tol: float = DEFAULT_TOL, base: str = "bits") -> EntropyValue:

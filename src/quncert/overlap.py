@@ -161,6 +161,8 @@ def _doubling(delta_q: float, delta_p: float):
     its even block, converged) from eigenvalues alone (eigvalsh)."""
     if not (0.0 < delta_q < math.inf and 0.0 < delta_p < math.inf):
         raise ValueError(f"spacings must be positive and finite, got {delta_q} and {delta_p}")
+    if not math.isfinite(delta_q * delta_p):
+        raise ValueError(f"spacings {delta_q} and {delta_p} too large: their product overflows")
     if delta_q * delta_p / (2.0 * math.pi) < np.finfo(float).tiny:
         raise ValueError(f"spacings {delta_q} and {delta_p} too small: "
                          f"the overlap, about their product / (2 pi), underflows")

@@ -23,6 +23,8 @@ TRACE_TOL = 1e-9
 NORM_TOL = 1e-8
 # total accounted contribution of the cells a cq functional may skip
 NEGLIGIBLE = 1e-15
+# the most grid points a wavefunction constructor samples
+MAX_POINTS = 1 << 20
 
 __all__ = [
     "DensityMatrix",
@@ -69,46 +71,22 @@ _CELL_BOUNDS = {
 }
 
 
-def _root_share(r: float, share: float) -> float:
-    """The root T >= 0 of 2rT + T^2 = share: a charge (sqrt(U) + T)^2 then
-    lies at most share above U <= r^2."""
-    return share / (r + math.sqrt(r * r + share))
-
-
-def _skip_budget(traces: np.ndarray, kind: str, tol: float | None) -> float:
-    """The most the skipped cells' bounds may sum to.
-
-    NEGLIGIBLE for vn, whose values are exact to rounding, and for every
-    kind without a tol. A certified min or max solve at tol spends tol/10
-    of its gap on the skipped cells: P_guess is charged S = sum t, so
-    S <= tol/10; sqrt(F_dec) is charged T = sum sqrt(t), so T is the root
-    of 2RT + T^2 = tol/10 (_root_share), R = sum_x sqrt(t_x) over all
-    cells; the rest of a tol/5 root is minmax._fdec_ascent's.
-    """
-    if kind == "vn" or tol is None:
-        return NEGLIGIBLE
-    share = 0.1 * tol
-    if kind == "min":
-        return share
-    return _root_share(float(np.sqrt(np.clip(traces, 0.0, None)).sum()), share)
-
-
-def kept_cells(traces: np.ndarray, kind: str, tol: float | None = None) -> np.ndarray:
+def kept_cells(traces: np.ndarray, kind: str, budget: float | None = None) -> np.ndarray:
     """Keep-mask of a cq state's cells: False on those a functional may skip.
 
     traces are the cell traces t_x; kind is the functional, "vn", "min" or
     "max", whose bound on what one cell of trace t can contribute is
     -t ln t, t or sqrt(t). With the cells in increasing order of trace, the
     skipped cells are the longest leading run whose bounds sum to at most
-    the budget (_skip_budget): tol/10 of a min or max solve's gap at tol,
-    NEGLIGIBLE = 1e-15 for vn or when tol is None. Only cells with
-    0 <= t <= budget are candidates, so a cell of negative trace is never
-    skipped, and the largest cell is always kept. The caller accounts for
-    the skipped cells.
+    budget, NEGLIGIBLE = 1e-15 when None (minmax._solve sets the budget of
+    a min or max solve). Only cells with 0 <= t <= budget are candidates,
+    so a cell of negative trace is never skipped, and the largest cell is
+    always kept. The caller accounts for the skipped cells.
     """
     tr = np.asarray(traces, dtype=float)
     bound = _CELL_BOUNDS[kind]
-    budget = _skip_budget(tr, kind, tol)
+    if budget is None:
+        budget = NEGLIGIBLE
     cand = np.flatnonzero((tr >= 0.0) & (tr <= budget))
     cand = cand[np.argsort(tr[cand], kind="stable")]
     n = int(np.searchsorted(np.cumsum(bound(tr[cand])), budget, side="right"))

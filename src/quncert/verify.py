@@ -4,9 +4,9 @@ relations and the supporting entropy lemmas.
 Every checker is a trial body run by one loop, `_run`. Trial t draws its
 instance from its own generator `_trial_rng(seed, t)`, so a report does not
 depend on execution order, and gives its slacks LHS - RHS. A violation is a
-slack below -1e-7, matching the SDP solver tolerance. A trial whose SDP
-solve stops at its iteration cap adds no slack and is counted as
-unconverged instead; a report with an unconverged trial does not pass. The
+slack below VIOLATION_TOL = -minmax.DEFAULT_TOL, the SDP solvers' default
+tolerance. A trial whose SDP solve stops at its iteration cap adds no slack
+and is counted as unconverged instead; a report with an unconverged trial does not pass. The
 report names the trial that holds the minimum slack, `worst_trial`, so that
 `_trial_rng(seed, worst_trial)` replays it.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from . import entropy, minmax, overlap
 from .qstate import CQState, POVM, herm, partial_trace, psd_eigh, psd_funcm, purify_cq
 
-VIOLATION_TOL = -1e-7
+VIOLATION_TOL = -minmax.DEFAULT_TOL
 
 __all__ = [
     "CheckReport",

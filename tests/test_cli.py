@@ -522,6 +522,8 @@ class TestCLI:
         (["overlap", "--delta-q", "1", "--delta-p", "inf"], "spacings must be positive and finite"),
         (["overlap", "--delta-q", "1e-300", "--delta-p", "1e-300"],
          "spacings 1e-300 and 1e-300 too small"),
+        (["overlap", "--delta-q", "1e200", "--delta-p", "1e200"],
+         "spacings 1e+200 and 1e+200 too large: their product overflows"),
         (["ladder", "--n-points", "256", "--alpha0", "nan"], "alpha0 must be positive and finite"),
         (["ladder", "--n-points", "256", "--alpha0", "inf"], "alpha0 must be positive and finite"),
         (["ladder", "--sigma", "inf", "--n-max", "0"], "sigma must be positive and finite"),
@@ -556,7 +558,8 @@ class TestCLI:
          "density matrix: non-finite entries in re or im"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
             "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
-            "ladder-cq", "overlap-nan", "overlap-inf", "overlap-underflow", "ladder-alpha0-nan",
+            "ladder-cq", "overlap-nan", "overlap-inf", "overlap-underflow", "overlap-overflow",
+            "ladder-alpha0-nan",
             "ladder-alpha0-inf", "ladder-sigma-inf", "verify-dims-0", "verify-dims-negative",
             "verify-seed-negative", "sweep-count-0", "epr-gap-n-0", "epr-gap-nan",
             "epr-gap-r-overflow", "epr-gap-r-inf", "sweep-log-negative", "sweep-log-zero",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quncert import discretize
+from quncert import discretize, minmax
 from quncert.discretize import (
     ConvergenceTable,
     Partition,
@@ -19,8 +19,7 @@ from quncert.discretize import (
 from quncert.entropy import cond_vn_cq
 from quncert.gaussian import epr_grid_wavefunction
 from quncert.minmax import DEFAULT_TOL, decoupling_fidelity, guessing_probability
-from quncert.qstate import (NEGLIGIBLE, CQState, GridWaveFunction, kept_cells, sample_outer_sum,
-                            validate)
+from quncert.qstate import NEGLIGIBLE, CQState, GridWaveFunction, sample_outer_sum, validate
 
 from oracles import (binned_cond_vn_nats, binned_cq, binned_cq_loop, epr_rung_brackets_bits,
                      gaussian_h_bits, gaussian_hmax_bits, gaussian_hmin_bits, momentum_fftshift)
@@ -396,7 +395,8 @@ class TestTraceFirstLadder:
         phi = momentum_transform(EPR)
         full = discretize_position(phi, Partition.centered(2.0, phi.grid[0], phi.grid[-1]))
         for kind in ("min", "max"):
-            kept = int(kept_cells(full.probs, kind, DEFAULT_TOL).sum())
+            keep, _ = minmax._solve(kind, full.probs, lambda keep: full.ops[keep], DEFAULT_TOL)
+            kept = int(keep.sum())
             assert kept < len(full.labels)
             built.clear()
             stacked.clear()
@@ -554,7 +554,6 @@ class TestConvergenceLadder:
 
     @pytest.mark.parametrize("kind", ["min", "max"])
     def test_capped_rungs_are_reported(self, monkeypatch, kind):
-        from quncert import minmax
         from quncert.gaussian import epr_grid_wavefunction
 
         psi = epr_grid_wavefunction(1.5, memory_dim=3)

@@ -7,6 +7,7 @@ import pytest
 
 from quncert.discretize import Partition, convergence_ladder, discretize_position
 from quncert.entropy import von_neumann
+from quncert.qstate import MAX_POINTS
 from quncert.gaussian import (
     GAP_SERIES_NU,
     epr_conditional_entropies,
@@ -107,6 +108,17 @@ class TestEPRWavefunction:
     def test_rejects_degenerate_grid(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             epr_grid_wavefunction(1.5, **kwargs)
+
+    def test_rejects_more_points_than_the_cap_before_allocating(self, monkeypatch):
+        # the cap is checked before the grid or the samples are made: any
+        # array built first would fail the test instead of raising ValueError
+        def no_array(*args, **kwargs):
+            raise AssertionError("an array was made before the cap was checked")
+        for name in ("arange", "zeros", "empty"):
+            monkeypatch.setattr(np, name, no_array)
+        with pytest.raises(ValueError, match=re.escape(
+                f"n_points must be at most {MAX_POINTS}, got {MAX_POINTS + 1}")):
+            epr_grid_wavefunction(1.5, n_points=MAX_POINTS + 1)
 
     def test_normalized(self):
         psi = epr_grid_wavefunction(2.0, n_points=2048)

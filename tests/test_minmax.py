@@ -166,7 +166,7 @@ class TestGuessingProbability:
         assert math.isclose(guessing_probability(cq).value, 1.0, abs_tol=1e-12)
 
 
-def _solve(kind, ops, skipped, tol):
+def _solver(kind, ops, skipped, tol):
     """The solver of kind ("min": _guess, "max": _fdec_ascent) on the kept
     stack ops, charged for the skipped traces."""
     return (minmax._guess if kind == "min" else minmax._fdec_ascent)(ops, skipped, tol)
@@ -174,7 +174,13 @@ def _solve(kind, ops, skipped, tol):
 
 def _untrimmed(kind, cq, tol=minmax.DEFAULT_TOL):
     """The solver of kind on every cell of cq, none skipped."""
-    return _solve(kind, cq.ops, np.empty(0), tol)
+    return _solver(kind, cq.ops, np.empty(0), tol)
+
+
+def _kept(kind, traces, tol):
+    """The keep-mask minmax._solve picks at tol for cells of these traces,
+    which it solves here as 1 x 1 cells."""
+    return minmax._solve(kind, traces, lambda keep: traces[keep, None, None] + 0j, tol)[0]
 
 
 def _trimmed_cq(seed, m, d):
@@ -184,12 +190,13 @@ def _trimmed_cq(seed, m, d):
     and skips it at tol 1e-7."""
     rng = _trial_rng(seed, 0)
     cq = with_cells(random_cq(rng, m, d), rng, [1e-40, 1e-20, 1e-40])
-    for tol in (None, 1e-7, 1e-9):
-        assert qstate.kept_cells(cq.probs, "min", tol).tolist() == [True] * m + [False] * 3
-    for tol in (None, 1e-9):
-        assert (qstate.kept_cells(cq.probs, "max", tol).tolist()
-                == [True] * m + [False, True, False])
-    assert qstate.kept_cells(cq.probs, "max", 1e-7).tolist() == [True] * m + [False] * 3
+    t = cq.probs
+    assert qstate.kept_cells(t, "min").tolist() == [True] * m + [False] * 3
+    for tol in (1e-7, 1e-9):
+        assert _kept("min", t, tol).tolist() == [True] * m + [False] * 3
+    assert qstate.kept_cells(t, "max").tolist() == [True] * m + [False, True, False]
+    assert _kept("max", t, 1e-9).tolist() == [True] * m + [False, True, False]
+    assert _kept("max", t, 1e-7).tolist() == [True] * m + [False] * 3
     return cq
 
 
@@ -259,14 +266,6 @@ class TestDecouplingTrim:
         assert decoupling_fidelity(cq, 1e-7) == _untrimmed("max", cq, 1e-7)
 
 
-def _charged(kind, cq, tol, budget_tol):
-    """The solve of cq at tol that skips the cells kept_cells skips at
-    budget_tol (None: the 1e-15 budget) and charges for them."""
-    t = cq.probs
-    keep = qstate.kept_cells(t, kind, budget_tol)
-    return _solve(kind, cq.ops[keep], t[~keep], tol), keep
-
-
 def _spy_directions(monkeypatch):
     """The list that each _kept_directions call appends its per-cell
     budget, mask and charge to."""
@@ -301,36 +300,35 @@ class TestTolBudget:
     def test_budget_rule(self):
         t = np.array([0.5, 0.3, 0.2 - 1.1e-8, 6e-9, 4e-9, 1e-9, 4e-18, 1e-18])
         # P_guess: the smallest traces while they sum to at most tol/10
-        assert qstate.kept_cells(t, "min", 1e-7).tolist() == [True] * 4 + [False] * 4
+        assert _kept("min", t, 1e-7).tolist() == [True] * 4 + [False] * 4
         # sqrt(F_dec): T = sum sqrt(t) with 2RT + T^2 <= tol/10, R = 1.70...
-        keep = qstate.kept_cells(t, "max", 1e-7)
+        keep = _kept("max", t, 1e-7)
         assert keep.tolist() == [True] * 7 + [False]
         r, root = float(np.sqrt(t).sum()), float(np.sqrt(t[~keep]).sum())
         assert (2.0 * r + root) * root <= 1e-8
         root += math.sqrt(4e-18)
         assert (2.0 * r + root) * root > 1e-8
-        # vn keeps its 1e-15 budget whatever the tol
-        for tol in (1e-7, 1e-3):
-            assert np.array_equal(qstate.kept_cells(t, "vn", tol), qstate.kept_cells(t, "vn"))
+        # vn has no tol: its budget is 1e-15
+        assert qstate.kept_cells(t, "vn").tolist() == [True] * 6 + [False] * 2
         # a large tol still keeps the largest cell and no cell of negative trace
-        assert qstate.kept_cells(np.array([1e-4, 2e-4]), "min", 1e-3).tolist() == [False, True]
-        assert qstate.kept_cells(np.array([1.0, -1e-9]), "min", 1e-3).tolist() == [True, True]
+        assert _kept("min", np.array([1e-4, 2e-4]), 1e-3).tolist() == [False, True]
+        assert _kept("min", np.array([1.0, -1e-9]), 1e-3).tolist() == [True, True]
 
     def test_one_budget_for_skipped_cells_and_left_out_directions(self, monkeypatch):
         # the skipped cells' sqrt-charge stays within the tol/10 root; the
         # directions may take the rest of the tol/5 root, split over the m
         # kept cells, so the whole T keeps 2RT + T^2 within tol/5
-        seen = _spy_directions(monkeypatch)
         rng = _trial_rng(101, 0)
         cq = with_cells(random_cq(rng, 3, 3), rng, [1e-9, 1e-9, 1e-18])
         t, tol = cq.probs, 1e-7
         res = guessing_probability(cq, tol)
-        skipped = t[~qstate.kept_cells(t, "min", tol)]
+        skipped = t[~_kept("min", t, tol)]
         assert len(skipped) == 3 and skipped.sum() <= 0.1 * tol
         assert res.converged and res.gap >= skipped.sum()
+        skipped = t[~_kept("max", t, tol)]
+        seen = _spy_directions(monkeypatch)
         res = decoupling_fidelity(cq, tol)
         assert res.converged and 0.0 <= res.gap <= tol
-        skipped = t[~qstate.kept_cells(t, "max", tol)]
         assert skipped.tolist() == [t[-1]]
         r, cells = float(np.sqrt(t).sum()), float(np.sqrt(skipped).sum())
         assert (2.0 * r + cells) * cells <= 0.1 * tol
@@ -354,7 +352,7 @@ class TestTolBudget:
         cq = with_cells(CQState(tuple((str(x), op) for x, op in enumerate(ops))), rng,
                         [1e-14, 1e-40])
         t, tol = cq.probs, 1e-5
-        assert qstate.kept_cells(t, "max", tol).tolist() == [True] * 4 + [False] * 2
+        assert _kept("max", t, tol).tolist() == [True] * 4 + [False] * 2
         seen = _spy_directions(monkeypatch)
         res = decoupling_fidelity(cq, tol)
         ((_, keep, directions),) = seen
@@ -364,6 +362,34 @@ class TestTolBudget:
         assert res.converged and oracle.converged and 0.0 <= res.gap <= tol
         assert res.value - res.gap <= oracle.value + 1e-12
         assert oracle.value - oracle.gap <= res.value + 1e-12
+
+    def test_every_min_max_solve_goes_through_solve(self, monkeypatch):
+        # the entries and the min and max ladder rungs each make one _solve
+        # call per solve, and return what it solved; a vn rung makes none
+        calls, real = [], minmax._solve
+
+        def spy(kind, traces, form, tol):
+            keep, res = real(kind, traces, form, tol)
+            calls.append((kind, res))
+            return keep, res
+        monkeypatch.setattr(minmax, "_solve", spy)
+        cq = _epr_rung("position", 2.0)
+        for kind, entry in (("min", guessing_probability), ("max", decoupling_fidelity)):
+            calls.clear()
+            res = entry(cq)
+            ((got, solved),) = calls
+            assert got == kind and (res.value, res.gap) == (solved.value, solved.gap)
+        psi = gaussian.epr_grid_wavefunction(1.5, n_points=2048)
+        for kind in ("min", "max"):
+            calls.clear()
+            tab = discretize.convergence_ladder(psi, "position", kind, n_max=0, alpha0=2.0,
+                                                base="nats")
+            ((got, solved),) = calls
+            value = minmax._entropy(kind, solved, "nats").value + math.log(2.0)
+            assert got == kind and tab.values.tolist() == [value]
+        calls.clear()
+        discretize.convergence_ladder(psi, "position", "vn", n_max=1)
+        assert calls == []
 
     @pytest.mark.parametrize("kind", ["min", "max"])
     @pytest.mark.parametrize("tol", [1e-7, 1e-9])
@@ -384,11 +410,13 @@ class TestTolBudget:
         """The charged solve at tol is converged with gap <= tol, and its
         bracket meets that of the same solve under the 1e-15 budget.
         Returns both keep-masks."""
-        res, keep = _charged(kind, cq, tol, tol)
+        t = cq.probs
+        keep, res = minmax._solve(kind, t, lambda keep: cq.ops[keep], tol)
         entry = (guessing_probability if kind == "min" else decoupling_fidelity)(cq, tol)
         fields = lambda r: (r.value, r.gap, r.iterations, r.converged)
         assert fields(res) == fields(entry)
-        ref, ref_keep = _charged(kind, cq, tol, None)
+        ref_keep = qstate.kept_cells(t, kind)
+        ref = _solver(kind, cq.ops[ref_keep], t[~ref_keep], tol)
         assert res.converged and 0.0 <= res.gap <= tol
         lo, hi = _bracket(kind, res)
         ref_lo, ref_hi = _bracket(kind, ref)
@@ -421,7 +449,7 @@ class TestPaperScale:
         part = discretize.Partition.centered(2.0, psi.grid[0], psi.grid[-1])
         cq = discretize.discretize_position(psi, part)
         assert int(qstate.kept_cells(cq.probs, "max").sum()) == 11
-        assert int(qstate.kept_cells(cq.probs, "max", minmax.DEFAULT_TOL).sum()) == 9
+        assert int(_kept("max", cq.probs, minmax.DEFAULT_TOL).sum()) == 9
         res = decoupling_fidelity(cq)
         assert res.converged
         assert res.value - res.gap <= 1.9565971161 <= res.value

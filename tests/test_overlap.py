@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ class TestProlateOverlap:
     def test_rejects_spacings_whose_overlap_underflows(self, d):
         with pytest.raises(ValueError, match=f"spacings {d} and {d} too small"):
             prolate_overlap(d, d)
+
+    @pytest.mark.parametrize("delta_q, delta_p", [(1e200, 1e200), (1e300, 1e10)])
+    def test_rejects_spacings_whose_product_overflows(self, delta_q, delta_p):
+        with pytest.raises(ValueError, match=re.escape(
+                f"spacings {delta_q} and {delta_p} too large: their product overflows")):
+            prolate_overlap(delta_q, delta_p)
 
     def test_rejects_nonpositive_spacing(self):
         with pytest.raises(ValueError):
