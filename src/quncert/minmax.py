@@ -296,9 +296,10 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
 
     The smallest outcomes are skipped while their traces sum to at most
     tol/10 (_solve, bound t_y per cell) and charged by _guess; the outcome
-    count that picks the solver is that of the outcomes kept. A skipped outcome gets E_y = 0, so the POVM keeps one
-    element per label and the value is still sum_x tr[omega_x E_x]. The
-    certificate is sigma + sum_y omega_y over the skipped y.
+    count that picks the solver is that of the outcomes kept. A skipped
+    outcome gets E_y = 0, so the POVM keeps one element per label and the
+    value is still sum_x tr[omega_x E_x]. The certificate is
+    sigma + sum_y omega_y over the skipped y.
     """
     _check_tol(tol)
     ops = omega.ops

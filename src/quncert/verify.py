@@ -6,9 +6,9 @@ instance from its own generator `_trial_rng(seed, t)`, so a report does not
 depend on execution order, and gives its slacks LHS - RHS. A violation is a
 slack below VIOLATION_TOL = -minmax.DEFAULT_TOL, the SDP solvers' default
 tolerance. A trial whose SDP solve stops at its iteration cap adds no slack
-and is counted as unconverged instead; a report with an unconverged trial does not pass. The
-report names the trial that holds the minimum slack, `worst_trial`, so that
-`_trial_rng(seed, worst_trial)` replays it.
+and is counted as unconverged instead; a report with an unconverged trial
+does not pass. The report names the trial that holds the minimum slack,
+`worst_trial`, so that `_trial_rng(seed, worst_trial)` replays it.
 """
 
 from __future__ import annotations
