@@ -9,14 +9,14 @@ edges at (k - 1/2)*alpha, so the edges of the 2*alpha rung fall on cell
 centers of the alpha rung, and the partitions do not nest (those of one
 fixed offset do).
 
-Every rung and discretize_position bin through one cell source
-(_GridCells): cells are found trace first, and only the operators of the
-cells an entropy keeps are formed; a von Neumann rung forms none.
+Every rung and discretize_position bin into one cell class (_Cells),
+whose cells carry their own weighted sample rows: cells are found trace
+first, and only the operators of the cells an entropy keeps are formed; a
+von Neumann rung forms none.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import time
@@ -132,89 +132,73 @@ def momentum_transform(psi: GridWaveFunction) -> GridWaveFunction:
 
 
 class _Cells(NamedTuple):
-    """The cells of a grid's samples under one partition, as runs of
-    consecutive samples (cell indices never decrease along the grid): the
-    start of each run, its cell index k and its trace dq * sum ||psi(q_i)||^2."""
+    """Cells as runs of consecutive rows of one (rows, d) sample array, with
+    omega_x = weight * sum_{i in run x} rows_i rows_i^dagger: the start of
+    each run (cell indices never decrease along the rows), its cell index k
+    and its trace, the rows the runs index, and the one weight. A grid's
+    rows are its samples psi(q_i) and its weight dq (_cells); a source with
+    a weight per sample folds sqrt(w_i) into its rows and takes weight 1.
+
+    stack and vn read a mask of the cells an entropy keeps. stack forms the
+    kept cells' operators by one batched product weight * S^T conj(S) over
+    their zero-padded runs S (padded). vn is their H(X|B) in nats from S,
+    forming no cell operator, against memory, the spectrum of omega_B
+    (entropy._spectrum) that its caller forms once. The cross term and the
+    support test take each cell's diagonal in omega_B's eigenbasis V,
+    weight * sum_i |(S_x conj(V))_ij|^2, and the self term the spectrum of
+    the Gram matrix weight * conj(S_x) S_x^T when the longest kept run has
+    fewer rows than the memory has levels (else of the d x d operator): the
+    two share their nonzero eigenvalues. This is the rule cond_vn_cq
+    applies to the cq state of all cells.
+    """
 
     starts: np.ndarray
     labels: np.ndarray
     traces: np.ndarray
+    rows: np.ndarray
+    weight: float
+
+    def padded(self, keep: np.ndarray) -> np.ndarray:
+        """The rows of the kept runs in a zero-padded (runs, longest run, d)
+        array S: S[r, i] is the i-th row of the r-th kept run."""
+        runs = np.flatnonzero(keep)
+        first, counts = self.starts[runs], np.diff(self.starts, append=len(self.rows))[runs]
+        pos = np.arange(counts.max(initial=0))
+        filled = pos < counts[:, None]
+        padded = np.zeros(filled.shape + self.rows.shape[1:], dtype=complex)
+        padded[filled] = np.take(self.rows, (first[:, None] + pos)[filled], axis=0)
+        return padded
+
+    def stack(self, keep: np.ndarray) -> np.ndarray:
+        s = self.padded(keep)
+        ops = np.swapaxes(s, 1, 2) @ s.conj()
+        ops *= self.weight
+        return ops
+
+    def vn(self, keep: np.ndarray, memory: tuple) -> float:
+        svals, vecs, on_support = memory
+        s = self.padded(keep)
+        d = s.shape[2]
+        proj = (s.reshape(-1, d) @ vecs.conj()).reshape(s.shape)
+        diag = self.weight * (proj.real ** 2 + proj.imag ** 2).sum(1)
+        if s.shape[1] < d:
+            grams = s.conj() @ np.swapaxes(s, 1, 2)
+        else:
+            grams = np.swapaxes(s, 1, 2) @ s.conj()
+        grams *= self.weight
+        return entropy._cond_vn_nats(svals, on_support, diag, self.traces[keep], grams)
 
 
 def _cells(psi: GridWaveFunction, part: Partition, norms: np.ndarray) -> _Cells:
-    """The cells of psi's samples under part. norms holds the
-    ||psi(q_i)||^2, so a cell source computes them once."""
+    """The cells of psi's grid under part: its samples, binned by
+    part.cell_index, with weight dq. norms holds the ||psi(q_i)||^2, so
+    that a ladder computes them once."""
     idx = part.cell_index(psi.grid)
     if idx[0] < part.k_min or idx[-1] > part.k_max:
         raise ValueError("partition does not cover the grid support")
     starts = np.flatnonzero(np.diff(idx, prepend=idx[0] - 1))
-    return _Cells(starts, idx[starts], psi.dq * np.add.reduceat(norms, starts))
-
-
-def _gather(psi: GridWaveFunction, starts: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """The samples of the listed runs in a zero-padded (runs, longest run, d)
-    array S: S[r, i] is the i-th sample of run r."""
-    first, counts = starts[runs], np.diff(starts, append=psi.n_points)[runs]
-    pos = np.arange(counts.max(initial=0))
-    filled = pos < counts[:, None]
-    padded = np.zeros(filled.shape + (psi.memory_dim,), dtype=complex)
-    padded[filled] = np.take(psi.samples, (first[:, None] + pos)[filled], axis=0)
-    return padded
-
-
-def _cell_stack(psi: GridWaveFunction, starts: np.ndarray, runs: np.ndarray) -> np.ndarray:
-    """omega_B^k = dq * sum_{q_i in run} psi(q_i) psi(q_i)^dagger for the
-    listed runs, formed from their gathered samples S (_gather) by one
-    batched product dq * S^T conj(S)."""
-    padded = _gather(psi, starts, runs)
-    ops = np.swapaxes(padded, 1, 2) @ padded.conj()
-    ops *= psi.dq
-    return ops
-
-
-class _GridCells:
-    """The cell source of psi's grid: the cells of a Partition, and the two
-    readers of a mask of the cells an entropy keeps.
-
-    Cells are runs of consecutive samples, found trace first (_cells) from
-    psi's density, formed once per source. stack forms the kept cells'
-    operators (_cell_stack). vn is their H(X|B) in nats from their samples
-    S_x, forming no cell operator, against omega_B of all samples
-    (qstate.sample_outer_sum), whose spectrum (entropy._spectrum) the
-    source forms once, on first use. The cross term and the support test
-    take each cell's diagonal in omega_B's eigenbasis V, dq * sum_i
-    |(S_x conj(V))_ij|^2, and the self term the spectrum of the Gram matrix
-    dq * conj(S_x) S_x^T when the longest kept run has fewer samples than
-    the memory has levels (else of the d x d operator): the two share their
-    nonzero eigenvalues. This is the rule cond_vn_cq applies to the cq state
-    of all cells.
-    """
-
-    def __init__(self, psi: GridWaveFunction):
-        self.psi, self.norms = psi, psi.density()
-
-    def cells(self, part: Partition) -> _Cells:
-        return _cells(self.psi, part, self.norms)
-
-    def stack(self, cells: _Cells, keep: np.ndarray) -> np.ndarray:
-        return _cell_stack(self.psi, cells.starts, np.flatnonzero(keep))
-
-    @functools.cached_property
-    def memory(self):
-        return entropy._spectrum(sample_outer_sum(self.psi.samples, self.psi.dq))
-
-    def vn(self, cells: _Cells, keep: np.ndarray) -> float:
-        psi = self.psi
-        svals, vecs, on_support = self.memory
-        s = _gather(psi, cells.starts, np.flatnonzero(keep))
-        proj = (s.reshape(-1, psi.memory_dim) @ vecs.conj()).reshape(s.shape)
-        diag = psi.dq * (proj.real ** 2 + proj.imag ** 2).sum(1)
-        if s.shape[1] < psi.memory_dim:
-            grams = s.conj() @ np.swapaxes(s, 1, 2)
-        else:
-            grams = np.swapaxes(s, 1, 2) @ s.conj()
-        grams *= psi.dq
-        return entropy._cond_vn_nats(svals, on_support, diag, cells.traces[keep], grams)
+    return _Cells(starts, idx[starts], psi.dq * np.add.reduceat(norms, starts),
+                  psi.samples, psi.dq)
 
 
 def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
@@ -223,16 +207,15 @@ def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
     omega_B^k = dq * sum_{q_i in I_k} psi(q_i) psi(q_i)^dagger; for trivial
     memory this reduces to binned |psi|^2 probabilities. Cells of zero trace
     are dropped before any operator is formed; the others are formed by one
-    batched product (_GridCells.stack), and the state adopts that stack
-    without a copy: the outcome operators are views of it.
+    batched product (_Cells.stack), and the state adopts that stack without
+    a copy: the outcome operators are views of it.
     """
     if part.alpha < 2.0 * psi.dq:
         raise ValueError(
             f"cell width {part.alpha} undersampled by grid spacing {psi.dq}")
-    source = _GridCells(psi)
-    cells = source.cells(part)
+    cells = _cells(psi, part, psi.density())
     live = cells.traces > 0.0
-    return CQState.from_stack([str(k) for k in cells.labels[live]], source.stack(cells, live))
+    return CQState.from_stack([str(k) for k in cells.labels[live]], cells.stack(live))
 
 
 def convergence_ladder(psi: GridWaveFunction, which: str = "position",
@@ -246,17 +229,19 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     tol, which min and max ladders check as the solvers do (in (0, 1e-3]);
     the table's converged flag is False when some rung's gap exceeds tol.
 
-    Every rung reads its cells from one source of psi's grid (_GridCells).
-    Trivial memory takes the entropy of the cell traces. With a memory, a
-    vn rung is the source's vn of the cells qstate.kept_cells keeps under
-    its 1e-15 nats budget, equal to cond_vn_cq(discretize_position(psi,
-    part)) up to rounding (within 1e-14 nats on the 19-level EPR state). A
-    min or max rung is the solve of minmax._solve, which keeps the cells
-    within tol/10 of the certificate's gap, has the source form their
-    stack, symmetrized, and charges the skipped cells in its one
-    certificate: the rung is guessing_probability or decoupling_fidelity
-    of discretize_position's state, bit for bit on the 19-level EPR state,
-    read through minmax._entropy. Each rung logs one
+    Every rung bins psi's grid into _Cells (_cells), from sample norms
+    formed once per ladder. Trivial memory takes the entropy of the cell
+    traces. With a memory, a vn rung is the _Cells.vn of the cells
+    qstate.kept_cells keeps under its 1e-15 nats budget, against omega_B's
+    spectrum formed once per ladder, equal to
+    cond_vn_cq(discretize_position(psi, part)) up to rounding (within
+    1e-14 nats on the 19-level EPR state). A min or max rung is the solve
+    of minmax._solve, which keeps the cells within tol/10 of the
+    certificate's gap, forms their stack (_Cells.stack), symmetrized, and
+    charges the skipped cells in its one certificate: the rung is
+    guessing_probability or decoupling_fidelity of discretize_position's
+    state, bit for bit on the 19-level EPR state, read through
+    minmax._entropy. Each rung logs one
     DEBUG record to the "quncert" logger: alpha, cells, cells kept, the
     total trace of the cells not formed ("skipped trace") and seconds.
 
@@ -287,12 +272,14 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
     if finest < 2.0 * psi.dq:
         raise ValueError(
             f"finest cell {finest} below twice the grid spacing {psi.dq}")
-    q, source = psi.grid, _GridCells(psi)
+    q, norms = psi.grid, psi.density()
+    memory = (entropy._spectrum(sample_outer_sum(psi.samples, psi.dq))
+              if kind == "vn" and psi.memory_dim > 1 else None)
     rows, unconverged = [], []
     for n in range(n_max + 1):
         began = time.perf_counter()
         alpha = alpha0 * 2.0 ** (-n)
-        cells = source.cells(Partition.centered(alpha, q[0], q[-1]))
+        cells = _cells(psi, Partition.centered(alpha, q[0], q[-1]), norms)
         traces = cells.traces
         converged = True
         if psi.memory_dim == 1:
@@ -300,10 +287,9 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
             val = entropy._classical_nats(traces[keep], kind)
         elif kind == "vn":
             keep = kept_cells(traces, kind)
-            val = source.vn(cells, keep)
+            val = cells.vn(keep, memory)
         else:
-            keep, res = minmax._solve(kind, traces,
-                                      lambda keep: herm(source.stack(cells, keep)), tol)
+            keep, res = minmax._solve(kind, traces, lambda keep: herm(cells.stack(keep)), tol)
             val, converged = minmax._entropy(kind, res, "nats").value, res.converged
         val = entropy._as_base(val + math.log(alpha), base).value
         rows.append((alpha, val))

@@ -141,16 +141,16 @@ def epr_grid_wavefunction(nu: float, n_points: int = 4096, memory_dim: int = Non
     dq = 2.0 * half / n_points
     q = -half + dq * np.arange(n_points)
     # Hermite functions h_n(q), vacuum variance 1/2: h_0 = pi^{-1/4} e^{-q^2/2},
-    # recursed in the real part of the one complex array returned
-    samples = np.zeros((n_points, memory_dim), dtype=complex)
-    h = samples.real
-    h[:, 0] = math.pi ** (-0.25) * np.exp(-q ** 2 / 2.0)
+    # recursed on contiguous rows h[n] and written once, scaled by the Schmidt
+    # coefficients, into the real part of the one complex array returned
+    h = np.empty((memory_dim, n_points))
+    h[0] = math.pi ** (-0.25) * np.exp(-q ** 2 / 2.0)
     if memory_dim > 1:
-        h[:, 1] = math.sqrt(2.0) * q * h[:, 0]
+        h[1] = math.sqrt(2.0) * q * h[0]
     for m in range(2, memory_dim):
-        h[:, m] = (math.sqrt(2.0 / m) * q * h[:, m - 1]
-                   - math.sqrt((m - 1.0) / m) * h[:, m - 2])
-    h *= (1.0 / math.cosh(r)) * lam ** np.arange(memory_dim)
+        h[m] = math.sqrt(2.0 / m) * q * h[m - 1] - math.sqrt((m - 1.0) / m) * h[m - 2]
+    samples = np.zeros((n_points, memory_dim), dtype=complex)
+    np.multiply(h.T, (1.0 / math.cosh(r)) * lam ** np.arange(memory_dim), out=samples.real)
     psi = GridWaveFunction(q[0], dq, samples)
     samples /= math.sqrt(psi.norm_sq())
     return psi

@@ -267,6 +267,27 @@ def epr_rung_brackets_bits(nu, alpha):
     }
 
 
+def hermite_functions(levels, q):
+    """(levels, len(q)) array of the oscillator eigenfunctions
+    h_n(q) = (2^n n! sqrt(pi))^(-1/2) H_n(q) e^(-q^2/2), vacuum variance 1/2,
+    from scipy's physicists' Hermite polynomials, with the normalization
+    taken in logs (gammaln) so that n! never overflows."""
+    from scipy.special import eval_hermite, gammaln
+
+    n = np.arange(levels)[:, None]
+    log_norm = -0.5 * (n * math.log(2.0) + gammaln(n + 1.0) + 0.5 * math.log(math.pi))
+    return eval_hermite(n, q) * np.exp(log_norm - 0.5 * q * q)
+
+
+def epr_samples(nu, q, levels):
+    """The EPR state's samples sech(r) tanh(r)^n h_n(q_i), n < levels, on the
+    uniform grid q, normalized so that dq sum_i ||psi(q_i)||^2 = 1."""
+    r = 0.5 * math.acosh(nu)
+    coeffs = math.tanh(r) ** np.arange(levels) / math.cosh(r)
+    samples = (coeffs[:, None] * hermite_functions(levels, q)).T
+    return samples / math.sqrt((q[1] - q[0]) * np.sum(samples ** 2))
+
+
 FOCK_TERMS_MAX = 1e7
 
 

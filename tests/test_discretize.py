@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quncert import discretize, minmax
+from quncert import discretize, entropy, minmax, qstate
 from quncert.discretize import (
     ConvergenceTable,
     Partition,
@@ -375,18 +375,18 @@ class TestTraceFirstLadder:
 
     def test_forms_only_kept_cells(self, monkeypatch):
         built, stacked = [], []
-        adopt, cell_stack = CQState.from_stack, discretize._cell_stack
+        adopt, cell_stack = CQState.from_stack, discretize._Cells.stack
 
         def spy(labels, ops):
             built.append(len(ops))
             return adopt(labels, ops)
 
-        def stack_spy(psi, starts, runs):
-            stacked.append(len(runs))
-            return cell_stack(psi, starts, runs)
+        def stack_spy(cells, keep):
+            stacked.append(int(np.count_nonzero(keep)))
+            return cell_stack(cells, keep)
 
         monkeypatch.setattr(CQState, "from_stack", spy)
-        monkeypatch.setattr(discretize, "_cell_stack", stack_spy)
+        monkeypatch.setattr(discretize._Cells, "stack", stack_spy)
         # a vn rung with a memory forms no operator stack
         convergence_ladder(EPR, "momentum", "vn", n_max=0)
         assert built == [] and stacked == []
@@ -406,6 +406,38 @@ class TestTraceFirstLadder:
         built.clear()
         convergence_ladder(gaussian_wavefunction(1.0, n_points=1024), "position", "vn", n_max=2)
         assert built == []
+
+    def test_forms_omega_b_once_per_vn_ladder(self, monkeypatch):
+        calls = []
+        outer = discretize.sample_outer_sum
+        monkeypatch.setattr(discretize, "sample_outer_sum",
+                            lambda *a: calls.append(1) or outer(*a))
+        for which, n_max in (("position", 3), ("momentum", 1)):
+            calls.clear()
+            convergence_ladder(EPR, which, "vn", n_max=n_max)
+            assert len(calls) == 1
+        # min and max rungs, discretize_position and trivial memory form no omega_B
+        calls.clear()
+        for kind in ("min", "max"):
+            convergence_ladder(EPR, "position", kind, n_max=1, alpha0=4.0)
+        discretize_position(EPR, Partition.centered(1.0, EPR.grid[0], EPR.grid[-1]))
+        convergence_ladder(gaussian_wavefunction(1.0, n_points=1024), "position", "vn", n_max=2)
+        assert calls == []
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.25, 2.0 ** -6])
+    def test_rows_carry_their_weights(self, alpha):
+        # a source with a weight per sample folds sqrt(w_i) into its rows and
+        # takes weight 1: the grid's cells written that way read the same
+        psi = epr_grid_wavefunction(1.5, n_points=4096)
+        part = Partition.centered(alpha, psi.grid[0], psi.grid[-1])
+        cells = discretize._cells(psi, part, psi.density())
+        folded = cells._replace(rows=math.sqrt(psi.dq) * psi.samples, weight=1.0)
+        keep = qstate.kept_cells(cells.traces, "vn")
+        want = cells.stack(keep)
+        assert np.abs(folded.stack(keep) - want).max() <= 1e-14 * np.abs(want).max()
+        memory = entropy._spectrum(sample_outer_sum(psi.samples, psi.dq))
+        want = cells.vn(keep, memory)
+        assert abs(folded.vn(keep, memory) - want) <= 1e-14 * abs(want)
 
     def test_paper_scale_momentum_max_rung_keeps_few_cells(self, caplog):
         # the 32768-point grid puts most of its 12,869 cells at alpha = 1/2

@@ -16,7 +16,7 @@ from quncert.gaussian import (
     fig2_table,
 )
 
-from oracles import epr_gap_decimal, epr_gap_nats, epr_memory_entropy_nats
+from oracles import epr_gap_decimal, epr_gap_nats, epr_memory_entropy_nats, epr_samples
 
 
 class TestCovariance:
@@ -123,6 +123,15 @@ class TestEPRWavefunction:
     def test_normalized(self):
         psi = epr_grid_wavefunction(2.0, n_points=2048)
         assert math.isclose(psi.norm_sq(), 1.0, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("memory_dim", [8, None], ids=["d8", "default"])
+    @pytest.mark.parametrize("n_points", [512, 4096, 32768])
+    @pytest.mark.parametrize("nu, default_dim", [(1.5, 19), (3.0, 41)])
+    def test_samples_match_hermite_oracle(self, nu, default_dim, n_points, memory_dim):
+        psi = epr_grid_wavefunction(nu, n_points, memory_dim=memory_dim)
+        assert psi.memory_dim == (memory_dim or default_dim)
+        want = epr_samples(nu, psi.grid, psi.memory_dim)
+        assert np.abs(psi.samples - want).max() <= 1e-13
 
     def test_vacuum_has_trivial_memory(self):
         psi = epr_grid_wavefunction(1.0, n_points=1024)
