@@ -114,10 +114,15 @@ def cmd_epr_gap(args) -> int:
 
 def cmd_ladder(args) -> int:
     if args.input:
+        if args.sigma is not None or args.n_points is not None:
+            raise ValueError("--input sets the grid and takes no --sigma or --n-points")
         psi = load_state(args.input)
         if not isinstance(psi, GridWaveFunction):
             raise ValueError("ladder input must be a wavefunction file")
     else:
+        # the default Gaussian's, filled in for the header to echo
+        args.sigma = 1.0 if args.sigma is None else args.sigma
+        args.n_points = 4096 if args.n_points is None else args.n_points
         psi = discretize.gaussian_wavefunction(sigma=args.sigma, n_points=args.n_points)
     table = discretize.convergence_ladder(
         psi, which=args.which, kind=args.kind, n_max=args.n_max,
@@ -215,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     la = sub.add_parser("ladder", help="regularized discretization ladder")
     la.add_argument("--input", help="wavefunction JSON (default: Gaussian)")
-    la.add_argument("--sigma", type=float, default=1.0)
-    la.add_argument("--n-points", type=int, default=4096)
+    la.add_argument("--sigma", type=float)
+    la.add_argument("--n-points", type=int)
     la.add_argument("--which", default="position", choices=["position", "momentum"])
     la.add_argument("--kind", default="vn", choices=["vn", "min", "max"])
     la.add_argument("--n-max", type=int, default=8)

@@ -43,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Partition:
-    """Balanced partition of the line into cells of width alpha."""
+    """Cells of width alpha, k_min <= k <= k_max; cell_index decides membership."""
 
     alpha: float
     offset: float
@@ -60,10 +60,9 @@ class Partition:
 
     @classmethod
     def centered(cls, alpha: float, lo: float, hi: float) -> "Partition":
-        """Partition with one cell centered at 0, covering [lo, hi]."""
+        """Partition with one cell centered at 0, from lo's cell to hi's (cell_index)."""
         offset = -alpha / 2.0
-        k_min = math.floor((lo - offset) / alpha)
-        k_max = math.ceil((hi - offset) / alpha)
+        k_min, k_max = cls(alpha, offset, 0, 0).cell_index([lo, hi]).tolist()
         return cls(alpha, offset, k_min, k_max)
 
     def cell_index(self, q: np.ndarray) -> np.ndarray:
@@ -76,14 +75,14 @@ class ConvergenceTable:
     """Rows (alpha, H_regularized) in decreasing alpha, in the base the
     ladder was asked for, plus an extrapolated limit estimate (Aitken
     delta-squared on the last three rungs). unconverged lists the alphas of
-    rungs whose SDP gap exceeded tol."""
+    rungs whose SDP gap exceeded minmax.DEFAULT_TOL."""
 
     rows: tuple
     unconverged: tuple
 
     @property
     def converged(self) -> bool:
-        """True when every rung's SDP gap is at most tol."""
+        """True when every rung's SDP gap is at most minmax.DEFAULT_TOL."""
         return not self.unconverged
 
     @property
@@ -201,6 +200,12 @@ def _cells(psi: GridWaveFunction, part: Partition, norms: np.ndarray) -> _Cells:
                   psi.samples, psi.dq)
 
 
+def _check_width(alpha: float, dq: float) -> None:
+    """The one width rule: a cell spans at least two grid spacings."""
+    if alpha < 2.0 * dq:
+        raise ValueError(f"cell width {alpha} below twice the grid spacing {dq}")
+
+
 def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
     """Bin a grid wavefunction into the cq state of a partitioned measurement.
 
@@ -210,9 +215,7 @@ def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
     batched product (_Cells.stack), and the state adopts that stack without
     a copy: the outcome operators are views of it.
     """
-    if part.alpha < 2.0 * psi.dq:
-        raise ValueError(
-            f"cell width {part.alpha} undersampled by grid spacing {psi.dq}")
+    _check_width(part.alpha, psi.dq)
     cells = _cells(psi, part, psi.density())
     live = cells.traces > 0.0
     return CQState.from_stack([str(k) for k in cells.labels[live]], cells.stack(live))
@@ -220,30 +223,30 @@ def discretize_position(psi: GridWaveFunction, part: Partition) -> CQState:
 
 def convergence_ladder(psi: GridWaveFunction, which: str = "position",
                        kind: str = "vn", n_max: int = 8, alpha0: float = 1.0,
-                       base: str = "bits", tol: float = minmax.DEFAULT_TOL) -> ConvergenceTable:
+                       base: str = "bits") -> ConvergenceTable:
     """Regularized entropies H(X_alpha|B) + log(alpha) for alpha = alpha0*2^-n.
 
     which selects the position or momentum statistics of psi; kind is one of
     vn / min / max; base is bits or nats; n_max >= 0. The finest rung must
-    keep alpha >= 2*dq. With a memory, min and max rungs are SDP solves at
-    tol, which min and max ladders check as the solvers do (in (0, 1e-3]);
-    the table's converged flag is False when some rung's gap exceeds tol.
+    keep alpha >= 2*dq (_check_width). With a memory, min and max rungs are
+    SDP solves at minmax.DEFAULT_TOL; the table's converged flag is False
+    when some rung's gap exceeds it.
 
-    Every rung bins psi's grid into _Cells (_cells), from sample norms
+    Every rung bins psi's grid by Partition.centered from its first sample
+    to its last, which covers it, into _Cells (_cells), from sample norms
     formed once per ladder. Trivial memory takes the entropy of the cell
     traces. With a memory, a vn rung is the _Cells.vn of the cells
     qstate.kept_cells keeps under its 1e-15 nats budget, against omega_B's
-    spectrum formed once per ladder, equal to
-    cond_vn_cq(discretize_position(psi, part)) up to rounding (within
-    1e-14 nats on the 19-level EPR state). A min or max rung is the solve
-    of minmax._solve, which keeps the cells within tol/10 of the
-    certificate's gap, forms their stack (_Cells.stack), symmetrized, and
-    charges the skipped cells in its one certificate: the rung is
-    guessing_probability or decoupling_fidelity of discretize_position's
-    state, bit for bit on the 19-level EPR state, read through
-    minmax._entropy. Each rung logs one
-    DEBUG record to the "quncert" logger: alpha, cells, cells kept, the
-    total trace of the cells not formed ("skipped trace") and seconds.
+    spectrum formed once per ladder, equal to rounding to cond_vn_cq of
+    discretize_position's state (within 1e-14 nats on the 19-level EPR
+    state). A min or max rung is the solve of minmax._solve, which keeps
+    the cells within tol/10 of the certificate's gap, forms their stack
+    (_Cells.stack), symmetrized, and charges the skipped cells in its one
+    certificate: the rung is guessing_probability or decoupling_fidelity
+    of discretize_position's state, bit for bit on the 19-level EPR state,
+    read through minmax._entropy. Each rung logs one DEBUG record to the
+    "quncert" logger: alpha, cells, cells kept, the total trace of the
+    cells not formed ("skipped trace") and seconds.
 
     On the 19-level EPR memory (one BLAS thread, 2-core x86-64 host,
     medians of 15 runs) the position vn ladder alpha = 1 .. 2^-6 on 4096
@@ -260,18 +263,13 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
         raise ValueError(f"unknown entropy kind {kind!r}")
     if base not in ("bits", "nats"):
         raise ValueError(f"unknown base {base!r}")
-    if kind != "vn":
-        minmax._check_tol(tol)
     if not 0.0 < alpha0 < math.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
     if which == "momentum":
         psi = momentum_transform(psi)
     elif which != "position":
         raise ValueError(f"unknown observable {which!r}")
-    finest = alpha0 * 2.0 ** (-n_max)
-    if finest < 2.0 * psi.dq:
-        raise ValueError(
-            f"finest cell {finest} below twice the grid spacing {psi.dq}")
+    _check_width(alpha0 * 2.0 ** (-n_max), psi.dq)
     q, norms = psi.grid, psi.density()
     memory = (entropy._spectrum(sample_outer_sum(psi.samples, psi.dq))
               if kind == "vn" and psi.memory_dim > 1 else None)
@@ -289,7 +287,8 @@ def convergence_ladder(psi: GridWaveFunction, which: str = "position",
             keep = kept_cells(traces, kind)
             val = cells.vn(keep, memory)
         else:
-            keep, res = minmax._solve(kind, traces, lambda keep: herm(cells.stack(keep)), tol)
+            keep, res = minmax._solve(kind, traces, lambda keep: herm(cells.stack(keep)),
+                                       minmax.DEFAULT_TOL)
             val, converged = minmax._entropy(kind, res, "nats").value, res.converged
         val = entropy._as_base(val + math.log(alpha), base).value
         rows.append((alpha, val))

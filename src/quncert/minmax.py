@@ -301,7 +301,6 @@ def guessing_probability(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     value is still sum_x tr[omega_x E_x]. The certificate is
     sigma + sum_y omega_y over the skipped y.
     """
-    _check_tol(tol)
     ops = omega.ops
     keep, res = _solve("min", omega.probs, lambda keep: ops[keep], tol)
     elements = np.zeros(ops.shape, dtype=complex)
@@ -501,14 +500,16 @@ def _fdec_ascent(ops: np.ndarray, skipped: np.ndarray, tol: float) -> SDPResult:
 
 def _solve(kind: str, traces: np.ndarray, form: Callable, tol: float):
     """(keep-mask, result) of the P_guess (kind "min") or F_dec ("max")
-    solve at tol of a cq state given by its cell traces and form(keep),
-    the Hermitian stack of the cells a mask keeps.
+    solve at tol, checked here for every such solve (_check_tol), of a cq
+    state given by its cell traces and form(keep), the Hermitian stack of
+    the cells a mask keeps.
 
     qstate.kept_cells skips the smallest cells whose charge fits in tol/10
     of the gap: S = sum_y t_y <= tol/10 for P_guess (_guess), and for
     sqrt(F_dec) (_fdec_ascent) T = sum_y sqrt(t_y) up to the root of
     2RT + T^2 = tol/10 (_root_share), R = sum_x sqrt(t_x) over all cells.
     """
+    _check_tol(tol)
     budget = 0.1 * tol
     if kind == "max":
         budget = _root_share(float(np.sqrt(np.clip(traces, 0.0, None)).sum()), budget)
@@ -531,7 +532,6 @@ def decoupling_fidelity(omega: CQState, tol: float = DEFAULT_TOL) -> SDPResult:
     2RT + T^2, R = sum_x sqrt(t_x), at most tol/10 (_solve, bound
     sqrt(t_y) per cell) and charged by _fdec_ascent.
     """
-    _check_tol(tol)
     return _solve("max", omega.probs, lambda keep: omega.ops[keep], tol)[1]
 
 

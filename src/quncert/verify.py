@@ -22,6 +22,8 @@ from . import entropy, minmax, overlap
 from .qstate import CQState, POVM, herm, partial_trace, psd_eigh, psd_funcm, purify_cq
 
 VIOLATION_TOL = -minmax.DEFAULT_TOL
+# the most trials one report runs; the report keeps every trial's slacks
+MAX_TRIALS = 10_000
 
 __all__ = [
     "CheckReport",
@@ -71,6 +73,8 @@ def _run(relation: str, trials: int, seed: int, trial) -> CheckReport:
     when one of its solves stopped at its cap."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     got = [trial(_trial_rng(seed, t)) for t in range(trials)]

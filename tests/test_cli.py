@@ -14,7 +14,7 @@ from quncert.discretize import MAX_POINTS
 from quncert.gaussian import FIG2_MAX_ROWS
 from quncert.qstate import CQState, DensityMatrix, GridWaveFunction
 from quncert.serialize import StateFormatError, load_state, loads_state, save_state
-from quncert.verify import _trial_rng
+from quncert.verify import MAX_TRIALS, _trial_rng
 
 from oracles import random_cq
 
@@ -415,6 +415,20 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "alpha,H_reg,entropy_kind,base" in out
 
+    def test_ladder_header_echoes_the_grid_it_ran(self, tmp_path, capsys):
+        # the default Gaussian's sigma and n_points are echoed; a file's grid
+        # comes from the file, and the header names neither
+        assert main(["ladder", "--n-max", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            "# config: alpha0=1.0 base=bits command=ladder kind=vn n_max=0 n_points=4096 "
+            "sigma=1.0 which=position")
+        f = tmp_path / "psi.json"
+        save_state(GridWaveFunction(-2.0, 0.5, np.ones(8, dtype=complex)).normalized(), f)
+        assert main(["ladder", "--input", str(f), "--n-max", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == (
+            f"# config: alpha0=1.0 base=bits command=ladder input={f} kind=vn n_max=0 "
+            "which=position")
+
     def test_ladder_stdout_unchanged_by_debug_log(self, capsys, caplog):
         argv = ["ladder", "--n-points", "1024", "--n-max", "2"]
         assert main(argv) == 0
@@ -556,6 +570,12 @@ class TestCLI:
          f"n_points must be at most {MAX_POINTS}, got {MAX_POINTS + 1}"),
         (["entropy", "--state", "{inf}", "--measure", "vn"],
          "density matrix: non-finite entries in re or im"),
+        (["ladder", "--input", "{psi}", "--sigma", "2"],
+         "--input sets the grid and takes no --sigma or --n-points"),
+        (["ladder", "--input", "{psi}", "--n-points", "64"],
+         "--input sets the grid and takes no --sigma or --n-points"),
+        (["verify", "--relation", "operator-lemmas", "--trials", str(MAX_TRIALS + 1)],
+         f"trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}"),
     ], ids=["sweep-arity", "sweep-count", "sweep-kind", "no-spacing", "one-spacing",
             "relation", "lemmas-dims", "vn-wavefunction", "hmin-wavefunction", "hmax-density",
             "ladder-cq", "overlap-nan", "overlap-inf", "overlap-underflow", "overlap-overflow",
@@ -564,7 +584,8 @@ class TestCLI:
             "verify-seed-negative", "sweep-count-0", "epr-gap-n-0", "epr-gap-nan",
             "epr-gap-r-overflow", "epr-gap-r-inf", "sweep-log-negative", "sweep-log-zero",
             "sweep-lin-inf", "sweep-with-delta-q", "sweep-with-delta-p", "sweep-count-cap",
-            "epr-gap-n-cap", "ladder-n-points-cap", "entropy-infinity"])
+            "epr-gap-n-cap", "ladder-n-points-cap", "entropy-infinity", "input-with-sigma",
+            "input-with-n-points", "verify-trials-cap"])
     def test_validation_error_exits_2(self, tmp_path, capsys, argv, message):
         from quncert.discretize import gaussian_wavefunction
 

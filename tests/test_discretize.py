@@ -75,6 +75,20 @@ class TestPartition:
         for q in np.linspace(-3.9, 3.9, 200):
             assert fine.cell_index(q) // 2 == coarse.cell_index(q)
 
+    @given(st.integers(-6, 4), st.integers(-2000, 2000), st.integers(0, 2000),
+           st.booleans(), st.floats(0.0, 1.0, exclude_max=True))
+    @settings(max_examples=200, deadline=None)
+    def test_centered_range_is_cell_index_of_its_ends(self, n, j, span, on_edges, frac):
+        # dyadic alpha, and ends that lie on the edges (j - 1/2) alpha exactly
+        # or a fraction frac of a cell above them
+        alpha = 2.0 ** n
+        lo = (j - 0.5 + (0.0 if on_edges else frac)) * alpha
+        hi = lo + span * alpha
+        part = Partition.centered(alpha, lo, hi)
+        assert part.k_min == part.cell_index(lo) and part.k_max == part.cell_index(hi)
+        if on_edges:
+            assert (part.k_min, part.k_max) == (j - 1, j + span - 1)
+
     @given(st.floats(-50.0, 50.0), st.floats(0.01, 5.0))
     @settings(max_examples=100, deadline=None)
     def test_index_consistent_with_bounds(self, q, alpha):
@@ -210,10 +224,14 @@ class TestDiscretizePosition:
         assert math.isclose(probs[str(center)], expected, abs_tol=1e-6)
 
     def test_rejects_cells_below_grid_resolution(self):
+        # a cell spans at least two grid spacings, the ladder's rule too
         psi = gaussian_wavefunction(sigma=1.0, n_points=256)
-        part = Partition.centered(psi.dq, psi.grid[0], psi.grid[-1])
-        with pytest.raises(ValueError):
-            discretize_position(psi, part)
+        ends = psi.grid[0], psi.grid[-1]
+        discretize_position(psi, Partition.centered(2.0 * psi.dq, *ends))
+        for alpha in (psi.dq, np.nextafter(2.0 * psi.dq, 0.0)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"cell width {alpha} below twice the grid spacing {psi.dq}")):
+                discretize_position(psi, Partition.centered(alpha, *ends))
 
     def test_rejects_partition_narrower_than_the_grid(self):
         psi = gaussian_wavefunction(sigma=1.0, n_points=256)
@@ -228,6 +246,54 @@ class TestDiscretizePosition:
         part = Partition.centered(1.0, psi.grid[0], psi.grid[-1])
         cq = discretize_position(psi, part)
         assert validate(cq)["pass"]
+
+
+def _edge_start_gaussian(memory_dim=1):
+    """A Gaussian on 512 points from q0 = -2.5 with dq = 0.01: at alpha = 1
+    its first sample lies on the edge -2.5 of the centered partition. With a
+    memory, each sample is the Gaussian times a unit vector that turns with q."""
+    q = -2.5 + 0.01 * np.arange(512)
+    angles = np.outer(q, np.arange(memory_dim))
+    samples = np.exp(-0.5 * q * q)[:, None] * np.exp(1j * angles) / math.sqrt(memory_dim)
+    return GridWaveFunction(-2.5, 0.01, samples).normalized()
+
+
+class TestCellEdgeAtFirstSample:
+    """A grid whose first sample lies on a cell edge is covered: the sample
+    belongs to the cell below that edge, which Partition.centered includes."""
+
+    @staticmethod
+    def _oracle(psi, alpha):
+        # every cell that can hold a sample, independent of the partition's range
+        return binned_cq(psi.q0, psi.dq, psi.samples, alpha, -alpha / 2.0, -100, 100)
+
+    def test_discretize_position(self):
+        psi = _edge_start_gaussian(memory_dim=2)
+        part = Partition.centered(1.0, psi.grid[0], psi.grid[-1])
+        assert part.cell_index(psi.q0) == -3
+        cq = discretize_position(psi, part)
+        want = self._oracle(psi, 1.0)
+        assert cq.labels == list(want) == [str(k) for k in range(-3, 4)]
+        assert np.abs(cq.ops - np.array(list(want.values()))).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["vn", "min", "max"])
+    def test_ladder(self, kind):
+        # trivial memory: each rung is the classical entropy of the cell masses
+        psi = _edge_start_gaussian()
+        tab = convergence_ladder(psi, kind=kind, n_max=1, alpha0=1.0, base="nats")
+        for alpha, value in tab.rows:
+            p = np.array([op[0, 0].real for op in self._oracle(psi, alpha).values()])
+            want = {"vn": -np.sum(p * np.log(p)), "min": -math.log(p.max()),
+                    "max": 2.0 * math.log(np.sqrt(p).sum())}[kind]
+            assert abs(value - math.log(alpha) - want) <= 1e-14
+
+    def test_vn_ladder_with_memory(self):
+        psi = _edge_start_gaussian(memory_dim=2)
+        tab = convergence_ladder(psi, kind="vn", n_max=1, alpha0=1.0, base="nats")
+        for alpha, value in tab.rows:
+            want = binned_cond_vn_nats(psi.q0, psi.dq, psi.samples, alpha, -alpha / 2.0,
+                                       -100, 100)
+            assert abs(value - math.log(alpha) - want) <= 1e-12
 
 
 class TestDiscretizeMatchesLoop:
@@ -545,8 +611,13 @@ class TestConvergenceLadder:
         assert np.allclose([alpha for alpha, _ in tab.rows], 2.0 * 0.5 ** np.arange(5))
 
     def test_rejects_too_fine(self):
-        with pytest.raises(ValueError):
-            convergence_ladder(self.PSI, kind="vn", n_max=12)
+        # dq = 1/128: the finest rung of alpha0 = 1, n_max = 6 is 2 dq
+        assert len(convergence_ladder(self.PSI, kind="vn", n_max=6).rows) == 7
+        for alpha0, n_max in ((1.0, 12), (np.nextafter(1.0, 0.0), 6)):
+            finest = alpha0 * 2.0 ** -n_max
+            with pytest.raises(ValueError, match=re.escape(
+                    f"cell width {finest} below twice the grid spacing {self.PSI.dq}")):
+                convergence_ladder(self.PSI, kind="vn", n_max=n_max, alpha0=alpha0)
 
     @pytest.mark.parametrize("alpha0", [math.nan, math.inf, -math.inf, 0.0])
     def test_rejects_alpha0_off_the_positive_reals(self, alpha0):
@@ -562,15 +633,6 @@ class TestConvergenceLadder:
         with pytest.raises(ValueError, match="unknown base 'foo'"):
             convergence_ladder(psi, kind=kind, n_max=0, base="foo")
         assert calls == []
-
-    @pytest.mark.parametrize("kind", ["min", "max"])
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, 0.5])
-    def test_rejects_tol_outside_solver_range(self, kind, tol):
-        # the range guessing_probability and decoupling_fidelity accept, checked
-        # before any rung is solved
-        psi = epr_grid_wavefunction(1.5, n_points=512, memory_dim=8)
-        with pytest.raises(ValueError, match=re.escape("tol must be in (0, 1e-3]")):
-            convergence_ladder(psi, kind=kind, n_max=0, alpha0=4.0, tol=tol)
 
     def test_memory_ladder_matches_classical_on_product(self):
         # a product wavefunction with 2-dim memory must give the same

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -589,6 +590,26 @@ class TestCondMinEntropyGeneral:
         rho = np.kron(np.eye(2) / 2.0, np.diag([0.6, 0.4]))
         with pytest.raises(ValueError, match="dims do not match rho"):
             cond_min_entropy_value(rho, 3, 2)
+
+
+class TestTolRange:
+    """Every min/max entry takes tol in (0, 1e-3], checked before any solver
+    runs: in _solve for the cq entries, in cond_min_entropy_value itself."""
+
+    @pytest.mark.parametrize("kind", ["min", "max", "cond"])
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, 0.5, math.inf])
+    def test_rejects_tol_outside_solver_range(self, monkeypatch, kind, tol):
+        def no_solve(*args):
+            raise AssertionError("a solver ran")
+
+        for solver in ("_guess", "_fdec_ascent", "_ipm"):
+            monkeypatch.setattr(minmax, solver, no_solve)
+        cq = random_cq(_trial_rng(85, 0), 3, 2)
+        entry = {"min": lambda: guessing_probability(cq, tol),
+                 "max": lambda: decoupling_fidelity(cq, tol),
+                 "cond": lambda: cond_min_entropy_value(block_diagonal(cq.ops), 3, 2, tol)}[kind]
+        with pytest.raises(ValueError, match=re.escape("tol must be in (0, 1e-3]")):
+            entry()
 
 
 def _spy_ipm(monkeypatch):

@@ -133,6 +133,28 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             check(trials=1, seed=-1)
 
+    @pytest.mark.parametrize("check", [check_minmax_tripartite, check_vn_tripartite,
+                                       check_bipartite, check_operator_lemmas])
+    def test_trials_above_cap_rejected_before_any_trial(self, monkeypatch, check):
+        def no_trial(seed, t):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(verify, "_trial_rng", no_trial)
+        over = verify.MAX_TRIALS + 1
+        with pytest.raises(ValueError,
+                           match=f"trials must be at most {verify.MAX_TRIALS}, got {over}"):
+            check(trials=over)
+
+    @pytest.mark.parametrize("check", [check_minmax_tripartite, check_vn_tripartite,
+                                       check_bipartite, check_operator_lemmas])
+    def test_trials_up_to_cap_run(self, monkeypatch, check):
+        # the cap is read when the loop runs: a small cap stands in for the
+        # real one, which is never run
+        monkeypatch.setattr(verify, "MAX_TRIALS", 2)
+        assert check(trials=2).passed
+        with pytest.raises(ValueError, match="trials must be at most 2, got 3"):
+            check(trials=3)
+
     def test_unknown_variant_rejected_before_any_trial(self, monkeypatch):
         def no_trial(seed, t):
             raise AssertionError("a trial was drawn")
